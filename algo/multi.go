@@ -24,8 +24,7 @@ func checkLanes(g *graphit.Graph, what string, vs []graphit.VertexID) error {
 }
 
 // multiDistOp builds the k-lane ∆-stepping operator: one initDist vector per
-// lane and the shared relaxation UDF from paper Figure 3 (each lane's Queue
-// is bound to that lane's distance vector).
+// lane; the relaxation is the engine's own (paper Figure 3's min-plus UDF).
 func multiDistOp(g *graphit.Graph, srcs []graphit.VertexID) (*graphit.MultiOrdered, [][]int64) {
 	n := g.NumVertices()
 	lanes := make([][]int64, len(srcs))
@@ -33,16 +32,10 @@ func multiDistOp(g *graphit.Graph, srcs []graphit.VertexID) (*graphit.MultiOrder
 		lanes[l] = initDist(n, src)
 	}
 	op := &graphit.MultiOrdered{
-		G:     g,
-		Lanes: lanes,
-		Order: graphit.LowerFirst,
-		Apply: func(s, d graphit.VertexID, w graphit.Weight, q *graphit.Queue) {
-			q.UpdatePriorityMin(d, q.Priority(s)+int64(w))
-		},
-		// Apply is the canonical relaxation with no finished-vertex filter,
-		// so push rounds may run the engine's fused lane-batched kernel.
-		RelaxMinPlus: true,
-		Sources:      srcs,
+		G:       g,
+		Lanes:   lanes,
+		Order:   graphit.LowerFirst,
+		Sources: srcs,
 	}
 	return op, lanes
 }

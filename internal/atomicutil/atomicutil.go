@@ -63,27 +63,6 @@ func Load(p *int64) int64 { return atomic.LoadInt64(p) }
 // Store is an atomic store of a slice element (by pointer).
 func Store(p *int64, v int64) { atomic.StoreInt64(p, v) }
 
-// LoadU64 is an atomic load of a uint64 slice element (by pointer).
-func LoadU64(p *uint64) uint64 { return atomic.LoadUint64(p) }
-
-// SwapU64 atomically writes *p = v and returns the previous value.
-func SwapU64(p *uint64, v uint64) uint64 { return atomic.SwapUint64(p, v) }
-
-// OrU64 atomically sets *p |= mask. CAS-based (atomic.OrUint64 needs a
-// newer toolchain); the early-out covers the common already-set case
-// without issuing a write.
-func OrU64(p *uint64, mask uint64) {
-	for {
-		old := atomic.LoadUint64(p)
-		if old&mask == mask {
-			return
-		}
-		if atomic.CompareAndSwapUint64(p, old, old|mask) {
-			return
-		}
-	}
-}
-
 // Flags is a set of CAS-guarded deduplication flags, one byte per vertex,
 // used to guarantee a vertex enters a per-round output buffer at most once
 // (paper Figure 9(a), line 21). Reset between rounds with ResetList.
@@ -100,17 +79,6 @@ func NewFlags(n int) *Flags {
 // that set it (false if it was already set).
 func (f *Flags) TrySet(i uint32) bool {
 	return atomic.CompareAndSwapUint32(&f.bits[i], 0, 1)
-}
-
-// TrySetUnsync is TrySet without the CAS, for phases that run on a single
-// worker (no concurrent setters). Mixing it with concurrent TrySet calls on
-// the same flag set is a data race.
-func (f *Flags) TrySetUnsync(i uint32) bool {
-	if f.bits[i] != 0 {
-		return false
-	}
-	f.bits[i] = 1
-	return true
 }
 
 // IsSet reports whether flag i is set.

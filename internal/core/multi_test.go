@@ -26,9 +26,6 @@ func multiOp(g *graph.Graph, srcs []uint32, cfg Config) (*MultiOrdered, [][]int6
 	}
 	mo := &MultiOrdered{
 		G: g, Lanes: lanes, Order: bucket.Increasing,
-		Apply: func(s, d uint32, w int32, u *Updater) {
-			u.UpdatePriorityMin(d, u.Priority(s)+int64(w))
-		},
 		Sources: srcs,
 		Cfg:     cfg,
 	}
@@ -36,7 +33,9 @@ func multiOp(g *graph.Graph, srcs []uint32, cfg Config) (*MultiOrdered, [][]int6
 }
 
 // randomLazyConfig derives a valid lazy schedule (the only strategy family
-// multi-source runs support) from raw bytes, covering all three directions.
+// multi-source runs support) from raw bytes, covering all three directions
+// and several worker counts — hints the lane kernel must ignore without
+// changing any answer.
 func randomLazyConfig(b, c, d uint8) Config {
 	cfg := DefaultConfig()
 	cfg.Strategy = Lazy
@@ -223,8 +222,8 @@ func TestMultiValidate(t *testing.T) {
 		{"lane length mismatch", func(mo *MultiOrdered) { mo.Lanes[1] = mo.Lanes[1][:3] }},
 		{"sources length mismatch", func(mo *MultiOrdered) { mo.Sources = mo.Sources[:1] }},
 		{"stops length mismatch", func(mo *MultiOrdered) { mo.Stops = make([]StopFunc, 1) }},
-		{"nil apply", func(mo *MultiOrdered) { mo.Apply = nil }},
 		{"source out of range", func(mo *MultiOrdered) { mo.Sources[0] = uint32(g.NumVertices()) }},
+		{"negative source priority", func(mo *MultiOrdered) { mo.Lanes[0][mo.Sources[0]] = -1 }},
 		{"too many lanes", func(mo *MultiOrdered) {
 			mo.Lanes = make([][]int64, MaxLanes+1)
 			for i := range mo.Lanes {
@@ -253,5 +252,97 @@ func TestMultiCancellation(t *testing.T) {
 	cancel()
 	if _, err := mo.RunContext(ctx); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestMaxLanesFor pins the (lane, vertex) id-space bound: k·nPad must fit in
+// 2^32, with nPad the vertex count rounded up to a power of two. validate
+// rejects anything above it (the "too many lanes" case above is the small-
+// graph end of the same check); qexec caps its windows with it.
+func TestMaxLanesFor(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{
+		{1, MaxLanes},
+		{1 << 26, MaxLanes}, // 64 · 2^26 = 2^32 exactly: fits
+		{1<<26 + 1, 32},     // pads to 2^27
+		{1 << 31, 2},
+		{1<<31 + 1, 1}, // pads to 2^32: a single lane
+		{1<<32 - 1, 1},
+	} {
+		if got := MaxLanesFor(tc.n); got != tc.want {
+			t.Errorf("MaxLanesFor(%d) = %d, want %d", tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestMultiStopsWithAliasingBucketTags forces the state plane's 7-bit tags
+// to alias while a lane stop is armed: T is first queued at bucket 130
+// (direct edge), then improved to bucket 2 = 130-128 through a short path.
+// Were the tag match trusted, T would not be re-queued, would be swept ≥ 128
+// buckets late, and the lane's stop would fire at bucket 50 on the direct
+// 0→dst edge — answering 50 instead of 3. NumBuckets places the aliasing
+// entry in the overflow (16, 128) or in the open window (1024).
+func TestMultiStopsWithAliasingBucketTags(t *testing.T) {
+	const s, a, T, dst = 0, 1, 2, 3
+	edges := []graph.Edge{
+		{Src: s, Dst: a, W: 1}, {Src: a, Dst: T, W: 1}, // T at 2
+		{Src: s, Dst: T, W: 130}, // T first seen at 130 ≡ 2 (mod 128)
+		{Src: T, Dst: dst, W: 1}, // dst at 3 through T
+		{Src: s, Dst: dst, W: 50},
+	}
+	// A long weighted tail keeps later buckets populated, so the run would
+	// carry on past bucket 50 if the stop did not end it.
+	const tail = 300
+	for i := 0; i < tail; i++ {
+		edges = append(edges, graph.Edge{Src: uint32(dst + i), Dst: uint32(dst + i + 1), W: 1})
+	}
+	g, err := graph.Build(edges, graph.BuildOptions{NumVertices: dst + tail + 1, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nb := range []int{16, 128, 1024} {
+		cfg := DefaultConfig()
+		cfg.Strategy = Lazy
+		cfg.Delta = 1
+		cfg.NumBuckets = nb
+		// Lane 1 is an ordinary companion so the partitioned path runs too.
+		mo, lanes := multiOp(g, []uint32{s, a}, cfg)
+		dsts := []uint32{dst, dst + tail}
+		mo.Stops = make([]StopFunc, 2)
+		for l := range mo.Stops {
+			dist, d := lanes[l], dsts[l]
+			mo.Stops[l] = func(cur int64) bool { return dist[d] != Unreached && cur >= dist[d] }
+		}
+		if _, err := mo.Run(); err != nil {
+			t.Fatalf("NumBuckets=%d: %v", nb, err)
+		}
+		for l, src := range []uint32{s, a} {
+			if got, want := lanes[l][dsts[l]], serialSSSP(g, src)[dsts[l]]; got != want {
+				t.Errorf("NumBuckets=%d lane %d: pair distance %d, want %d", nb, l, got, want)
+			}
+		}
+	}
+}
+
+// TestMultiUnweightedGraph: without weights the relaxation adds zero, so
+// every vertex a lane reaches settles at its source's priority.
+func TestMultiUnweightedGraph(t *testing.T) {
+	g, err := graph.Build([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 3, Dst: 0}},
+		graph.BuildOptions{NumVertices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Strategy = Lazy
+	mo, lanes := multiOp(g, []uint32{0, 3}, cfg)
+	if _, err := mo.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int64{{0, 0, 0, Unreached}, {0, 0, 0, 0}}
+	for l := range want {
+		for v := range want[l] {
+			if lanes[l][v] != want[l][v] {
+				t.Errorf("lane %d dist[%d] = %d, want %d", l, v, lanes[l][v], want[l][v])
+			}
+		}
 	}
 }

@@ -25,7 +25,6 @@ type scratch struct {
 	dedup    *atomicutil.Flags
 	inFron   []bool
 	nextMap  []bool
-	laneMask []uint64
 	laneSt   []byte
 	laneCasc []uint32
 	lanePart []uint32
@@ -90,41 +89,10 @@ func (sc *scratch) getUpdaters(o *Ordered, w int) []*Updater {
 	return ups
 }
 
-// getMultiUpdaters returns w*k zeroed updaters bound worker-major to the k
-// lane views (updater i serves lane i%k on worker i/k), keeping each
-// updater's output buffer capacity. Each updater carries the run's shared
-// pending-lane bitmask and its lane's bit, so winning updates mark lane
-// pendency as they land.
-func (sc *scratch) getMultiUpdaters(views []*Ordered, w int, pend []uint64) []*Updater {
-	k := len(views)
-	need := w * k
-	for len(sc.ups) < need {
-		sc.ups = append(sc.ups, &Updater{})
-	}
-	ups := sc.ups[:need]
-	for i, u := range ups {
-		out := u.out[:0]
-		*u = Updater{o: views[i%k], out: out, pend: pend, laneBit: 1 << uint(i%k)}
-	}
-	return ups
-}
-
-// getLaneMask returns the clean per-vertex lane bitmask used by multi-source
-// pull rounds (cleared over the frontier after every round, so a pooled mask
-// is clean by the scratch invariant).
-func (sc *scratch) getLaneMask(n int) []uint64 {
-	if cap(sc.laneMask) < n {
-		sc.laneMask = make([]uint64, n)
-	}
-	sc.laneMask = sc.laneMask[:n]
-	return sc.laneMask
-}
-
-// getLaneState returns the zeroed per-id queued-state plane of the serial
-// lane-granular fast path, sized to sz bytes. A clean run ends with every
-// byte back at zero (all entries drained), but a cancelled or faulted run
-// does not repool its scratch, so clearing on acquire keeps the invariant
-// without trusting the previous run.
+// getLaneState returns the zeroed per-id queued-state plane of the lane
+// kernel, sized to sz bytes. A clean run ends with every byte back at zero
+// (all entries drained), but a cancelled, stopped or faulted run does not, so
+// clearing on acquire keeps the invariant without trusting the previous run.
 func (sc *scratch) getLaneState(sz int) []byte {
 	if cap(sc.laneSt) < sz {
 		sc.laneSt = make([]byte, sz)

@@ -28,12 +28,6 @@ type Updater struct {
 	dedup *atomicutil.Flags
 	// Lazy DensePull sink: dense changed map.
 	next []bool
-	// Multi-source lanes: pend, when set, is the run's shared per-vertex
-	// pending-lane bitmask and laneBit this updater's lane. A winning update
-	// marks the lane pending at v, so the consume loop and the bucket keyer
-	// scan only lanes with real work instead of all k.
-	pend    []uint64
-	laneBit uint64
 
 	// Per-worker counters, folded into Stats after each parallel phase.
 	relaxations int64
@@ -62,9 +56,6 @@ func (u *Updater) Priority(v graph.VertexID) int64 {
 // record routes a successful priority change of v (new coarsened value p)
 // into the schedule's bucket sink.
 func (u *Updater) record(v graph.VertexID, newPrio int64) {
-	if u.pend != nil {
-		atomicutil.OrU64(&u.pend[v], u.laneBit)
-	}
 	o := u.o
 	switch {
 	case u.sink != nil: // relaxed engine

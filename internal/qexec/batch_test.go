@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"graphit"
+	"graphit/algo"
+	"graphit/internal/core"
 	"graphit/internal/livegraph"
 	"graphit/internal/parallel"
 	"graphit/internal/testutil"
@@ -50,18 +53,11 @@ func TestBatchFanOut(t *testing.T) {
 	})
 	defer mustClose(t, p)
 
-	outs := make([]*Outcome, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i] = p.Do(context.Background(), batchReq(uint32(i), probe))
-		}(i)
+	reqs := make([]Request, k)
+	for i := range reqs {
+		reqs[i] = batchReq(uint32(i), probe)
 	}
-	wg.Wait()
-
-	for i, out := range outs {
+	for i, out := range doConcurrently(p, reqs) {
 		if out.Code != CodeOK {
 			t.Fatalf("lane src=%d: %s: %v", i, out.Code, out.Err)
 		}
@@ -140,6 +136,150 @@ func TestBatchSkipsNonBatchable(t *testing.T) {
 	}
 	if st := p.Status().Batch; st.Windows != 0 {
 		t.Errorf("batch windows = %d, want 0 (no batchable traffic)", st.Windows)
+	}
+}
+
+// doConcurrently issues reqs at once and returns their outcomes in order.
+func doConcurrently(p *Pipeline, reqs []Request) []*Outcome {
+	outs := make([]*Outcome, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func(i int, req Request) {
+			defer wg.Done()
+			outs[i] = p.Do(context.Background(), req)
+		}(i, req)
+	}
+	wg.Wait()
+	return outs
+}
+
+// TestBatchPairQueries: point-to-point queries batch too — the lane kernel
+// carries per-lane stop conditions — and each lane's pair distance equals
+// the sequential reference.
+func TestBatchPairQueries(t *testing.T) {
+	defer testutil.LeakCheck(t, parallel.CloseIdle)()
+	g := testGraph(t)
+	sp, err := algo.Lookup("ppsp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newTestPipeline(t, Config{
+		Graphs:        map[string]*graphit.Graph{"road": g},
+		BatchWindow:   time.Minute,
+		BatchMaxLanes: 3, // the third join seals the window
+	})
+	defer mustClose(t, p)
+	reqs := []Request{
+		{Algo: "ppsp", Graph: "road", Src: 0, Dst: 255, Strategy: "lazy", Delta: 4},
+		{Algo: "ppsp", Graph: "road", Src: 17, Dst: 3, Strategy: "lazy", Delta: 4},
+		{Algo: "ppsp", Graph: "road", Src: 200, Dst: 201, Strategy: "lazy", Delta: 4},
+	}
+	for i, out := range doConcurrently(p, reqs) {
+		if out.Code != CodeOK || out.BatchLanes != 3 || out.Fallback {
+			t.Fatalf("lane %d: %s (%v) BatchLanes=%d Fallback=%v", i, out.Code, out.Err, out.BatchLanes, out.Fallback)
+		}
+		ref, err := sp.Ref(g, reqs[i].Src, reqs[i].Dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := algo.Summarize(sp, ref, reqs[i].Dst, nil).PairDist
+		if got := out.Summary.PairDist; got == nil || want == nil || *got != *want {
+			t.Errorf("lane %d: pair distance %v, want %v", i, got, want)
+		}
+	}
+	if runs := p.Status().Runs; runs != 1 {
+		t.Errorf("engine runs = %d, want 1", runs)
+	}
+}
+
+// TestBatchFaultFallsBackPerLane: a panic injected into the k-lane run's
+// relaxation faults the whole group once; every lane is then answered by its
+// own serial fallback run — equal to the sequential reference, marked
+// Fallback, never cached — and the breaker hears of exactly one fault.
+func TestBatchFaultFallsBackPerLane(t *testing.T) {
+	defer testutil.LeakCheck(t, parallel.CloseIdle)()
+	g := testGraph(t)
+	sp, err := algo.Lookup("sssp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newTestPipeline(t, Config{
+		Graphs:        map[string]*graphit.Graph{"road": g},
+		CacheEntries:  64,
+		BatchWindow:   time.Minute,
+		BatchMaxLanes: 3,
+		BaseContext: func(ctx context.Context) context.Context {
+			// Early chunks panic in the lane kernel and again in each
+			// fallback run, whose serial retry (phases prefixed "retry.")
+			// absorbs them.
+			return core.WithFaultHook(ctx, func(phase string, round int64, _ int) {
+				if phase == core.PhaseRelaxChunk && round <= 2 {
+					panic("hostile relaxation")
+				}
+			})
+		},
+	})
+	defer mustClose(t, p)
+	ids := allVertices(g)
+	reqs := []Request{batchReq(0, ids), batchReq(100, ids), batchReq(255, ids)}
+	for i, out := range doConcurrently(p, reqs) {
+		if out.Code != CodeOK || !out.Fallback || out.FaultKind != graphit.FaultKindPanic || out.BatchLanes != 3 {
+			t.Fatalf("lane %d: %s (%v) Fallback=%v FaultKind=%q BatchLanes=%d, want a 3-lane fallback answer",
+				i, out.Code, out.Err, out.Fallback, out.FaultKind, out.BatchLanes)
+		}
+		ref, err := sp.Ref(g, reqs[i].Src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSummaryValues(t, out, ids, ref.Values)
+	}
+	st := p.Status()
+	if st.Runs != 1 || st.Cache.Entries != 0 {
+		t.Errorf("runs=%d cache entries=%d, want one group run and nothing cached", st.Runs, st.Cache.Entries)
+	}
+	if len(st.Breakers) != 1 || st.Breakers[0].Faults != 1 || st.Breakers[0].Fallbacks != 1 {
+		t.Errorf("breakers = %+v, want one key fed one fault and one fallback", st.Breakers)
+	}
+}
+
+// TestCachedOutcomesDoNotPinResults: the cache and the trace ring keep each
+// answer's summary and counters, not the run's n-element result vector — a
+// full cache on a 50k-vertex graph must cost far less than one vector per
+// entry. (Outcome.Stats used to alias the QueryResult's own Stats field,
+// pinning the whole result for as long as the entry lived.)
+func TestCachedOutcomesDoNotPinResults(t *testing.T) {
+	g, err := graphit.RoadGrid(graphit.RoadOptions{Rows: 224, Cols: 224, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const entries = 32
+	p := newTestPipeline(t, Config{
+		Graphs:       map[string]*graphit.Graph{"road": g},
+		CacheEntries: entries,
+		TraceRing:    entries,
+	})
+	defer mustClose(t, p)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle empties the engines' sync.Pools
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for src := uint32(0); src < entries; src++ {
+		if out := p.Do(context.Background(), Request{Algo: "sssp", Graph: "road", Src: src, Delta: 1024}); out.Code != CodeOK {
+			t.Fatalf("src=%d: %s: %v", src, out.Code, out.Err)
+		}
+	}
+	if st := p.Status().Cache; st.Entries != entries {
+		t.Fatalf("cache holds %d entries, want %d", st.Entries, entries)
+	}
+	after := heap()
+	vectors := uint64(entries * 8 * g.NumVertices())
+	if grown := int64(after) - int64(before); grown > int64(vectors/4) {
+		t.Errorf("heap grew %d bytes over %d cached answers; one pinned result vector each would be %d", grown, entries, vectors)
 	}
 }
 

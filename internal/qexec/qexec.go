@@ -1,25 +1,28 @@
 // Package qexec is the transport-agnostic query-execution pipeline behind
 // graphd (and any future consumer: CLIs, shard coordinators, the
-// autotuner). A query passes through six explicit stages, each producing or
+// autotuner). A query passes through explicit stages, each producing or
 // refining a typed Outcome — no HTTP types appear anywhere in the package;
 // transports are thin codecs over Pipeline.Do:
 //
-//	Plan     -> validate the request against the algo registry and the
-//	            loaded graphs, and resolve it to a canonical, fully-
-//	            defaulted Plan (normalized schedule params, clamped
-//	            budget, stable cache key).
-//	Cache    -> a keyed LRU with TTL over canonical plan keys; a hit is
-//	            returned immediately with the Cached marker set.
-//	Coalesce -> singleflight: concurrent identical plans share one engine
-//	            run; followers receive the leader's completed Outcome
-//	            (including a fault-triggered fallback result — never a
-//	            torn one) with the Coalesced marker set.
-//	Admit    -> the bounded run-slot queue sized to the shared executor
-//	            pool; overflow is shed fast (CodeShed).
-//	Route    -> the per-(algo, strategy) circuit breaker decides primary
-//	            vs. known-safe fallback schedule.
-//	Run      -> shielded engine execution, fault classification, fallback
-//	            re-routing, and result summarization.
+//	Plan   -> validate the request against the algo registry and the
+//	          loaded graphs, and resolve it to a canonical, fully-
+//	          defaulted Plan (normalized schedule params, clamped
+//	          budget, stable cache key).
+//	Cache  -> a keyed LRU with TTL over canonical plan keys; a hit is
+//	          returned immediately with the Cached marker set.
+//	Window -> one keyed window (window.go): a request identical to an
+//	          in-flight one attaches to its lane and receives the
+//	          completed Outcome (Coalesced; including a fault-triggered
+//	          fallback result — never a torn one), and batchable plans
+//	          that differ only in source collect for BatchWindow into
+//	          one group (Batched). Everything else is a group of one.
+//	Admit  -> the bounded run-slot queue sized to the shared executor
+//	          pool, one slot per group; overflow is shed fast (CodeShed).
+//	Route  -> the per-(algo, strategy) circuit breaker decides primary
+//	          vs. known-safe fallback schedule.
+//	Run    -> shielded engine execution (one single-source run, or one
+//	          k-lane run for a group of k), fault classification,
+//	          fallback re-routing, and per-lane result summarization.
 //
 // The pipeline owns drain semantics too: Close stops admission, waits
 // (event-driven, no polling) for in-flight runs, and cancels them at their
@@ -86,10 +89,10 @@ type Config struct {
 	CacheEntries int
 	// CacheTTL is the result cache's entry lifetime (default 1m).
 	CacheTTL time.Duration
-	// Coalesce enables singleflight coalescing of concurrent identical
-	// plans into one engine run.
+	// Coalesce lets concurrent identical plans share one engine run: a
+	// request attaches to the in-flight lane with its flight key.
 	Coalesce bool
-	// BatchWindow enables the batch-coalescing stage: admitted lazy-strategy
+	// BatchWindow enables the admission window: lazy-strategy
 	// queries that agree on (algo, graph, epoch, schedule, budget) but
 	// differ in source collect for this long and execute as one multi-source
 	// engine run, each lane cached and answered under its own single-source
@@ -205,8 +208,7 @@ type Pipeline struct {
 	adm      *admission
 	breakers *Breakers
 	cache    *resultCache // nil: cache stage disabled
-	flights  *flightGroup // nil: coalesce stage disabled
-	batch    *batcher     // nil: batch-coalescing stage disabled
+	win      *windows
 	met      *pipeMetrics // nil: metrics disabled (every method nil-safe)
 	ring     *traceRing   // nil: trace retention disabled
 
@@ -260,12 +262,7 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.CacheEntries > 0 {
 		p.cache = newResultCache(cfg.CacheEntries, cfg.CacheTTL)
 	}
-	if cfg.Coalesce {
-		p.flights = newFlightGroup()
-	}
-	if cfg.BatchWindow > 0 {
-		p.batch = newBatcher(cfg.BatchWindow, cfg.BatchMaxLanes)
-	}
+	p.win = newWindows(cfg.Coalesce, cfg.BatchWindow, cfg.BatchMaxLanes)
 	if cfg.Metrics != nil {
 		p.met = newPipeMetrics(cfg.Metrics, p)
 	}
@@ -279,9 +276,10 @@ func New(cfg Config) (*Pipeline, error) {
 // Do executes one request through the full pipeline and always returns a
 // non-nil Outcome; transport adapters map Outcome.Code to their own status
 // vocabulary. ctx is the caller's context: it bounds queue waits and (for
-// non-coalesced runs) execution; a coalesced flight is detached from any
-// single caller and bounded by the plan budget and the drain kill switch
-// instead.
+// a solo run with Coalesce off) execution; a run other requests may depend
+// on — any run with Coalesce on, any group of several lanes — is detached
+// from any single caller and bounded by the plan budget and the drain kill
+// switch instead.
 func (p *Pipeline) Do(ctx context.Context, req Request) *Outcome {
 	start := time.Now()
 	var et execTrace
@@ -344,21 +342,19 @@ func (p *Pipeline) do(ctx context.Context, req Request, et *execTrace) *Outcome 
 			return out
 		}
 	}
-	if p.flights != nil {
-		t = time.Now()
-		out := p.flights.do(ctx, pl.flightKey(), func() *Outcome {
-			return p.batched(ctx, pl, true, et)
-		})
-		if out.Coalesced {
-			et.coalesceWait = time.Since(t)
-			p.met.observeCoalesceWait(et.coalesceWait)
+	out := p.win.do(ctx, pl, et, func(lanes []*lane, windowed bool) []*Outcome {
+		if windowed {
+			p.met.observeBatch(len(lanes))
 		}
-		if out.Algo == "" { // a follower that gave up waiting carries no plan echo
-			out.Algo, out.Graph, out.Strategy, out.Epoch = pl.Spec.Name, pl.GraphName, pl.Strategy, pl.Epoch
-		}
-		return out
+		return p.execute(ctx, lanes, windowed, et)
+	})
+	if out.Coalesced {
+		p.met.observeCoalesceWait(et.coalesceWait)
 	}
-	return p.batched(ctx, pl, false, et)
+	if out.Batched {
+		p.met.observeBatchWait(et.batchWait)
+	}
+	return out
 }
 
 // Caps on the string metadata one trace may retain. Bad requests echo the
@@ -435,34 +431,49 @@ func (p *Pipeline) cached(pl *Plan) (*Outcome, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &Outcome{
-		Algo:     pl.Spec.Name,
-		Graph:    pl.GraphName,
-		Strategy: pl.Strategy,
-		Epoch:    pl.Epoch,
-		Code:     CodeOK,
-		Cached:   true,
-		Breaker:  p.breakers.State(pl.BreakerKey()).String(),
-		Summary:  e.sum,
-		Stats:    e.stats,
-	}, true
+	out := pl.outcome(CodeOK, nil)
+	out.Cached = true
+	out.Breaker = p.breakers.State(pl.BreakerKey()).String()
+	out.Summary, out.Stats = e.sum, e.stats
+	return out, true
 }
 
-// execute runs the admit/route/run tail of the pipeline. detached marks a
-// coalesced flight: its context is cut loose from the first caller's
-// cancellation (other callers depend on the run) and bounded by the plan
-// budget across both the queue wait and the run; a non-detached run keeps
-// the pre-pipeline behavior — the caller's context gates the queue wait,
-// and the budget is applied after admission.
-func (p *Pipeline) execute(ctx context.Context, pl *Plan, detached bool, et *execTrace) *Outcome {
-	out := &Outcome{Algo: pl.Spec.Name, Graph: pl.GraphName, Strategy: pl.Strategy, Epoch: pl.Epoch}
+// execute is the one admit → route → run tail, over a sealed group of k ≥ 1
+// lanes; it returns one Outcome per lane. Every lane shares the leader's
+// batch key — algorithm, graph, epoch, schedule, budget — so lanes[0]'s plan
+// speaks for the group, and its pinned snapshot (held by the leader's
+// request through this call) keeps the graph frozen for all of them.
+//
+// A run others may depend on — Coalesce on, or k > 1 — is detached: cut
+// loose from the leader's caller and bounded by the plan budget across both
+// the queue wait and the run. A solo run with Coalesce off stays attached:
+// the caller's context gates the queue wait and the budget applies after
+// admission.
+func (p *Pipeline) execute(ctx context.Context, lanes []*lane, windowed bool, et *execTrace) []*Outcome {
+	lead := lanes[0].pl
+	k := len(lanes)
+	outs := make([]*Outcome, k)
+	for i, ln := range lanes {
+		outs[i] = ln.pl.outcome(CodeOK, nil)
+		outs[i].Batched = windowed
+		if k > 1 { // a window that closed solo reports zero lanes: nothing was shared
+			outs[i].BatchLanes = k
+		}
+	}
+	fail := func(code Code, err error) []*Outcome {
+		for _, out := range outs {
+			out.Code, out.Err = code, err
+		}
+		return outs
+	}
+	detached := p.cfg.Coalesce || k > 1
 	if detached {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), pl.Budget)
+		ctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), lead.Budget)
 		defer cancel()
 	}
 
-	// Admit: hold a run slot or shed.
+	// Admit: the whole group holds one run slot, or is shed.
 	t := time.Now()
 	release, err := p.adm.acquire(ctx)
 	et.queueWait = time.Since(t)
@@ -470,23 +481,19 @@ func (p *Pipeline) execute(ctx context.Context, pl *Plan, detached bool, et *exe
 	switch err {
 	case nil:
 	case ErrShed:
-		out.Code, out.Err = CodeShed, err
-		return out
+		return fail(CodeShed, err)
 	case ErrDraining:
-		out.Code, out.Err = CodeDraining, err
-		return out
+		return fail(CodeDraining, err)
 	default: // ctx ended while queued
-		if detached { // the only clock on a detached flight is the budget
-			out.Code, out.Err = CodeBudget, fmt.Errorf("budget exhausted: %w", err)
-		} else {
-			out.Code, out.Err = CodeClientGone, err
+		if detached { // the only clock on a detached run is the budget
+			return fail(CodeBudget, fmt.Errorf("budget exhausted: %w", err))
 		}
-		return out
+		return fail(CodeClientGone, err)
 	}
 	defer release()
 
 	// Deadline: budget -> context; drain kill -> same context. Exactly one
-	// child context is created per path: a detached flight's budget deadline
+	// child context is created per path: a detached run's budget deadline
 	// was already applied above, so it only needs a cancellable child for
 	// the kill switch, while an attached run layers the budget onto the
 	// caller's context here. (Creating a WithCancel child unconditionally
@@ -497,7 +504,7 @@ func (p *Pipeline) execute(ctx context.Context, pl *Plan, detached bool, et *exe
 	if detached {
 		runCtx, cancel = context.WithCancel(ctx)
 	} else {
-		runCtx, cancel = context.WithTimeout(ctx, pl.Budget)
+		runCtx, cancel = context.WithTimeout(ctx, lead.Budget)
 	}
 	defer cancel()
 	stop := context.AfterFunc(p.killCtx, cancel)
@@ -512,29 +519,33 @@ func (p *Pipeline) execute(ctx context.Context, pl *Plan, detached bool, et *exe
 	// through the WithTracer context seam.
 	var rt *runTracer
 	if p.met != nil || p.ring != nil {
-		rt = newRunTracer(p.met, pl.Spec.Name, pl.GraphName, p.ring != nil)
+		rt = newRunTracer(p.met, lead.Spec.Name, lead.GraphName, p.ring != nil)
 		runCtx = graphit.WithTracer(runCtx, rt)
-		p.met.ensureBreakerGauge(pl.BreakerKey(), p.breakers)
+		p.met.ensureBreakerGauge(lead.BreakerKey(), p.breakers)
 	}
 
 	p.beginRun()
 	defer p.endRun()
 	p.runs.Add(1)
 	t = time.Now()
-	p.route(runCtx, pl, out)
+	p.route(runCtx, lanes, outs)
 	et.run = time.Since(t)
 	p.met.observeRun(et.run)
 	if rt != nil {
 		et.events, et.rounds, et.truncated = rt.events, rt.rounds, rt.truncated
 	}
 
-	// Cache only clean primary successes: fallback answers are correct but
-	// caching them would mask breaker recovery, and faults must stay
-	// observable.
-	if p.cache != nil && out.Code == CodeOK && !out.Fallback {
-		p.cache.put(pl.CacheKey, pl.GraphName, pl.Epoch, out.Summary, out.Stats)
+	// Cache only clean primary successes, each lane under its own key:
+	// fallback answers are correct but caching them would mask breaker
+	// recovery, and faults must stay observable.
+	if p.cache != nil {
+		for i, ln := range lanes {
+			if out := outs[i]; out.Code == CodeOK && !out.Fallback {
+				p.cache.put(ln.pl.CacheKey, ln.pl.GraphName, ln.pl.Epoch, out.Summary, out.Stats)
+			}
+		}
 	}
-	return out
+	return outs
 }
 
 // ObserveDurableWait records how long one mutation waited for its WAL
@@ -660,11 +671,6 @@ func (p *Pipeline) Status() Status {
 	if p.cache != nil {
 		st.Cache = p.cache.status()
 	}
-	if p.flights != nil {
-		st.Coalesce = p.flights.status()
-	}
-	if p.batch != nil {
-		st.Batch = p.batch.status()
-	}
+	st.Coalesce, st.Batch = p.win.status()
 	return st
 }

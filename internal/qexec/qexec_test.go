@@ -245,7 +245,7 @@ func TestCoalesceSharesOneRun(t *testing.T) {
 		launch(i)
 	}
 	waitFor(t, "followers coalesced", func() bool {
-		return p.flights.status().Coalesced == n-1
+		return p.Status().Coalesce.Coalesced == n-1
 	})
 	close(gate)
 	wg.Wait()
@@ -326,7 +326,7 @@ func TestCoalesceFaultPropagatesFallback(t *testing.T) {
 		launch(i)
 	}
 	waitFor(t, "followers coalesced", func() bool {
-		return p.flights.status().Coalesced == n-1
+		return p.Status().Coalesce.Coalesced == n-1
 	})
 	close(gate)
 	wg.Wait()

@@ -1,88 +1,171 @@
 package qexec
 
-// Regression tests for the three ISSUE 7 bugfixes: a panicking coalesced
-// leader poisoning its flight key, execute() leaking a child context, and
-// admission racing a drain close against a freed slot.
+// Regression tests: a panicking group leader poisoning its keys, a lane
+// owner's disconnect reaching the lane's other waiters, execute() leaking a
+// child context, and admission racing a drain close against a freed slot.
 
 import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"graphit"
+	"graphit/algo"
 )
 
-// TestFlightLeaderPanicRecovers proves the coalescer survives a leader
-// whose run func panics: waiting followers get a fault outcome instead of
-// hanging, the key is unpublished (later callers run a fresh flight), and
-// the panic still propagates to the leader's caller.
-func TestFlightLeaderPanicRecovers(t *testing.T) {
-	g := newFlightGroup()
-	const key = "k"
-
+// TestLeaderPanicRecovers proves the window stage survives a group leader
+// that panics out of its run: every waiter — requests attached to the
+// leader's own lane, a second lane of the same window, and a request
+// attached to that lane — gets a fault outcome instead of hanging, the keys
+// are unpublished (later callers run fresh), and the panic still propagates
+// to the leader's caller.
+func TestLeaderPanicRecovers(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
+	var calls atomic.Int32
+	p := newTestPipeline(t, Config{
+		Coalesce:      true,
+		BatchWindow:   time.Minute, // the second lane seals the window, not the timer
+		BatchMaxLanes: 2,
+		BaseContext: func(ctx context.Context) context.Context {
+			if calls.Add(1) == 1 { // only the first run's leader panics
+				close(entered)
+				<-release
+				panic("boom in run")
+			}
+			return ctx
+		},
+	})
+	defer mustClose(t, p)
+	leaderReq, memberReq := batchReq(0, nil), batchReq(1, nil)
+
 	leaderPanicked := make(chan any, 1)
 	go func() {
 		defer func() { leaderPanicked <- recover() }()
-		g.do(context.Background(), key, func() *Outcome {
-			close(entered)
-			<-release
-			panic("boom in run")
-		})
+		p.Do(context.Background(), leaderReq)
 	}()
-	<-entered
+	waitFor(t, "the window to open", func() bool { return p.Status().Batch.Windows == 1 })
 
-	// Followers join while the leader is mid-run.
-	const followers = 3
-	outs := make(chan *Outcome, followers)
-	var started sync.WaitGroup
-	started.Add(followers)
-	for i := 0; i < followers; i++ {
+	type waiter struct {
+		req       Request
+		coalesced bool
+	}
+	waiters := []waiter{{memberReq, false}} // seals the window; the leader starts its run
+	outs := make(chan *Outcome, 4)
+	launch := func(w waiter) {
 		go func() {
-			started.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			outs <- g.do(ctx, key, func() *Outcome {
-				t.Error("follower unexpectedly became a leader")
-				return &Outcome{}
-			})
+			out := p.Do(ctx, w.req)
+			if out.Coalesced != w.coalesced {
+				t.Errorf("src=%d: Coalesced=%v, want %v", w.req.Src, out.Coalesced, w.coalesced)
+			}
+			outs <- out
 		}()
 	}
-	started.Wait()
-	waitFor(t, "followers to join the flight", func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return g.coalesced == followers
-	})
+	launch(waiters[0])
+	<-entered // the leader is mid-run: both lanes are now only joinable by attaching
+	for _, w := range []waiter{{leaderReq, true}, {leaderReq, true}, {memberReq, true}} {
+		waiters = append(waiters, w)
+		launch(w)
+	}
+	waitFor(t, "waiters to attach", func() bool { return p.Status().Coalesce.Coalesced == 3 })
 	close(release)
 
 	if r := <-leaderPanicked; r == nil {
 		t.Fatalf("leader's panic did not propagate")
 	}
-	for i := 0; i < followers; i++ {
-		out := <-outs
-		if out.Code != CodeFault || !errors.Is(out.Err, ErrFlightAbandoned) {
-			t.Errorf("follower got (%v, %v), want (CodeFault, ErrFlightAbandoned)", out.Code, out.Err)
-		}
-		if !out.Coalesced {
-			t.Errorf("follower outcome not marked Coalesced")
+	for range waiters {
+		if out := <-outs; out.Code != CodeFault || !errors.Is(out.Err, ErrFlightAbandoned) {
+			t.Errorf("waiter got (%v, %v), want (CodeFault, ErrFlightAbandoned)", out.Code, out.Err)
 		}
 	}
 
-	// The key must not stay poisoned: a later identical request starts a
-	// fresh flight and completes normally.
-	done := make(chan *Outcome, 1)
-	go func() {
-		done <- g.do(context.Background(), key, func() *Outcome { return &Outcome{Code: CodeOK} })
-	}()
-	select {
-	case out := <-done:
-		if out.Code != CodeOK || out.Coalesced {
-			t.Fatalf("post-panic flight got %+v, want a fresh CodeOK leader run", out)
+	// The keys must not stay poisoned: later identical requests open a fresh
+	// window and complete normally.
+	done := make(chan *Outcome, 2)
+	for _, req := range []Request{leaderReq, memberReq} {
+		go func(req Request) { done <- p.Do(context.Background(), req) }(req)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case out := <-done:
+			if out.Code != CodeOK || out.Coalesced || out.BatchLanes != 2 {
+				t.Fatalf("post-panic request got %+v, want a fresh CodeOK 2-lane run", out)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("post-panic request hung: key still poisoned")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("post-panic request hung: flight key still poisoned")
+	}
+}
+
+// TestCancelledLaneOwnerSparesItsWaiters is the regression test for the
+// coalesce × batch bug: B joins A's window as a second lane, C is identical
+// to B and attaches to B's lane. When B's caller disconnects, B alone gets
+// CodeClientGone — the lane stays, the leader still computes it, and C
+// receives B's lane answer. (Before the windows were unified, B was a flight
+// leader waiting on its own caller's context as a batch follower, and C was
+// handed B's CodeClientGone.)
+func TestCancelledLaneOwnerSparesItsWaiters(t *testing.T) {
+	g := testGraph(t)
+	ref, err := algo.Dijkstra(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	p := newTestPipeline(t, Config{
+		Graphs:        map[string]*graphit.Graph{"road": g},
+		Coalesce:      true,
+		BatchWindow:   time.Minute, // B's join seals the window, not the timer
+		BatchMaxLanes: 2,
+		RoundTimeout:  time.Minute, // the gate stalls a round on purpose
+		DefaultBudget: 30 * time.Second,
+		MaxBudget:     time.Minute,
+		BaseContext:   gateHook(gate),
+	})
+	defer mustClose(t, p)
+	ids := allVertices(g)
+
+	outs := make([]*Outcome, 3)
+	launch := func(i int, ctx context.Context, src uint32) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			outs[i] = p.Do(ctx, batchReq(src, ids))
+		}()
+		return done
+	}
+	aDone := launch(0, context.Background(), 0) // A opens the window
+	waitFor(t, "A to open the window", func() bool { return p.Status().Batch.Windows == 1 })
+	bCtx, cancelB := context.WithCancel(context.Background())
+	defer cancelB()
+	bDone := launch(1, bCtx, 1) // B fills it; A starts the 2-lane run and parks at the gate
+	waitFor(t, "the shared run to start", func() bool { return p.InFlight() == 1 })
+	cDone := launch(2, context.Background(), 1) // C attaches to B's lane
+	waitFor(t, "C to attach", func() bool { return p.Status().Coalesce.Coalesced == 1 })
+	cancelB()
+	<-bDone // B has left before the run can finish
+	close(gate)
+	<-aDone
+	<-cDone
+
+	if a := outs[0]; a.Code != CodeOK || a.BatchLanes != 2 {
+		t.Errorf("A: %s (%v) BatchLanes=%d, want ok/2", a.Code, a.Err, a.BatchLanes)
+	}
+	if b := outs[1]; b.Code != CodeClientGone {
+		t.Errorf("B: %s (%v), want client_gone for the caller that left", b.Code, b.Err)
+	}
+	c := outs[2]
+	if c.Code != CodeOK || !c.Coalesced || !c.Batched || c.BatchLanes != 2 {
+		t.Fatalf("C: %s (%v) Coalesced=%v Batched=%v BatchLanes=%d, want B's lane answer",
+			c.Code, c.Err, c.Coalesced, c.Batched, c.BatchLanes)
+	}
+	wantSummaryValues(t, c, ids, ref)
+	if runs := p.Status().Runs; runs != 1 {
+		t.Errorf("%d engine runs, want 1", runs)
 	}
 }
 

@@ -110,76 +110,113 @@ func fallbackSchedule(params cliutil.ScheduleParams) (graphit.Schedule, error) {
 	return params.Schedule()
 }
 
-// runShielded executes one algorithm run with a last-resort panic shield:
+// outcome starts an Outcome for pl: the plan echo every reply carries, plus
+// the given classification.
+func (pl *Plan) outcome(code Code, err error) *Outcome {
+	return &Outcome{Algo: pl.Spec.Name, Graph: pl.GraphName, Strategy: pl.Strategy, Epoch: pl.Epoch, Code: code, Err: err}
+}
+
+// runLanes executes the lanes under sched with a last-resort panic shield:
 // the engine contains panics in its own phases, but algorithm code outside
 // an engine phase (argument checks, manual round loops like SetCover's)
 // could still unwind into the pipeline. Any such panic is converted to a
 // *graphit.PanicError so every layer above sees one fault taxonomy and the
 // process never dies for a query.
-func runShielded(ctx context.Context, sp *algo.Spec, g *graphit.Graph, src, dst graphit.VertexID, sched graphit.Schedule) (res *algo.QueryResult, err error) {
+//
+// shared runs k > 1 lanes as one k-lane engine run (Spec.RunMulti); without
+// it — and always for k = 1 — each lane is its own Spec.Run, back to back,
+// stopping at the first error. Results come back per lane; a failed run may
+// still carry partial results (and so partial stats).
+func runLanes(ctx context.Context, lanes []*lane, sched graphit.Schedule, shared bool) (res []*algo.QueryResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
 			err = &graphit.PanicError{Phase: "qexec.run", Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return sp.Run(ctx, g, src, dst, sched)
+	lead := lanes[0].pl
+	if shared && len(lanes) > 1 {
+		srcs := make([]graphit.VertexID, len(lanes))
+		dsts := make([]graphit.VertexID, len(lanes))
+		for i, ln := range lanes {
+			srcs[i], dsts[i] = ln.pl.Src, ln.pl.Dst
+		}
+		return lead.Spec.RunMulti(ctx, lead.Graph, srcs, dsts, sched)
+	}
+	res = make([]*algo.QueryResult, len(lanes))
+	for i, ln := range lanes {
+		if res[i], err = lead.Spec.Run(ctx, lead.Graph, ln.pl.Src, ln.pl.Dst, sched); err != nil {
+			break
+		}
+	}
+	return res, err
 }
 
-// route executes pl under the breaker policy for its (algo, strategy) key
-// and fills out's code, fault, breaker, and result fields.
-func (p *Pipeline) route(ctx context.Context, pl *Plan, out *Outcome) {
-	key := pl.BreakerKey()
+// route executes the group's lanes under the breaker policy for their
+// shared (algo, strategy) key and fills every lane's code, fault, breaker,
+// and result fields: one breaker verdict covers the run, a primary fault
+// triggers one transparent fallback attempt, and the error taxonomy is
+// applied uniformly — the lanes of a group succeed or fail together. The
+// fallback for every k is per-lane Spec.Run under fallbackSchedule: with one
+// k-lane engine, re-running it would re-run the kernel that just faulted.
+func (p *Pipeline) route(ctx context.Context, lanes []*lane, outs []*Outcome) {
+	lead := lanes[0].pl
+	key := lead.BreakerKey()
 
-	var res *algo.QueryResult
+	var res []*algo.QueryResult
 	var err error
+	var faultKind string
 	primary, done := p.breakers.Route(key)
+	fallback := !primary
 	if primary {
-		res, err = runShielded(ctx, pl.Spec, pl.Graph, pl.Src, pl.Dst, pl.Sched)
+		res, err = runLanes(ctx, lanes, lead.Sched, true)
 		fault := graphit.IsEngineFault(err)
 		done(fault)
 		if fault {
-			out.FaultKind = graphit.ClassifyFault(err)
+			faultKind = graphit.ClassifyFault(err)
 			if ctx.Err() == nil {
-				// Transparent re-route: the caller still gets an answer from
-				// the safe schedule, within what remains of its budget.
-				if fsched, ferr := fallbackSchedule(pl.Params); ferr == nil {
+				// Transparent re-route: the callers still get answers from
+				// the safe schedule, within what remains of the budget.
+				if fsched, ferr := fallbackSchedule(lead.Params); ferr == nil {
 					p.breakers.RecordFallback(key)
-					out.Fallback = true
-					res, err = runShielded(ctx, pl.Spec, pl.Graph, pl.Src, pl.Dst, fsched)
+					fallback = true
+					res, err = runLanes(ctx, lanes, fsched, false)
 				}
 			}
 		}
+	} else if fsched, ferr := fallbackSchedule(lead.Params); ferr == nil {
+		res, err = runLanes(ctx, lanes, fsched, false)
 	} else {
-		out.Fallback = true
-		if fsched, ferr := fallbackSchedule(pl.Params); ferr == nil {
-			res, err = runShielded(ctx, pl.Spec, pl.Graph, pl.Src, pl.Dst, fsched)
-		} else {
-			err = ferr
-		}
+		err = ferr
 	}
-	out.Breaker = p.breakers.State(key).String()
-	if res != nil {
-		out.Stats = &res.Stats
-	}
+	breaker := p.breakers.State(key).String()
 
+	code := CodeOK
 	switch {
 	case err == nil:
-		out.Code = CodeOK
-		out.Summary = algo.Summarize(pl.Spec, res, pl.Dst, pl.Vertices)
 	case graphit.ClassifyFault(err) == graphit.FaultKindCanceled:
-		out.Code = CodeBudget
-		out.Err = fmt.Errorf("budget exhausted: %w", err)
+		code, err = CodeBudget, fmt.Errorf("budget exhausted: %w", err)
 	case graphit.IsEngineFault(err):
 		// Both the primary and the fallback faulted (or the fallback alone,
 		// with the breaker open) — a genuinely hostile run.
-		out.FaultKind = graphit.ClassifyFault(err)
-		out.Code = CodeFault
-		out.Err = err
+		code, faultKind = CodeFault, graphit.ClassifyFault(err)
 	default:
 		// A request-shaped error surfaced by the wrapper itself (e.g.
 		// k-core rejecting ∆>1): the caller's fault, not the engine's.
-		out.Code = CodeBadRequest
-		out.Err = err
+		code = CodeBadRequest
+	}
+	for i, ln := range lanes {
+		out := outs[i]
+		out.Code, out.Err = code, err
+		out.Breaker, out.FaultKind, out.Fallback = breaker, faultKind, fallback
+		if i < len(res) && res[i] != nil {
+			// A copy: the Outcome outlives the request in the cache and the
+			// trace ring, and must not pin the result's n-element vectors.
+			st := res[i].Stats
+			out.Stats = &st
+		}
+		if code == CodeOK {
+			out.Summary = algo.Summarize(ln.pl.Spec, res[i], ln.pl.Dst, ln.pl.Vertices)
+		}
 	}
 }

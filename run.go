@@ -56,12 +56,14 @@ func RunOrderedContext(ctx context.Context, op *Ordered, s Schedule) (Stats, err
 	return op.RunContext(ctx)
 }
 
-// MultiOrdered executes k single-source ordered operators ("lanes") as one
-// shared round loop: one frontier and bucket structure keyed by the minimum
-// pending priority across lanes, one edge sweep per round applying the UDF
-// once per (edge, active lane). Each lane's priority vector converges to
+// MultiOrdered executes k single-source ∆-stepping operators ("lanes") as one
+// shared round loop over one bucket structure: the lane kernel, a serial
+// min-plus engine that drains each bucket lane by lane with an in-round FIFO
+// cascade for same-bucket wins. Each lane's priority vector converges to
 // exactly the result an independent single-source run would produce. Lazy
-// strategies with lower_first order only; see core.MultiOrdered.
+// strategy with lower_first order only; the schedule's worker count,
+// direction, grain and deduplication are hints a multi-source run ignores.
+// See core.MultiOrdered.
 type MultiOrdered = core.MultiOrdered
 
 // MultiStats reports one multi-source run: shared round-loop counters plus
@@ -73,6 +75,11 @@ type LaneStats = core.LaneStats
 
 // MaxLanes bounds the lane count of one multi-source run.
 const MaxLanes = core.MaxLanes
+
+// MaxLanesFor returns the most lanes one multi-source run over an n-vertex
+// graph may carry: MaxLanes, or fewer on graphs large enough that the run's
+// (lane, vertex) ids would overflow 32 bits.
+func MaxLanesFor(n int) int { return core.MaxLanesFor(n) }
 
 // RunOrderedMulti executes the multi-source operator op under schedule s.
 func RunOrderedMulti(op *MultiOrdered, s Schedule) (MultiStats, error) {

@@ -165,6 +165,27 @@ lanes_delta=$(( ${lanes_after:-0} - lanes_before ))
 [ "${batch_runs:-0}" -ge 1 ] \
   || { echo "batch stage executed no multi-source run" >&2; exit 1; }
 echo "batch phase: +$lanes_delta lanes over $batch_runs multi-source runs"
+# Two identical concurrent lazy queries are one lane with two waiters: the
+# window they open closes with a single occupant, and exactly one of them is
+# the coalesced waiter.
+solo_before=$(sed -n 's/^qexec_batch_solo_total //p' "$workdir/metrics_batch")
+windows_before=$(sed -n 's/^qexec_batch_windows_total //p' "$workdir/metrics_batch")
+tbody='{"algo":"sssp","graph":"road","src":77777,"delta":64,"strategy":"lazy"}'
+curl -s -d "$tbody" http://127.0.0.1:18090/query >"$workdir/twin_a" &
+twin_pid=$!
+curl -s -d "$tbody" http://127.0.0.1:18090/query >"$workdir/twin_b"
+wait "$twin_pid"
+cat "$workdir/twin_a" "$workdir/twin_b" >"$workdir/twins"
+[ "$(grep -c '"reached":160000' "$workdir/twins")" -eq 2 ] \
+  || { echo "identical lazy pair not both answered: $(cat "$workdir/twins")" >&2; exit 1; }
+[ "$(grep -c '"coalesced":true' "$workdir/twins")" -eq 1 ] \
+  || { echo "identical lazy pair: want exactly one coalesced reply: $(cat "$workdir/twins")" >&2; exit 1; }
+curl -s http://127.0.0.1:18090/metrics >"$workdir/metrics_twins"
+solo_delta=$(( $(sed -n 's/^qexec_batch_solo_total //p' "$workdir/metrics_twins") - ${solo_before:-0} ))
+windows_delta=$(( $(sed -n 's/^qexec_batch_windows_total //p' "$workdir/metrics_twins") - ${windows_before:-0} ))
+[ "$windows_delta" -eq 1 ] && [ "$solo_delta" -eq 1 ] \
+  || { echo "identical lazy pair opened $windows_delta windows ($solo_delta solo), want one window closing with one lane" >&2; exit 1; }
+echo "twin phase: one lane, one coalesced waiter"
 
 echo "== mutate while querying: epoch advances, no stale cached answers"
 lbody='{"algo":"sssp","graph":"line","src":0,"vertices":[2]}'
