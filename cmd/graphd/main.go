@@ -16,8 +16,8 @@
 // remove / reweight) to directed graphs. Each batch advances the graph's
 // epoch; queries pin an epoch snapshot for their whole run and the result
 // cache is epoch-keyed, so in-flight and cached answers are never torn
-// across a mutation. A background compactor folds accumulated mutations
-// into a fresh CSR without interrupting serving.
+// across a mutation. Every epoch is a complete CSR built in time
+// proportional to its batch, so there is no backlog and no compactor.
 //
 // With -mutable and -data-dir, mutations are durable: every acked batch is
 // appended to a per-graph write-ahead log (fsync policy: -wal-sync) before
@@ -85,12 +85,10 @@ func main() {
 		traceRing  = flag.Int("trace-ring", 256, "per-query structured traces retained for /debug/queries (0 disables)")
 		mutable    = flag.Bool("mutable", false, "accept edge-mutation batches at POST /update (directed graphs only)")
 		maxBatch   = flag.Int("max-batch-ops", 0, "max ops per /update batch (0 = livegraph default, 8192)")
-		maxOverlay = flag.Int("max-overlay-ops", 0, "un-compacted ops that trigger 429 backpressure (0 = default, 1048576)")
-		compactAt  = flag.Int("compact-threshold", 0, "overlay size that wakes the background compactor (0 = default, 16384)")
 		dataDir    = flag.String("data-dir", "", "durability root: each mutable graph gets a WAL + checkpoint store under <data-dir>/<name> (requires -mutable; empty disables durability)")
 		walSync    = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync before ack), interval (background fsync every -wal-sync-every), none (OS page cache only)")
 		walEvery   = flag.Duration("wal-sync-every", 100*time.Millisecond, "background fsync period for -wal-sync=interval")
-		ckptOps    = flag.Int("checkpoint-ops", 0, "applied ops between checkpoints, independent of compaction (0 = default, 65536)")
+		ckptOps    = flag.Int("checkpoint-ops", 0, "applied ops between checkpoints (0 = default, 65536)")
 	)
 	// Graph specs are collected during parse and loaded afterwards, so the
 	// -symmetrize flag applies regardless of flag order.
@@ -175,8 +173,6 @@ func main() {
 		TraceRing:        *traceRing,
 		Mutable:          *mutable,
 		MaxBatchOps:      *maxBatch,
-		MaxOverlayOps:    *maxOverlay,
-		CompactThreshold: *compactAt,
 		DataDir:          *dataDir,
 		WALSync:          syncMode,
 		WALSyncEvery:     *walEvery,

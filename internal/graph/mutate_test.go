@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -18,6 +19,9 @@ func buildTest(t *testing.T) *Graph {
 	}
 	return g
 }
+
+// edgeKey packs a (src, dst) pair for map indexing.
+func edgeKey(s, d VertexID) uint64 { return uint64(s)<<32 | uint64(d) }
 
 func adjOf(g *Graph, v VertexID) map[VertexID]Weight {
 	out := map[VertexID]Weight{}
@@ -238,6 +242,14 @@ func TestApplyDeltaAgainstBuildOracle(t *testing.T) {
 				}
 			}
 		}
+		// The in-CSR is spliced on its own, never re-derived: it must be
+		// array-identical to what buildInEdges makes of the spliced out-CSR.
+		derived := &Graph{n: g.n, m: g.m, Off: g.Off, Neigh: g.Neigh, Wts: g.Wts}
+		buildInEdges(derived)
+		if !slices.Equal(g.InOff, derived.InOff) || !slices.Equal(g.InNeigh, derived.InNeigh) || !slices.Equal(g.InWts, derived.InWts) {
+			t.Fatalf("step %d: spliced in-CSR differs from buildInEdges of the spliced out-CSR:\n off %v\nwant %v\n nbr %v\nwant %v\n wts %v\nwant %v",
+				step, g.InOff, derived.InOff, g.InNeigh, derived.InNeigh, g.InWts, derived.InWts)
+		}
 	}
 
 	for step := 0; step < 60; step++ {
@@ -334,5 +346,80 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	bad3.Wts = bad3.Wts[:2]
 	if err := Validate(bad3); err == nil {
 		t.Error("short weight vector not caught")
+	}
+}
+
+// TestSpliceShapes covers the adjacency shapes the random oracle rarely
+// builds: parallel edges addressed as a group, the last edge of a vertex,
+// the first edge onto an isolated vertex, an unweighted graph, and a graph
+// without an in-CSR. Each result equals a from-scratch Build, array for
+// array.
+func TestSpliceShapes(t *testing.T) {
+	cases := []struct {
+		name  string
+		base  []Edge
+		opt   BuildOptions
+		d     Delta
+		after []Edge
+	}{
+		{
+			name:  "parallel edges removed and reweighted as groups",
+			base:  []Edge{{0, 1, 5}, {0, 1, 6}, {0, 2, 1}, {2, 1, 3}, {2, 1, 4}},
+			opt:   BuildOptions{NumVertices: 3, Weighted: true, InEdges: true},
+			d:     Delta{Del: []Edge{{0, 1, 0}}, SetW: []Edge{{2, 1, 9}}, Add: []Edge{{1, 0, 2}}},
+			after: []Edge{{0, 2, 1}, {1, 0, 2}, {2, 1, 9}, {2, 1, 9}},
+		},
+		{
+			name:  "last edge of a vertex, first edge of an isolated one",
+			base:  []Edge{{0, 1, 5}, {1, 2, 6}},
+			opt:   BuildOptions{NumVertices: 4, Weighted: true, InEdges: true},
+			d:     Delta{Del: []Edge{{1, 2, 0}}, Add: []Edge{{3, 0, 7}, {2, 3, 1}}},
+			after: []Edge{{0, 1, 5}, {2, 3, 1}, {3, 0, 7}},
+		},
+		{
+			name:  "replace",
+			base:  []Edge{{0, 1, 5}, {0, 2, 6}},
+			opt:   BuildOptions{NumVertices: 3, Weighted: true, InEdges: true},
+			d:     Delta{Del: []Edge{{0, 1, 0}}, Add: []Edge{{0, 1, 8}}, SetW: []Edge{{0, 1, 3}}},
+			after: []Edge{{0, 1, 8}, {0, 2, 6}},
+		},
+		{
+			name:  "unweighted",
+			base:  []Edge{{0, 1, 0}, {1, 2, 0}, {2, 0, 0}},
+			opt:   BuildOptions{NumVertices: 3, InEdges: true},
+			d:     Delta{Del: []Edge{{2, 0, 0}}, Add: []Edge{{0, 2, 0}, {2, 1, 0}}},
+			after: []Edge{{0, 1, 0}, {0, 2, 0}, {1, 2, 0}, {2, 1, 0}},
+		},
+		{
+			name:  "no in-CSR",
+			base:  []Edge{{0, 1, 5}, {1, 2, 6}},
+			opt:   BuildOptions{NumVertices: 3, Weighted: true},
+			d:     Delta{Add: []Edge{{2, 0, 1}}, SetW: []Edge{{0, 1, 2}}},
+			after: []Edge{{0, 1, 2}, {1, 2, 6}, {2, 0, 1}},
+		},
+	}
+	for _, tc := range cases {
+		g, err := Build(tc.base, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		before := Fingerprint(g)
+		ng, err := ApplyDelta(g, tc.d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := Build(tc.after, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := Validate(ng); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if Fingerprint(ng) != Fingerprint(want) {
+			t.Errorf("%s: spliced graph differs from Build of the same edges:\n got %v\nwant %v", tc.name, ng.Edges(), want.Edges())
+		}
+		if Fingerprint(g) != before {
+			t.Errorf("%s: ApplyDelta wrote into its input", tc.name)
+		}
 	}
 }

@@ -1,201 +1,64 @@
 package livegraph
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"graphit/internal/graph"
 )
 
-// errStale reports that mutation batches landed while a compaction was
-// rebuilding — the rebuilt graph describes an older epoch and must be
-// discarded. Not a failure: the loop immediately retries against the new
-// tip.
-var errStale = errors.New("livegraph: compaction raced a mutation, retrying")
-
-// wake nudges the compactor goroutine, starting it on first use. Lazy
-// start keeps read-only Lives (every graph wrapped by a static serving
-// path) free of background goroutines.
-func (l *Live) wake() {
-	l.loopOnce.Do(func() {
-		l.wg.Add(1)
-		go l.compactLoop()
-	})
-	select {
-	case l.kick <- struct{}{}:
-	default:
+// CompactNow audits the current snapshot's graph and replaces it with a
+// from-scratch rebuild (sorted adjacency, fresh arrays, validated on both
+// sides) at the same epoch. Nothing needs it to keep serving — every epoch
+// is already a complete CSR — so only operators, drills and the spine's
+// probe call it. It holds the writer lock, so batches wait and readers do
+// not, and runs under panic containment: any panic — injected or real —
+// becomes an error and the current snapshot keeps serving.
+func (l *Live) CompactNow() (err error) {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if l.closed || !l.mutable {
+		return nil // a symmetrized graph never left the arrays it was built with
 	}
-}
-
-// CompactNow folds the overlay synchronously, retrying internally if a
-// concurrent batch makes the rebuild stale. It returns the first real
-// failure (after containment) without retrying it — the background loop
-// owns backoff-retry; tests and operators get the error directly.
-func (l *Live) CompactNow() error {
-	for {
-		err := l.compactOnce()
-		if errors.Is(err, errStale) {
-			continue
+	old := l.cur
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("livegraph: compaction panic: %v", r)
 		}
-		return err
-	}
-}
-
-// compactLoop is the background compactor: wait for a kick, fold the
-// overlay, and on failure retry with exponential backoff while the
-// current epoch keeps serving untouched.
-func (l *Live) compactLoop() {
-	defer l.wg.Done()
-	backoff := l.cfg.CompactBackoff
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-l.kick:
-		}
-		for {
-			err := l.compactOnce()
-			if err == nil {
-				backoff = l.cfg.CompactBackoff
-				break
-			}
-			if errors.Is(err, errStale) {
-				continue // a batch landed mid-rebuild; retry immediately
-			}
-			select {
-			case <-l.done:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > l.cfg.CompactMaxBackoff {
-				backoff = l.cfg.CompactMaxBackoff
-			}
-		}
-	}
-}
-
-// compactOnce rebuilds the current snapshot's graph into pristine CSR
-// arrays and swaps it in, keeping the same epoch (compaction is
-// content-preserving). The rebuild runs under panic containment with a
-// structural audit on both sides: the incremental graph is validated
-// before it is trusted as the rebuild source, and the rebuilt graph is
-// validated before it is allowed to serve.
-func (l *Live) compactOnce() (err error) {
-	l.mu.Lock()
-	if l.closed || l.cur == nil {
-		l.mu.Unlock()
-		return nil
-	}
-	if len(l.log) == 0 {
-		l.mu.Unlock()
-		return nil
-	}
-	snap := l.cur
-	snap.refs.Add(1) // pin the rebuild source
-	startEpoch := l.epoch
-	l.mu.Unlock()
-	defer snap.Release()
-
-	attempt := l.compactAttempts.Add(1)
-	start := time.Now()
-	fresh, err := l.rebuild(snap.Graph(), attempt)
-	if err != nil {
-		l.compactFailures.Add(1)
-		l.lastCompactErr.Store(err.Error())
-		if l.mCompactFailures != nil {
-			l.mCompactFailures.Inc()
-		}
-		if l.cfg.OnCompact != nil {
-			l.cfg.OnCompact(err)
-		}
-		return err
-	}
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	if l.epoch != startEpoch {
-		l.mu.Unlock()
-		return errStale
-	}
-	if l.cfg.FaultHook != nil {
-		// The swap checkpoint fires under the lock on purpose: an
-		// injected panic here would poison the Live, which is exactly the
-		// containment property rebuild()'s recover is NOT covering — so
-		// fire-and-release before mutating any state.
-		hook := l.cfg.FaultHook
-		l.mu.Unlock()
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("livegraph: compaction panic at swap: %v", r)
-				}
-			}()
-			hook(PhaseCompactSwap, attempt, 0)
-		}()
 		if err != nil {
 			l.compactFailures.Add(1)
 			l.lastCompactErr.Store(err.Error())
-			if l.mCompactFailures != nil {
-				l.mCompactFailures.Inc()
-			}
-			if l.cfg.OnCompact != nil {
-				l.cfg.OnCompact(err)
-			}
-			return err
 		}
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return nil
-		}
-		if l.epoch != startEpoch {
-			l.mu.Unlock()
-			return errStale
-		}
+	}()
+	attempt := l.compactAttempts.Add(1)
+	fresh, err := l.rebuild(old.g, attempt)
+	if err != nil {
+		return err
 	}
-	old := l.cur
-	l.cur = l.newSnapshot(startEpoch, fresh)
-	l.log = nil
+	if l.cfg.FaultHook != nil {
+		l.cfg.FaultHook(PhaseCompactSwap, attempt, 0)
+	}
+	pl := l.planes.adopt(fresh)
+	next := l.newSnapshot(old.epoch, fresh, pl)
+	l.mu.Lock()
+	l.cur = next
 	l.mu.Unlock()
+	l.planes.commit(pl, nil)
 	old.Release()
-
 	l.compactions.Add(1)
 	l.lastCompactErr.Store("")
-	if l.mCompactions != nil {
-		l.mCompactions.Inc()
-		l.mCompactDur.Observe(time.Since(start).Seconds())
-	}
-	if l.cfg.OnCompact != nil {
-		l.cfg.OnCompact(nil)
-	}
-	// A compaction is the natural checkpoint moment: the overlay just
-	// folded, so the snapshot is pristine and the WAL prefix it covers is
-	// maximal.
-	l.kickCkpt()
 	return nil
 }
 
 // rebuild audits src and reconstructs it from scratch through the batch
-// builder, under panic containment. Any panic — injected or real —
-// becomes an error and the caller keeps serving the current epoch.
-func (l *Live) rebuild(src *graph.Graph, attempt int64) (fresh *graph.Graph, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fresh = nil
-			err = fmt.Errorf("livegraph: compaction panic: %v", r)
-		}
-	}()
+// builder.
+func (l *Live) rebuild(src *graph.Graph, attempt int64) (*graph.Graph, error) {
 	if l.cfg.FaultHook != nil {
 		l.cfg.FaultHook(PhaseCompactBuild, attempt, 0)
 	}
 	if err := graph.Validate(src); err != nil {
 		return nil, fmt.Errorf("livegraph: pre-compaction audit: %w", err)
 	}
-	fresh, err = graph.Build(src.Edges(), graph.BuildOptions{
+	fresh, err := graph.Build(src.Edges(), graph.BuildOptions{
 		NumVertices: src.NumVertices(),
 		Weighted:    src.Weighted(),
 		InEdges:     src.HasInEdges(),

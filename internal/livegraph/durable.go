@@ -115,8 +115,11 @@ func Recover(name string, base *graph.Graph, store *wal.Store, cfg Config) (*Liv
 			// must not guess.
 			return fmt.Errorf("%w: record for epoch %d: %v", wal.ErrCorrupt, rec.Epoch, err)
 		}
-		if err := l.replayBatch(rec.Epoch, ops); err != nil {
-			return err
+		// The same commit path as ApplyBatch, minus the append. Epochs must
+		// arrive in exact sequence — a gap, a repeat or an op the state
+		// rejects means the log and the checkpoint disagree.
+		if _, _, _, err := l.advance(ops, rec.Epoch); err != nil {
+			return fmt.Errorf("%w: replaying epoch %d: %v", wal.ErrCorrupt, rec.Epoch, err)
 		}
 		l.replayed++
 		return nil
@@ -136,39 +139,8 @@ func Recover(name string, base *graph.Graph, store *wal.Store, cfg Config) (*Liv
 	return l, info, nil
 }
 
-// replayBatch re-applies one WAL record during recovery: the same commit
-// path as ApplyBatch minus the WAL append (the record is already in the
-// log) and the durable wait. Epochs must arrive in exact sequence — a
-// gap or repeat means the log and checkpoint disagree.
-func (l *Live) replayBatch(epoch uint64, ops []Op) error {
-	l.mu.Lock()
-	if epoch != l.epoch+1 {
-		l.mu.Unlock()
-		return fmt.Errorf("%w: replay epoch %d after state epoch %d", wal.ErrCorrupt, epoch, l.epoch)
-	}
-	old := l.cur
-	delta, err := buildDelta(old.g, ops)
-	if err != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("%w: replaying epoch %d: %v", wal.ErrCorrupt, epoch, err)
-	}
-	ng, err := graph.ApplyDelta(old.g, delta)
-	if err != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("%w: replaying epoch %d: %v", wal.ErrCorrupt, epoch, err)
-	}
-	l.epoch = epoch
-	l.log = append(l.log, ops...)
-	l.cur = l.newSnapshot(epoch, ng)
-	l.mu.Unlock()
-	old.Release()
-	l.batches.Add(1)
-	l.opsApplied.Add(int64(len(ops)))
-	return nil
-}
-
-// kickCkpt nudges the checkpointer goroutine, starting it on first use
-// (mirrors the compactor's lazy start: non-durable Lives never run it).
+// kickCkpt nudges the checkpointer goroutine, starting it on first use, so
+// Lives that never cross CheckpointOps run no background goroutine at all.
 func (l *Live) kickCkpt() {
 	if l.store == nil {
 		return
@@ -191,13 +163,10 @@ func (l *Live) ckptLoop() {
 			return
 		case <-l.ckptKick:
 		}
-		if err := l.checkpointOnce(); err != nil {
-			// Checkpoint failure is not fatal: the WAL still holds every
-			// batch; recovery just replays more. Record and carry on —
-			// the next kick retries.
-			l.ckptFailures.Add(1)
-			l.lastCkptErr.Store(err.Error())
-		}
+		// Checkpoint failure is not fatal: the WAL still holds every batch;
+		// recovery just replays more. CheckpointNow records it and the next
+		// kick retries.
+		_ = l.CheckpointNow()
 	}
 }
 

@@ -25,15 +25,14 @@ func durableBase(t *testing.T) *graph.Graph {
 	return g
 }
 
-// openDurable opens (or reopens) a durable Live over dir. The Config keeps
-// the compactor asleep so recovery drills compare deterministic state.
+// openDurable opens (or reopens) a durable Live over dir.
 func openDurable(t *testing.T, dir string, wopts wal.Options) (*Live, RecoverInfo) {
 	t.Helper()
 	store, err := wal.Open(dir, wopts)
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	l, info, err := Recover("test", durableBase(t), store, Config{CompactThreshold: 1 << 30})
+	l, info, err := Recover("test", durableBase(t), store, Config{})
 	if err != nil {
 		_ = store.Close()
 		t.Fatalf("Recover: %v", err)

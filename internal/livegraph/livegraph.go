@@ -1,28 +1,29 @@
 // Package livegraph serves a mutating graph with snapshot isolation.
 //
-// A Live wraps the immutable CSR substrate (internal/graph) with a batched
-// mutation log and epoch-numbered, refcounted snapshot handles. Queries
-// Acquire a snapshot at plan time and hold it for their whole run: the
-// graph a query reads is frozen — mutation batches materialize a *new*
-// graph beside it (sharing unchanged arrays) and advance the epoch with a
-// pointer swap, so a concurrent reader can never observe a torn view.
-//
-// A background compactor folds the accumulated overlay into a pristine
-// rebuilt CSR (sorted adjacency, fresh arrays, validated both halves)
-// behind the same swap. The compactor runs under panic containment: a
-// compaction fault — including an injected panic — degrades to "keep
-// serving the current epoch, retry with backoff", never an outage. If
-// compaction keeps failing, the overlay cap (MaxOverlayOps) turns into
-// backpressure (ErrOverlayFull) rather than unbounded memory growth.
+// A Live wraps the immutable CSR substrate (internal/graph) with batched
+// mutations and epoch-numbered, refcounted snapshot handles. Queries
+// Acquire a snapshot at plan time and hold it for their whole run; a
+// mutation batch materializes the next epoch's complete CSR beside it and
+// advances the epoch with a pointer swap, so a reader can never observe a
+// torn view. Every epoch is a flat CSR: no overlay for the kernels to
+// consult, nothing for a background thread to fold, and producing one costs
+// what its batch touches — a weight-only batch writes into a retired weight
+// plane (planes.go), a topology batch merges only the vertices it names
+// (graph.ApplyDelta). CompactNow, the synchronous audit-and-rebuild, runs
+// only when asked.
 //
 // Ownership rules (see DESIGN.md §11):
 //   - Live owns exactly one reference to the current snapshot; every
 //     Acquire adds one and must be paired with exactly one Release.
 //   - A snapshot is reclaimed (counted out of snapshots_active) at the
-//     moment its last reference is released — never earlier, never later.
-//   - Epochs only advance on mutation. Compaction is content-preserving
-//     and keeps the epoch, so epoch-keyed result caches stay warm across
-//     compactions and can never serve a stale answer across a mutation.
+//     moment its last reference is released — never earlier, never later —
+//     and from that moment its weights may be overwritten: a graph obtained
+//     from a snapshot must not be read after the Release.
+//   - Only weight planes this Live allocated are ever written again: never
+//     the caller's base graph, never a plane two snapshots share.
+//   - Epochs only advance on mutation. CompactNow keeps the epoch, so
+//     epoch-keyed result caches stay warm across it and can never serve a
+//     stale answer across a mutation.
 package livegraph
 
 import (
@@ -34,20 +35,18 @@ import (
 
 	"graphit/internal/core"
 	"graphit/internal/graph"
-	"graphit/internal/histogram"
 	"graphit/internal/obs"
 	"graphit/internal/wal"
 )
 
 // Sentinel errors, ordered roughly by how the transport maps them:
 // validation failures are client errors (400), ErrBatchTooLarge is a
-// client error with a documented limit (400), ErrOverlayFull is
-// backpressure (429 + Retry-After), ErrImmutable is a conflict with the
-// graph's build mode (409), ErrClosed means the server is draining (503).
+// client error with a documented limit (400), ErrImmutable is a conflict
+// with the graph's build mode (409), ErrClosed means the server is
+// draining (503).
 var (
 	ErrValidation    = errors.New("livegraph: invalid batch")
 	ErrBatchTooLarge = errors.New("livegraph: batch exceeds max ops")
-	ErrOverlayFull   = errors.New("livegraph: overlay full, retry after compaction")
 	ErrImmutable     = errors.New("livegraph: graph is immutable")
 	ErrClosed        = errors.New("livegraph: closed")
 	// ErrDurability means the write-ahead log could not make the batch
@@ -58,10 +57,10 @@ var (
 
 // Compaction checkpoint phases, fired through the configured
 // core.FaultHook so internal/faults can inject panics/delays at them.
-// The round argument carries the compaction attempt number (1-based,
+// The round argument carries the CompactNow attempt number (1-based,
 // monotone per Live) — deliberately not the epoch, so a repeating
-// injection can never pin one epoch into permanent failure: the retry
-// is a new round and gets a fresh roll.
+// injection can never pin one epoch into permanent failure: the next
+// attempt is a new round and gets a fresh roll.
 const (
 	PhaseCompactBuild = "livegraph_compact_build"
 	PhaseCompactSwap  = "livegraph_compact_swap"
@@ -104,20 +103,14 @@ type Op struct {
 type Config struct {
 	// MaxBatchOps caps a single ApplyBatch (default 8192).
 	MaxBatchOps int
-	// MaxOverlayOps caps un-compacted ops before ApplyBatch returns
-	// ErrOverlayFull (default 1<<20).
-	MaxOverlayOps int
-	// CompactThreshold is the overlay size that wakes the compactor
-	// (default 16384). Compaction also runs on explicit CompactNow.
+	// CompactThreshold is ignored: nothing compacts by itself any more. The
+	// field, Status.Compactions/OverlayOps and server.UpdateResponse's
+	// OverlayOps stay only because benchmarks/spine compiles against them —
+	// the next benchmark-typed PR can drop its uses, then these go.
 	CompactThreshold int
-	// CompactBackoff / CompactMaxBackoff bound the retry schedule after a
-	// failed compaction (defaults 100ms / 5s).
-	CompactBackoff    time.Duration
-	CompactMaxBackoff time.Duration
 	// CheckpointOps is how many applied ops may accumulate after the last
-	// checkpoint before a new one is cut (default 65536). Checkpoints are
-	// also cut after every successful compaction. Only meaningful for
-	// Lives opened through Recover.
+	// checkpoint before a new one is cut (default 65536). Only meaningful
+	// for Lives opened through Recover.
 	CheckpointOps int
 	// Metrics, when non-nil, receives livegraph_* series labeled by graph.
 	Metrics *obs.Registry
@@ -127,26 +120,11 @@ type Config struct {
 	// OnReclaim, when non-nil, is called each time a snapshot's last
 	// reference is released (drills assert reclamation exactness).
 	OnReclaim func(epoch uint64)
-	// OnCompact, when non-nil, is called after each compaction attempt
-	// with nil on success or the contained error.
-	OnCompact func(err error)
 }
 
 func (c *Config) fill() {
 	if c.MaxBatchOps <= 0 {
 		c.MaxBatchOps = 8192
-	}
-	if c.MaxOverlayOps <= 0 {
-		c.MaxOverlayOps = 1 << 20
-	}
-	if c.CompactThreshold <= 0 {
-		c.CompactThreshold = 16384
-	}
-	if c.CompactBackoff <= 0 {
-		c.CompactBackoff = 100 * time.Millisecond
-	}
-	if c.CompactMaxBackoff <= 0 {
-		c.CompactMaxBackoff = 5 * time.Second
 	}
 	if c.CheckpointOps <= 0 {
 		c.CheckpointOps = 1 << 16
@@ -159,6 +137,7 @@ type Snapshot struct {
 	l     *Live
 	epoch uint64
 	g     *graph.Graph
+	pl    *plane // g's weight pair when this Live may write it again; else nil
 	refs  atomic.Int64
 }
 
@@ -169,9 +148,10 @@ func (s *Snapshot) Graph() *graph.Graph { return s.g }
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // Release drops one reference. When the last reference goes, the snapshot
-// is reclaimed (snapshots_active decremented, OnReclaim fired). Releasing
-// more times than acquired panics — that is a refcount bug, not a
-// recoverable condition.
+// is reclaimed (snapshots_active decremented, its plane retired for reuse,
+// OnReclaim fired) and its Graph must no longer be read. Releasing more
+// times than acquired panics — that is a refcount bug, not a recoverable
+// condition.
 func (s *Snapshot) Release() {
 	n := s.refs.Add(-1)
 	if n > 0 {
@@ -186,6 +166,9 @@ func (s *Snapshot) Release() {
 	}
 	s.l.pinMu.Unlock()
 	s.l.active.Add(-1)
+	if s.pl != nil {
+		s.l.planes.retire(s.pl)
+	}
 	if s.l.cfg.OnReclaim != nil {
 		s.l.cfg.OnReclaim(s.epoch)
 	}
@@ -198,11 +181,19 @@ type Live struct {
 	mutable bool
 	cfg     Config
 
+	// wmu serializes what produces a snapshot (ApplyBatch, replay,
+	// CompactNow) and Close, across the whole apply; mu is held only to read
+	// cur/epoch or swap them, so Acquire never waits out a splice. Fields
+	// marked (w) are written under wmu+mu and read under either.
+	wmu    sync.Mutex
 	mu     sync.Mutex
-	cur    *Snapshot // holds one owner reference; nil after Close
-	epoch  uint64
-	log    []Op // ops applied since the overlay was last folded
-	closed bool
+	cur    *Snapshot // (w) holds one owner reference; nil after Close
+	epoch  uint64    // (w)
+	closed bool      // (w)
+
+	planes    planes
+	patches   []graph.WeightPatch // writer's scratch: one batch's resolved weights
+	holdApply func()              // tests: runs in advance between materialize and swap
 
 	active atomic.Int64 // live snapshot handles (unreclaimed)
 
@@ -214,15 +205,13 @@ type Live struct {
 	pinMu  sync.Mutex
 	pinned map[uint64]int
 
-	loopOnce sync.Once
-	kick     chan struct{}
-	done     chan struct{}
-	wg       sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup
 
 	// Durability (nil/zero on non-durable Lives). store is written once
 	// by Recover before the Live is shared, then read-only.
 	store         *wal.Store
-	lastPos       wal.Pos // position after the last appended/replayed record (under mu)
+	lastPos       wal.Pos // (w) position after the last appended/replayed record
 	opsSinceCkpt  int     // ops applied since the last checkpoint (under mu)
 	lastCkptEpoch uint64  // epoch of the newest persisted checkpoint (under mu)
 	ckptOnce      sync.Once
@@ -231,16 +220,13 @@ type Live struct {
 	ckptFailures  atomic.Int64
 	lastCkptErr   atomic.Value // string
 
-	batches         atomic.Int64
-	opsApplied      atomic.Int64
 	compactAttempts atomic.Int64
 	compactions     atomic.Int64
 	compactFailures atomic.Int64
 	lastCompactErr  atomic.Value // string
 
-	mBatches, mCompactions, mCompactFailures *obs.Counter
-	mOps                                     map[OpKind]*obs.Counter
-	mCompactDur                              *obs.Histogram
+	mBatches *obs.Counter
+	mOps     map[OpKind]*obs.Counter
 }
 
 // New wraps g as a live graph named name. Symmetrized graphs are served
@@ -258,32 +244,32 @@ func newLive(name string, g *graph.Graph, epoch uint64, cfg Config) *Live {
 		name:     name,
 		mutable:  !g.Symmetric(),
 		cfg:      cfg,
-		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		ckptKick: make(chan struct{}, 1),
 		pinned:   make(map[uint64]int),
 		epoch:    epoch,
 	}
-	l.cur = l.newSnapshot(epoch, g)
-	if r := cfg.Metrics; r != nil {
-		lbl := obs.L("graph", name)
-		r.GaugeFunc("livegraph_epoch", "Current graph epoch (advances on every mutation batch).",
-			func() float64 { return float64(l.Epoch()) }, lbl)
-		r.GaugeFunc("livegraph_overlay_ops", "Mutation ops applied since the overlay was last compacted.",
-			func() float64 { l.mu.Lock(); defer l.mu.Unlock(); return float64(len(l.log)) }, lbl)
-		r.GaugeFunc("livegraph_snapshots_active", "Snapshot handles not yet reclaimed.",
-			func() float64 { return float64(l.active.Load()) }, lbl)
-		l.mBatches = r.Counter("livegraph_batches_total", "Mutation batches applied.", lbl)
-		l.mOps = map[OpKind]*obs.Counter{
-			OpAdd:      r.Counter("livegraph_ops_total", "Mutation ops applied by kind.", lbl, obs.L("op", "add")),
-			OpRemove:   r.Counter("livegraph_ops_total", "Mutation ops applied by kind.", lbl, obs.L("op", "remove")),
-			OpReweight: r.Counter("livegraph_ops_total", "Mutation ops applied by kind.", lbl, obs.L("op", "reweight")),
-		}
-		l.mCompactions = r.Counter("livegraph_compactions_total", "Successful overlay compactions.", lbl)
-		l.mCompactFailures = r.Counter("livegraph_compaction_failures_total", "Compaction attempts that failed or panicked.", lbl)
-		l.mCompactDur = r.Histogram("livegraph_compaction_duration_seconds", "Wall time of successful compactions.",
-			histogram.ExpBounds(10e-6, 2, 24), lbl)
+	l.cur = l.newSnapshot(epoch, g, nil) // g is the caller's: no plane
+	// Status reads these counters back, so an unobserved Live gets a
+	// registry of its own.
+	r := cfg.Metrics
+	if r == nil {
+		r = obs.NewRegistry()
 	}
+	lbl := obs.L("graph", name)
+	r.GaugeFunc("livegraph_epoch", "Current graph epoch (advances on every mutation batch).",
+		func() float64 { return float64(l.Epoch()) }, lbl)
+	r.GaugeFunc("livegraph_snapshots_active", "Snapshot handles not yet reclaimed.",
+		func() float64 { return float64(l.active.Load()) }, lbl)
+	l.mBatches = r.Counter("livegraph_batches_total", "Mutation batches applied.", lbl)
+	l.mOps = make(map[OpKind]*obs.Counter, 3)
+	for _, k := range []OpKind{OpAdd, OpRemove, OpReweight} {
+		l.mOps[k] = r.Counter("livegraph_ops_total", "Mutation ops applied by kind.", lbl, obs.L("op", k.String()))
+	}
+	l.planes.init(g.NumEdges(),
+		r.Counter("livegraph_planes_recycled_total", "Weight-only batches written into a retired weight plane.", lbl),
+		r.Counter("livegraph_plane_copies_total", "Weight-only batches that had to copy the weight plane.", lbl),
+		r.Counter("livegraph_catchup_patches_total", "Logged weight patches replayed into recycled planes.", lbl))
 	return l
 }
 
@@ -300,12 +286,12 @@ func (l *Live) Epoch() uint64 {
 	return l.epoch
 }
 
-func (l *Live) newSnapshot(epoch uint64, g *graph.Graph) *Snapshot {
-	s := &Snapshot{l: l, epoch: epoch, g: g}
+func (l *Live) newSnapshot(epoch uint64, g *graph.Graph, pl *plane) *Snapshot {
+	s := &Snapshot{l: l, epoch: epoch, g: g, pl: pl}
 	s.refs.Store(1) // the owner reference held by l.cur
 	l.active.Add(1)
 	l.pinMu.Lock()
-	l.pinned[epoch]++ // compaction can mint a second snapshot at the same epoch
+	l.pinned[epoch]++ // CompactNow can mint a second snapshot at the same epoch
 	l.pinMu.Unlock()
 	return s
 }
@@ -338,8 +324,6 @@ type BatchResult struct {
 	Epoch uint64
 	// Applied is the number of ops in the batch.
 	Applied int
-	// OverlayOps is the overlay size after the batch.
-	OverlayOps int
 	// DurableWait is how long the batch waited for its WAL fsync (zero on
 	// non-durable Lives and in interval/none sync modes).
 	DurableWait time.Duration
@@ -350,7 +334,8 @@ type BatchResult struct {
 // durable Live the batch is written to the WAL before the epoch commits
 // and ApplyBatch does not return success until the record is durable
 // under the configured sync mode — an acked batch survives kill -9.
-// Queries running against previously acquired snapshots are unaffected.
+// Queries running against previously acquired snapshots are unaffected,
+// and Acquire does not wait for a batch in progress.
 func (l *Live) ApplyBatch(ops []Op) (BatchResult, error) {
 	if len(ops) == 0 {
 		return BatchResult{}, fmt.Errorf("%w: empty batch", ErrValidation)
@@ -361,72 +346,17 @@ func (l *Live) ApplyBatch(ops []Op) (BatchResult, error) {
 	if len(ops) > l.cfg.MaxBatchOps {
 		return BatchResult{}, fmt.Errorf("%w (%d > %d)", ErrBatchTooLarge, len(ops), l.cfg.MaxBatchOps)
 	}
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return BatchResult{}, ErrClosed
-	}
-	if len(l.log)+len(ops) > l.cfg.MaxOverlayOps {
-		l.mu.Unlock()
-		return BatchResult{}, fmt.Errorf("%w (%d pending)", ErrOverlayFull, len(l.log))
-	}
-	old := l.cur
-	delta, err := buildDelta(old.g, ops)
+	epoch, pos, ckpt, err := l.advance(ops, 0)
 	if err != nil {
-		l.mu.Unlock()
 		return BatchResult{}, err
 	}
-	ng, err := graph.ApplyDelta(old.g, delta)
-	if err != nil {
-		// buildDelta pre-validated every op; reaching here is a bug, but
-		// the failure mode is still "reject the batch, keep serving".
-		l.mu.Unlock()
-		return BatchResult{}, fmt.Errorf("%w: %v", ErrValidation, err)
-	}
-	// WAL-before-commit: the record for epoch+1 must be in the log before
-	// any reader can observe epoch+1. An append failure rejects the batch
-	// with no state change at all.
-	var pos wal.Pos
-	if l.store != nil {
-		pos, err = l.store.Append(l.epoch+1, EncodeOps(ops))
-		if err != nil {
-			l.mu.Unlock()
-			return BatchResult{}, fmt.Errorf("%w: %v", ErrDurability, err)
-		}
-		l.lastPos = pos
-	}
-	l.epoch++
-	l.log = append(l.log, ops...)
-	l.cur = l.newSnapshot(l.epoch, ng)
-	res := BatchResult{Epoch: l.epoch, Applied: len(ops), OverlayOps: len(l.log)}
-	wake := len(l.log) >= l.cfg.CompactThreshold
-	ckpt := false
-	if l.store != nil {
-		l.opsSinceCkpt += len(ops)
-		ckpt = l.opsSinceCkpt >= l.cfg.CheckpointOps
-	}
-	l.mu.Unlock()
-
-	old.Release() // drop the owner reference; readers may still hold it
-
-	l.batches.Add(1)
-	l.opsApplied.Add(int64(len(ops)))
-	if l.mBatches != nil {
-		l.mBatches.Inc()
-		for _, op := range ops {
-			l.mOps[op.Kind].Inc()
-		}
-	}
-	if wake {
-		l.wake()
-	}
+	res := BatchResult{Epoch: epoch, Applied: len(ops)}
 	if ckpt {
 		l.kickCkpt()
 	}
-	// The group-commit wait runs outside l.mu so concurrent batches share
-	// one fsync. On failure the batch is already visible in memory but NOT
-	// acked — the caller must treat the mutation as lost (it may or may
+	// The group-commit wait runs outside every lock so concurrent batches
+	// share one fsync. On failure the batch is already visible in memory but
+	// NOT acked — the caller must treat the mutation as lost (it may or may
 	// not survive a restart) and the poisoned store refuses all further
 	// mutations, so the un-acked state can never diverge further.
 	if l.store != nil {
@@ -437,6 +367,89 @@ func (l *Live) ApplyBatch(ops []Op) (BatchResult, error) {
 		res.DurableWait = time.Since(start)
 	}
 	return res, nil
+}
+
+// advance is the one commit path: resolve ops against the current
+// snapshot, materialize the next graph, append the WAL record, swap.
+// replay is 0 for a live batch; recovery passes the record's epoch, which
+// must be exactly the next one, and skips the append. ckpt reports that the
+// ops since the last checkpoint crossed CheckpointOps.
+func (l *Live) advance(ops []Op, replay uint64) (epoch uint64, pos wal.Pos, ckpt bool, err error) {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if l.closed {
+		return 0, pos, false, ErrClosed
+	}
+	old, epoch := l.cur, l.epoch+1
+	if replay != 0 && replay != epoch {
+		return 0, pos, false, fmt.Errorf("%w: replay epoch %d after state epoch %d", wal.ErrCorrupt, replay, l.epoch)
+	}
+	delta, err := buildDelta(old.g, ops)
+	if err != nil {
+		return 0, pos, false, err
+	}
+	ng, pl, err := l.materialize(old, delta)
+	if err != nil {
+		// buildDelta pre-validated every op; reaching here is a bug, but
+		// the failure mode is still "reject the batch, keep serving".
+		return 0, pos, false, fmt.Errorf("%w: %v", ErrValidation, err)
+	}
+	if l.holdApply != nil {
+		l.holdApply()
+	}
+	// WAL-before-commit: the record must be in the log before any reader can
+	// observe its epoch. An append failure rejects the batch with no state
+	// change (a recycled plane it was written into is never retired again).
+	if replay == 0 && l.store != nil {
+		if pos, err = l.store.Append(epoch, EncodeOps(ops)); err != nil {
+			return 0, pos, false, fmt.Errorf("%w: %v", ErrDurability, err)
+		}
+	}
+	next := l.newSnapshot(epoch, ng, pl)
+	l.mu.Lock()
+	l.epoch, l.cur = epoch, next
+	if replay == 0 && l.store != nil {
+		l.lastPos = pos
+		l.opsSinceCkpt += len(ops)
+		ckpt = l.opsSinceCkpt >= l.cfg.CheckpointOps
+	}
+	l.mu.Unlock()
+	l.planes.commit(pl, l.patches)
+	old.Release() // drop the owner reference; readers may still hold it
+
+	l.mBatches.Inc()
+	for _, op := range ops {
+		l.mOps[op.Kind].Inc()
+	}
+	return epoch, pos, ckpt, nil
+}
+
+// materialize builds the graph for old ⊕ delta and names the plane its
+// weights live in (nil when this Live may never write them again). A
+// weight-only delta shares old's topology and lands in an owned plane,
+// leaving its resolved patches in l.patches; a topology delta's fresh
+// weight pair is the first plane of a new generation; a delta that nets to
+// nothing shares old's graph, which ends that plane's recycling for good.
+func (l *Live) materialize(old *Snapshot, delta graph.Delta) (*graph.Graph, *plane, error) {
+	switch {
+	case delta.Empty():
+		old.pl = nil // safe: old's last Release cannot precede the owner's
+		return old.g, nil, nil
+	case delta.WeightOnly():
+		ps, err := graph.ResolveWeights(old.g, delta.SetW, l.patches[:0])
+		if err != nil {
+			return nil, nil, err
+		}
+		l.patches = ps
+		pl := l.planes.writable(old.g)
+		graph.ApplyWeightPatches(pl.wts, pl.inWts, ps)
+		return old.g.WithWeights(pl.wts, pl.inWts), pl, nil
+	}
+	ng, err := graph.ApplyDelta(old.g, delta)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ng, l.planes.adopt(ng), nil
 }
 
 // buildDelta resolves a sequential op list into one graph.Delta against
@@ -533,7 +546,9 @@ type DurabilityStatus struct {
 	ReplayedBatches    int64  `json:"replayed_batches"`
 }
 
-// Status is a point-in-time summary for /statusz.
+// Status is a point-in-time summary for /statusz. OverlayOps is always
+// zero and Compactions counts explicit CompactNow calls only (see
+// Config.CompactThreshold for why they are still here).
 type Status struct {
 	Name               string            `json:"name"`
 	Mutable            bool              `json:"mutable"`
@@ -542,6 +557,9 @@ type Status struct {
 	ActiveSnapshots    int64             `json:"active_snapshots"`
 	Batches            int64             `json:"batches"`
 	OpsApplied         int64             `json:"ops_applied"`
+	PlanesRecycled     int64             `json:"planes_recycled"`
+	PlaneCopies        int64             `json:"plane_copies"`
+	CatchupPatches     int64             `json:"catchup_patches"`
 	Compactions        int64             `json:"compactions"`
 	CompactionFailures int64             `json:"compaction_failures"`
 	LastCompactError   string            `json:"last_compact_error,omitempty"`
@@ -551,17 +569,19 @@ type Status struct {
 // Status returns a snapshot of the live graph's counters.
 func (l *Live) Status() Status {
 	l.mu.Lock()
-	epoch, overlay, ckptEpoch := l.epoch, len(l.log), l.lastCkptEpoch
+	epoch, ckptEpoch := l.epoch, l.lastCkptEpoch
 	l.mu.Unlock()
 	lastErr, _ := l.lastCompactErr.Load().(string)
 	st := Status{
 		Name:               l.name,
 		Mutable:            l.mutable,
 		Epoch:              epoch,
-		OverlayOps:         overlay,
 		ActiveSnapshots:    l.active.Load(),
-		Batches:            l.batches.Load(),
-		OpsApplied:         l.opsApplied.Load(),
+		Batches:            l.mBatches.Value(),
+		OpsApplied:         l.mOps[OpAdd].Value() + l.mOps[OpRemove].Value() + l.mOps[OpReweight].Value(),
+		PlanesRecycled:     l.planes.recycled.Value(),
+		PlaneCopies:        l.planes.copies.Value(),
+		CatchupPatches:     l.planes.catchup.Value(),
 		Compactions:        l.compactions.Load(),
 		CompactionFailures: l.compactFailures.Load(),
 		LastCompactError:   lastErr,
@@ -579,14 +599,17 @@ func (l *Live) Status() Status {
 	return st
 }
 
-// Close stops the compactor and checkpointer, drops the owner reference
-// on the current snapshot, and (on durable Lives) flushes and closes the
-// WAL store. In-flight queries holding acquired snapshots keep them until
-// they Release; Acquire returns nil afterwards. Close is idempotent.
+// Close waits out a batch in progress, stops the checkpointer, drops the
+// owner reference on the current snapshot, and (on durable Lives) flushes
+// and closes the WAL store. In-flight queries holding acquired snapshots
+// keep them until they Release; Acquire returns nil afterwards. Close is
+// idempotent.
 func (l *Live) Close() {
+	l.wmu.Lock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.wmu.Unlock()
 		return
 	}
 	l.closed = true
@@ -594,9 +617,8 @@ func (l *Live) Close() {
 	l.cur = nil
 	close(l.done)
 	l.mu.Unlock()
-	if cur != nil {
-		cur.Release()
-	}
+	l.wmu.Unlock()
+	cur.Release()
 	l.wg.Wait()
 	if l.store != nil {
 		_ = l.store.Close() // sticky errors were already surfaced to callers

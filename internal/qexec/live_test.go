@@ -97,7 +97,9 @@ func TestMutationInvalidatesCache(t *testing.T) {
 // the answer-determining edge every few milliseconds. The invariant that
 // must hold for every single OK outcome: the answer matches the weight
 // that was live at the outcome's own epoch. Any cross-epoch cache or
-// coalesce leak breaks the equation immediately.
+// coalesce leak breaks the equation immediately — and so does a weight
+// plane recycled under a run: test binaries overwrite a retired plane with
+// -1, so such a run would answer 5 + (-1).
 func TestPlanPinsSnapshotAgainstConcurrentMutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrency drill")
@@ -138,6 +140,10 @@ func TestPlanPinsSnapshotAgainstConcurrentMutation(t *testing.T) {
 					errs <- fmt.Errorf("querier %d: impossible epoch %d", q, out.Epoch)
 					return
 				}
+				if got < 5 {
+					errs <- fmt.Errorf("querier %d iter %d: epoch %d answer %d — the run read a negative weight, its plane was recycled under it", q, i, out.Epoch, got)
+					return
+				}
 				if want := 5 + weightAt[out.Epoch]; got != want {
 					errs <- fmt.Errorf("querier %d iter %d: epoch %d answer %d, want %d (cached=%v coalesced=%v) — stale cross-epoch result",
 						q, i, out.Epoch, got, want, out.Cached, out.Coalesced)
@@ -165,6 +171,9 @@ func TestPlanPinsSnapshotAgainstConcurrentMutation(t *testing.T) {
 	}
 	if got := live.Epoch(); got != epochs {
 		t.Fatalf("final epoch = %d, want %d", got, epochs)
+	}
+	if st := live.Status(); st.PlanesRecycled == 0 {
+		t.Fatalf("no weight plane was recycled during the drill: %+v", st)
 	}
 }
 

@@ -78,13 +78,8 @@ type Config struct {
 	// graphs in live handles (queries pin epoch snapshots either way) but
 	// reject mutation batches with 403.
 	Mutable bool
-	// MaxBatchOps / MaxOverlayOps / CompactThreshold parameterize each
-	// graph's live handle: the per-batch op cap, the un-compacted overlay
-	// backpressure cap, and the overlay size that wakes the background
-	// compactor. Zeros take the livegraph defaults.
-	MaxBatchOps      int
-	MaxOverlayOps    int
-	CompactThreshold int
+	// MaxBatchOps caps the ops of one /update batch (0 = livegraph default).
+	MaxBatchOps int
 	// DataDir, when set on a Mutable server, makes every mutable graph
 	// durable: each gets a WAL + checkpoint store under DataDir/<name>,
 	// New recovers it (checkpoint load + replay) before serving, and
@@ -99,8 +94,8 @@ type Config struct {
 	// WALSegmentBytes overrides the WAL segment rotation threshold
 	// (0 = wal default; tests use tiny segments to exercise rotation).
 	WALSegmentBytes int64
-	// CheckpointOps is how many applied ops trigger a checkpoint between
-	// compactions (0 = livegraph default).
+	// CheckpointOps is how many applied ops trigger a checkpoint
+	// (0 = livegraph default).
 	CheckpointOps int
 	// WALFaultHook, when non-nil, fires at the wal.Phase* checkpoints of
 	// every graph's store — the seam recovery drills use to inject fsync,
@@ -144,11 +139,9 @@ func New(cfg Config) (*Server, error) {
 	recovery := make(map[string]livegraph.RecoverInfo)
 	for name, g := range cfg.Graphs {
 		lcfg := livegraph.Config{
-			MaxBatchOps:      cfg.MaxBatchOps,
-			MaxOverlayOps:    cfg.MaxOverlayOps,
-			CompactThreshold: cfg.CompactThreshold,
-			CheckpointOps:    cfg.CheckpointOps,
-			Metrics:          reg,
+			MaxBatchOps:   cfg.MaxBatchOps,
+			CheckpointOps: cfg.CheckpointOps,
+			Metrics:       reg,
 		}
 		// Durability is opt-in twice over: the server must be mutable AND
 		// have a data dir, and the graph itself must accept mutations.

@@ -36,8 +36,9 @@ type UpdateRequest struct {
 }
 
 // UpdateResponse reports an applied batch: the epoch the batch produced
-// (queries answered at this epoch or later see the new edges) and the
-// overlay backlog the compactor has yet to fold.
+// (queries answered at this epoch or later see the new edges). OverlayOps
+// is always zero — there is no overlay — and stays on the wire only until
+// benchmarks/spine stops decoding into this struct's old shape.
 type UpdateResponse struct {
 	Graph      string `json:"graph"`
 	Epoch      uint64 `json:"epoch"`
@@ -90,9 +91,9 @@ func decodeUpdateBody(data []byte) (UpdateRequest, []livegraph.Op, error) {
 
 // handleUpdate applies one mutation batch. Failure taxonomy: malformed or
 // semantically invalid batches are 400, an over-cap batch is 400 with the
-// limit in the message, a full overlay is 429 backpressure with a jittered
-// Retry-After sized to the compaction backoff, mutating an immutable
-// (symmetric) graph is 409, and a closed graph or draining server is 503.
+// limit in the message, mutating an immutable (symmetric) graph is 409, and
+// a closed graph or draining server is 503. There is no backlog to push
+// back on: a batch is a complete epoch the moment it is acked.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", s.retryAfter())
@@ -126,9 +127,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
-		case errors.Is(err, livegraph.ErrOverlayFull):
-			status = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", s.retryAfter())
 		case errors.Is(err, livegraph.ErrImmutable):
 			status = http.StatusConflict
 		case errors.Is(err, livegraph.ErrClosed):
@@ -142,10 +140,5 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, &UpdateResponse{Graph: req.Graph, Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, &UpdateResponse{
-		Graph:      req.Graph,
-		Epoch:      res.Epoch,
-		Applied:    res.Applied,
-		OverlayOps: res.OverlayOps,
-	})
+	writeJSON(w, http.StatusOK, &UpdateResponse{Graph: req.Graph, Epoch: res.Epoch, Applied: res.Applied})
 }

@@ -9,8 +9,9 @@
 # observability (/metrics run + engine-round counters advanced by the query
 # phase, /debug/queries trace export), live mutation (/update batches advance
 # the graph epoch; identical queries re-run instead of serving the stale
-# cached answer, and mid-flight queries keep answering), durability (kill -9
-# mid-service, restart over the same -data-dir, and every acked /update is
+# cached answer, and mid-flight queries keep answering; 300 reweight batches
+# in a row are all acked 200 with nothing left to compact), durability (kill
+# -9 mid-service, restart over the same -data-dir, and every acked /update is
 # still answered while a rejected one stays gone), and a clean SIGTERM
 # drain.
 set -euo pipefail
@@ -233,6 +234,27 @@ batches=$(sed -n 's/^livegraph_batches_total{graph="line"} //p' "$workdir/metric
 [ "${batches:-0}" -eq 2 ] || { echo "livegraph_batches_total is '${batches:-missing}', want 2" >&2; exit 1; }
 echo "mutation phase: epoch 0 -> 2, cached epoch-0 answer correctly bypassed"
 
+echo "== 300 reweight batches in a row: every one acked, nothing to compact"
+# Every ack is a complete epoch, so no backlog builds: no 429 at any point,
+# and the weight planes recycle instead of being copied per batch.
+for i in $(seq 1 300); do
+  code=$(curl -s -o /dev/null -w '%{http_code}' \
+    -d "{\"graph\":\"line\",\"ops\":[{\"op\":\"reweight\",\"src\":0,\"dst\":1,\"w\":$((1 + i % 50))}]}" \
+    http://127.0.0.1:18090/update)
+  [ "$code" = "200" ] || { echo "reweight batch $i answered $code, want 200" >&2; exit 1; }
+done
+# Leave 0->1 at its original weight for the phases below.
+up=$(curl -s -d '{"graph":"line","ops":[{"op":"reweight","src":0,"dst":1,"w":5}]}' \
+  http://127.0.0.1:18090/update)
+echo "$up" | grep -q '"epoch":303' || { echo "after 301 more batches: want epoch 303, got: $up" >&2; exit 1; }
+line_status=$(curl -s http://127.0.0.1:18090/statusz | grep -o '{"name":"line"[^}]*}')
+echo "$line_status" | grep -q '"compactions":0' \
+  || { echo "statusz reports compactions on line: $line_status" >&2; exit 1; }
+recycled=$(curl -s http://127.0.0.1:18090/metrics | sed -n 's/^livegraph_planes_recycled_total{graph="line"} //p')
+[ "${recycled:-0}" -ge 290 ] \
+  || { echo "livegraph_planes_recycled_total is '${recycled:-missing}', want >= 290" >&2; exit 1; }
+echo "reweight loop: 301 batches acked, compactions 0, planes recycled $recycled"
+
 echo "== /debug/queries exports structured traces"
 curl -s http://127.0.0.1:18090/debug/queries >"$workdir/queries"
 grep -q '"enabled":true' "$workdir/queries" \
@@ -252,33 +274,36 @@ kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 boot_graphd
 wait_ready
-# Acked state is back: line recovered to epoch 2 with the w=3 reweight
+# Acked state is back: line recovered to epoch 303 with the w=3 reweight
 # (dist 0->2 = 5 + 3 = 8); the rejected batch left no trace.
 resp=$(curl -s -d "$lbody" http://127.0.0.1:18090/query)
 echo "$resp" | grep -q '"2":8' || { echo "post-crash query: want dist 8, got: $resp" >&2; exit 1; }
-echo "$resp" | grep -q '"epoch":2' || { echo "post-crash query not at epoch 2: $resp" >&2; exit 1; }
+echo "$resp" | grep -q '"epoch":303' || { echo "post-crash query not at epoch 303: $resp" >&2; exit 1; }
 # /statusz reports the recovery and the per-graph durability section.
 statusz=$(curl -s http://127.0.0.1:18090/statusz)
 echo "$statusz" | grep -q '"recovery":{' || { echo "statusz missing recovery section" >&2; exit 1; }
 echo "$statusz" | grep -q '"durability":{' || { echo "statusz missing durability section" >&2; exit 1; }
 # /metrics carries the WAL + recovery series.
 curl -s http://127.0.0.1:18090/metrics >"$workdir/metrics3"
-grep -q '^recovered_epoch{graph="line"} 2$' "$workdir/metrics3" \
-  || { echo "/metrics missing recovered_epoch 2 for line" >&2; exit 1; }
+grep -q '^recovered_epoch{graph="line"} 303$' "$workdir/metrics3" \
+  || { echo "/metrics missing recovered_epoch 303 for line" >&2; exit 1; }
+recovery_s=$(sed -n 's/^recovery_duration_seconds{graph="line"} //p' "$workdir/metrics3")
+[ -n "$recovery_s" ] || { echo "/metrics missing recovery_duration_seconds for line" >&2; exit 1; }
+echo "kill -9 drill: 303 batches replayed, recovery_duration_seconds=$recovery_s"
 grep -q '^wal_appends_total{graph="line"} ' "$workdir/metrics3" \
   || { echo "/metrics missing wal_appends_total for line" >&2; exit 1; }
 # Mutations keep working past the recovered epoch; crash and recover again
 # to prove the WAL keeps extending across incarnations.
 up=$(curl -s -d '{"graph":"line","ops":[{"op":"reweight","src":1,"dst":2,"w":7}]}' \
   http://127.0.0.1:18090/update)
-echo "$up" | grep -q '"epoch":3' || { echo "post-recovery update did not reach epoch 3: $up" >&2; exit 1; }
+echo "$up" | grep -q '"epoch":304' || { echo "post-recovery update did not reach epoch 304: $up" >&2; exit 1; }
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 boot_graphd
 wait_ready
 resp=$(curl -s -d "$lbody" http://127.0.0.1:18090/query)
 echo "$resp" | grep -q '"2":12' || { echo "second post-crash query: want dist 12, got: $resp" >&2; exit 1; }
-echo "$resp" | grep -q '"epoch":3' || { echo "second post-crash query not at epoch 3: $resp" >&2; exit 1; }
+echo "$resp" | grep -q '"epoch":304' || { echo "second post-crash query not at epoch 304: $resp" >&2; exit 1; }
 echo "durability phase: two kill -9 crashes, both recovered to the acked epoch"
 
 echo "== SIGTERM drains cleanly"
