@@ -1,7 +1,9 @@
 // Command benchtab regenerates every table and figure of the paper's
 // evaluation (Section 6) on the synthetic dataset stand-ins, printing the
 // same rows/series the paper reports. See DESIGN.md §4 for the experiment
-// index and EXPERIMENTS.md for recorded paper-vs-measured results.
+// index and EXPERIMENTS.md for recorded paper-vs-measured results. Speed
+// numbers for regression tracking come from the benchmark spine
+// (benchmarks/README.md), not from here.
 //
 // Usage:
 //
@@ -10,17 +12,10 @@
 //	benchtab -exp fig1,fig4,table4
 //	benchtab -workers 1,2,4,8      # the Figure 11 sweep points
 //	benchtab -timeout 5m           # bound the whole run; partial tables on expiry
-//	benchtab -exp perf -json BENCH_pr4.json -baseline old.json -pr pr4
-//	benchtab -exp batch -json BENCH_pr9.json -pr pr9
-//	benchtab -validate BENCH_pr4.json
 //
-// The perf experiment measures the lazy-engine kernels (time, allocs/op,
-// rounds) and, with -json, persists the machine-readable trajectory report;
-// -baseline embeds a previously emitted report as the "before" arm, and
-// -validate checks an emitted file against the schema and exits.
-//
-// ^C (or an expired -timeout) cancels the in-flight experiment at its next
-// round barrier and skips the rest.
+// An unknown -exp name exits 2 and lists the valid ones. ^C (or an expired
+// -timeout) cancels the in-flight experiment at its next round barrier and
+// skips the rest.
 package main
 
 import (
@@ -29,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -36,33 +32,104 @@ import (
 	"graphit/internal/bench"
 )
 
+// experiment is one table or figure of the evaluation; run prints it.
+type experiment struct {
+	name string
+	run  func(ctx context.Context, s bench.Scale, workers []int) error
+}
+
+// printTable prints t unless err is set.
+func printTable(t *bench.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	fmt.Println(t)
+	return nil
+}
+
+// experiments is the name → func table, in the order "all" runs them.
+var experiments = []experiment{
+	{"fig1", func(ctx context.Context, s bench.Scale, _ []int) error {
+		t, _, err := bench.Fig1(ctx, s)
+		return printTable(t, err)
+	}},
+	{"fig4", func(ctx context.Context, s bench.Scale, _ []int) error {
+		t, _, err := bench.Fig4(ctx, s)
+		return printTable(t, err)
+	}},
+	{"table4", func(ctx context.Context, s bench.Scale, _ []int) error {
+		return printTable(bench.Table4(ctx, s))
+	}},
+	{"table5", func(context.Context, bench.Scale, []int) error {
+		return printTable(bench.Table5())
+	}},
+	{"table6", func(ctx context.Context, s bench.Scale, _ []int) error {
+		t, _, err := bench.Table6(ctx, s)
+		return printTable(t, err)
+	}},
+	{"table7", func(ctx context.Context, s bench.Scale, _ []int) error {
+		return printTable(bench.Table7(ctx, s))
+	}},
+	{"fig11", func(ctx context.Context, s bench.Scale, ws []int) error {
+		return printTable(bench.Fig11(ctx, s, ws))
+	}},
+	{"delta", func(ctx context.Context, s bench.Scale, _ []int) error {
+		return printTable(bench.DeltaSweep(ctx, s))
+	}},
+	{"autotune", func(ctx context.Context, s bench.Scale, _ []int) error {
+		t, worst, err := bench.Autotune(ctx, s)
+		if err != nil {
+			return err
+		}
+		fmt.Println(t)
+		fmt.Printf("worst autotuned/hand-tuned ratio: %.3f\n", worst)
+		return nil
+	}},
+}
+
+// validNames lists every accepted -exp name.
+func validNames() []string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return names
+}
+
+// selectExperiments resolves a comma-separated -exp value to the
+// experiments it names, in table order. Any unknown name is an error that
+// lists the valid ones.
+func selectExperiments(spec string) ([]experiment, error) {
+	valid := validNames()
+	want := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+		want[name] = true
+	}
+	var out []experiment
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated: fig1, fig4, table4, table5, table6, table7, fig11, delta, autotune, reuse, perf, batch")
-		scale    = flag.String("scale", "medium", "small | medium | large")
-		workers  = flag.String("workers", "1,2,4,8", "Figure 11 worker sweep")
-		timeout  = flag.Duration("timeout", 0, "wall-clock bound for the whole run (0 = none)")
-		jsonOut  = flag.String("json", "", "write the perf experiment's machine-readable report to this path")
-		baseline = flag.String("baseline", "", "embed this previously emitted perf report as the baseline (before) arm")
-		prLabel  = flag.String("pr", "dev", "label recorded in the perf report")
-		minTime  = flag.Duration("mintime", 0, "minimum measured wall-clock per perf/batch case (0 = default, 300ms)")
-		validate = flag.String("validate", "", "validate an emitted perf report against the schema and exit")
+		exp     = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(validNames(), ", "))
+		scale   = flag.String("scale", "medium", "small | medium | large")
+		workers = flag.String("workers", "1,2,4,8", "Figure 11 worker sweep")
+		timeout = flag.Duration("timeout", 0, "wall-clock bound for the whole run (0 = none)")
 	)
 	flag.Parse()
-	if *validate != "" {
-		if _, err := bench.ReadPerfReport(*validate); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid %s report\n", *validate, bench.PerfSchema)
-		return
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+	exps, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtab:", err)
+		os.Exit(2)
 	}
 	s := bench.Scale(*scale)
 	switch s {
@@ -81,102 +148,24 @@ func main() {
 		ws = append(ws, w)
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
-	all := want["all"]
-	run := func(name string, f func() error) {
-		if !all && !want[name] {
-			return
-		}
+	for _, e := range exps {
 		if ctx.Err() != nil {
-			fmt.Printf("[%s skipped: %v]\n\n", name, ctx.Err())
-			return
+			fmt.Printf("[%s skipped: %v]\n\n", e.name, ctx.Err())
+			continue
 		}
 		start := time.Now()
-		if err := f(); err != nil {
+		if err := e.run(ctx, s, ws); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			fmt.Printf("[%s failed after %.1fs]\n\n", name, time.Since(start).Seconds())
-			return
+			fmt.Printf("[%s failed after %.1fs]\n\n", e.name, time.Since(start).Seconds())
+			continue
 		}
-		fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
+		fmt.Printf("[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
 	}
-
-	print1 := func(t *bench.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		fmt.Println(t)
-		return nil
-	}
-	run("fig1", func() error {
-		t, _, err := bench.Fig1(ctx, s)
-		return print1(t, err)
-	})
-	run("fig4", func() error {
-		t, _, err := bench.Fig4(ctx, s)
-		return print1(t, err)
-	})
-	run("table4", func() error { return print1(bench.Table4(ctx, s)) })
-	run("table5", func() error { return print1(bench.Table5()) })
-	run("table6", func() error {
-		t, _, err := bench.Table6(ctx, s)
-		return print1(t, err)
-	})
-	run("table7", func() error { return print1(bench.Table7(ctx, s)) })
-	run("fig11", func() error { return print1(bench.Fig11(ctx, s, ws)) })
-	run("delta", func() error { return print1(bench.DeltaSweep(ctx, s)) })
-	run("perf", func() error {
-		t, rep, err := bench.Perf(ctx, s, bench.PerfOptions{PR: *prLabel, MinTime: *minTime})
-		if err != nil {
-			return err
-		}
-		fmt.Println(t)
-		if *baseline != "" {
-			base, err := bench.ReadPerfReport(*baseline)
-			if err != nil {
-				return err
-			}
-			base.Baseline = nil // one level of history is the contract
-			rep.Baseline = base
-		}
-		if *jsonOut != "" {
-			if err := rep.Validate(); err != nil {
-				return err
-			}
-			if err := rep.WriteFile(*jsonOut); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-	run("batch", func() error {
-		t, rep, err := bench.BatchQuery(ctx, s, bench.PerfOptions{PR: *prLabel, MinTime: *minTime})
-		if err != nil {
-			return err
-		}
-		fmt.Println(t)
-		if *jsonOut != "" {
-			if err := rep.Validate(); err != nil {
-				return err
-			}
-			if err := rep.WriteFile(*jsonOut); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-	run("reuse", func() error { return print1(bench.EngineReuse(ctx, s)) })
-	run("autotune", func() error {
-		t, worst, err := bench.Autotune(ctx, s)
-		if err != nil {
-			return err
-		}
-		fmt.Println(t)
-		fmt.Printf("worst autotuned/hand-tuned ratio: %.3f\n", worst)
-		return nil
-	})
 }

@@ -115,12 +115,6 @@ func AtomicAdd(p *int64, v int64) int64 {
 // Unreached for max-ordered priority queues).
 const NullMax = core.NullMax
 
-// SetEnginePooling toggles the engine's per-run buffer reuse (frontier
-// slices, per-worker updaters, dedup flags) and returns the previous
-// setting. Pooling is on by default; turning it off makes every run
-// allocate fresh O(V) state — the fresh arm of BenchmarkEngineReuse.
-func SetEnginePooling(on bool) bool { return core.SetPooling(on) }
-
 // SetWorkers overrides the global worker count (0 restores GOMAXPROCS) and
 // returns the previous override. The scalability experiments (paper
 // Figure 11) sweep this.

@@ -185,19 +185,6 @@ func TestLogWeightedVariant(t *testing.T) {
 	}
 }
 
-func TestEngineReuseShape(t *testing.T) {
-	tbl := must[*Table](t)(EngineReuse(context.Background(), ScaleSmall))
-	if len(tbl.Rows) == 0 {
-		t.Fatal("empty table")
-	}
-	for _, row := range tbl.Rows {
-		if row[2] == "err" {
-			t.Errorf("%s: reuse experiment errored", row[0])
-		}
-	}
-	t.Logf("\n%s", tbl)
-}
-
 // TestAutotunerQuality is the §5.3/§6.2 claim: the stochastic schedule
 // search lands close to the hand-tuned schedule within the paper's 30-40
 // trial budget. The paper reports within 5% on a quiet 24-core machine;

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"graphit"
@@ -354,10 +355,10 @@ func Table7(ctx context.Context, s Scale) (*Table, error) {
 	return t, nil
 }
 
-// Fig11 reproduces Figure 11: SSSP scalability across worker counts. On a
-// single-core host the wall-clock series is flat; the table therefore also
-// reports rounds (constant) and relaxations as the machine-independent
-// signal, and the sweep exercises the real multi-worker code paths.
+// Fig11 reproduces Figure 11: SSSP scalability across worker counts. Past
+// the host's core count the wall-clock series flattens; the table therefore
+// also reports rounds (constant) as the machine-independent signal, and the
+// sweep exercises the real multi-worker code paths.
 func Fig11(ctx context.Context, s Scale, workers []int) (*Table, error) {
 	t := &Table{
 		Title:  "Figure 11: SSSP scalability (time per worker count)",
@@ -382,7 +383,7 @@ func Fig11(ctx context.Context, s Scale, workers []int) (*Table, error) {
 			}
 		}
 	}
-	t.Note("this host exposes a single core; the sweep exercises the multi-worker code paths, wall-clock shape requires real cores")
+	t.Note(fmt.Sprintf("this host exposes %d core(s); worker counts above that exercise the multi-worker code paths but cannot speed up", runtime.NumCPU()))
 	return t, nil
 }
 
@@ -415,50 +416,6 @@ func DeltaSweep(ctx context.Context, s Scale) (*Table, error) {
 		}
 	}
 	t.Note("paper: best social deltas 1-100, best road deltas 2^13-2^17 (at continent scale)")
-	return t, nil
-}
-
-// EngineReuse measures the unified engine's per-run scratch pooling: a
-// stream of back-to-back SSSP queries with sync.Pool buffer reuse enabled
-// versus disabled (every run allocating fresh frontier slices, updaters,
-// and dedup flags). The wall-clock delta is the allocation and GC cost the
-// pool removes; BenchmarkEngineReuse in internal/core reports the same
-// pair with allocation counts.
-func EngineReuse(ctx context.Context, s Scale) (*Table, error) {
-	t := &Table{
-		Title:  "Engine scratch reuse: back-to-back SSSP queries, pooled vs fresh buffers",
-		Header: []string{"graph", "queries", "pooled(s)", "fresh(s)", "fresh/pooled"},
-	}
-	const queries = 8
-	ds, err := All(s)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range ds {
-		srcs := sources(d, queries)
-		runAll := func() time.Duration {
-			start := time.Now()
-			for _, src := range srcs {
-				if r := SSSP(ctx, FwGraphIt, d, src); r.Err != nil {
-					return 0
-				}
-			}
-			return time.Since(start)
-		}
-		prev := graphit.SetEnginePooling(true)
-		runAll() // warm the pool so the pooled series measures steady state
-		pooled := runAll()
-		graphit.SetEnginePooling(false)
-		fresh := runAll()
-		graphit.SetEnginePooling(prev)
-		if pooled == 0 || fresh == 0 {
-			t.AddRow(d.Name, fmt.Sprintf("%d", queries), "err", "err", "")
-			continue
-		}
-		t.AddRow(d.Name, fmt.Sprintf("%d", queries), fmtDur(pooled), fmtDur(fresh),
-			fmtRatio(fresh.Seconds()/pooled.Seconds()))
-	}
-	t.Note("pooling recycles per-run engine scratch across queries (sync.Pool); fresh allocates every run")
 	return t, nil
 }
 

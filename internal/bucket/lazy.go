@@ -554,7 +554,3 @@ func (l *Lazy) advanceWindow() bool {
 	l.recycle(over)
 	return true
 }
-
-// CurrentBucket returns the id of the bucket most recently returned by Next
-// (the bucket the engine is processing). Valid only between Next calls.
-func (l *Lazy) CurrentBucket() int64 { return l.currentID() }

@@ -296,6 +296,41 @@ func TestManualStepwiseSSSP(t *testing.T) {
 	if m.Stats().Rounds != int64(rounds) {
 		t.Errorf("stats rounds %d != loop rounds %d", m.Stats().Rounds, rounds)
 	}
+
+	// Manual composes its traversal exactly as RunContext does, so with or
+	// without CAS dedup a single-worker manual loop matches the compiled run
+	// answer for answer and counter for counter.
+	for _, noDedup := range []bool{false, true} {
+		g := randomGraph(7)
+		cfg := DefaultConfig()
+		cfg.Strategy = Lazy
+		cfg.Delta = 4
+		cfg.Workers = 1
+		cfg.NoDedup = noDedup
+		wantDist, wantSt := runSSSP(t, g, cfg)
+		op, dist := ssspOp(g, 0, cfg)
+		m, err := NewManual(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.trav.(*lazyTrav).dedup == nil; got != noDedup {
+			t.Errorf("NoDedup=%v: manual dedup flags nil = %v", noDedup, got)
+		}
+		for !m.Finished() {
+			if err := m.ApplyUpdatePriority(m.DequeueReadySet(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Close()
+		for v := range wantDist {
+			if dist[v] != wantDist[v] {
+				t.Fatalf("NoDedup=%v: manual dist[%d] = %d, RunContext %d", noDedup, v, dist[v], wantDist[v])
+			}
+		}
+		if st := m.Stats(); st != wantSt {
+			t.Errorf("NoDedup=%v: manual stats %+v, RunContext %+v", noDedup, st, wantSt)
+		}
+	}
 }
 
 func TestApproxRejectsMaxOrderAndFinalize(t *testing.T) {

@@ -246,44 +246,12 @@ func (re *retrySweep) fold(st *Stats) {
 }
 
 func (o *Ordered) buildRetrySweep(ctl *runCtl) *retrySweep {
-	n := o.G.NumVertices()
-	grain := o.Cfg.Grain
-	if grain <= 0 {
-		grain = parallel.DefaultGrain
-	}
-	sc := new(scratch)
-	ex := parallel.NewExecutor(1) // w=1: runs on the caller, no goroutines
-	ups := sc.getUpdaters(o, 1)
-	switch o.Cfg.Strategy {
-	case EagerWithFusion, EagerNoFusion:
-		if o.Cfg.Direction == DensePull {
-			inFron, _ := sc.getDense(n)
-			return &retrySweep{trav: &eagerPull{o: o, ex: ex, ups: ups, inFron: inFron, grain: grain, ctl: ctl}, ups: ups}
-		}
-		bins := sc.getBins(1)
-		ups[0].bins = bins[0]
-		ups[0].atomics = true
-		// Fusion is disabled: the retry must re-execute exactly the faulted
-		// round, not chase newly generated same-bucket work (the rebuilt
-		// parallel engine picks that up).
-		return &retrySweep{trav: &eagerPush{o: o, ex: ex, ups: ups, bins: bins, fusion: false, grain: grain, ctl: ctl}, ups: ups}
-	case LazyConstantSum:
-		ups[0].atomics = true
-		return &retrySweep{trav: &constSumTrav{o: o, ex: ex, sc: sc, ups: ups, hist: sc.getHist(n), grain: grain, ctl: ctl}, ups: ups}
-	default: // Lazy
-		t := &lazyTrav{
-			o: o, ex: ex, sc: sc, ups: ups, grain: grain,
-			pullThreshold: int64(o.G.NumEdges()) / 20,
-			ctl:           ctl,
-		}
-		if !o.Cfg.NoDedup {
-			t.dedup = sc.getDedup(n)
-		}
-		if o.Cfg.Direction != SparsePush {
-			t.inFron, t.nextMap = sc.getDense(n)
-		}
-		return &retrySweep{trav: t, ups: ups}
-	}
+	// One worker (w=1 runs on the caller, no goroutines) on fresh scratch.
+	// Fusion is off: the retry must re-execute exactly the faulted round, not
+	// chase newly generated same-bucket work (the rebuilt parallel engine
+	// picks that up).
+	trav, ups, _ := o.compose(new(scratch), parallel.NewExecutor(1), ctl, false)
+	return &retrySweep{trav: trav, ups: ups}
 }
 
 // tracer resolves the run's Tracer: the operator's explicit Trace field,
@@ -310,10 +278,29 @@ func (o *Ordered) runInfo(frontier int) RunInfo {
 }
 
 // buildEngine composes the (bucketSource, traversal) pair for the
-// configured schedule and seeds it with the initial active set. Per-worker
-// state (updaters, bins) is sized from ex's immutable worker count, the
-// same count every traversal phase will run with.
+// configured schedule and seeds it with the initial active set.
 func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint32, ctl *runCtl) *engine {
+	trav, ups, bins := o.compose(sc, ex, ctl, o.Cfg.Strategy == EagerWithFusion)
+	e := &engine{o: o, trav: trav, ups: ups, ex: ex, ctl: ctl}
+	if bins == nil {
+		e.src = o.newLazySource(ex, active)
+		return e
+	}
+	for i, v := range active {
+		bins[i%len(bins)].Insert(o.bucketOf(o.Prio[v]), v)
+	}
+	e.src = &eagerBins{o: o, bins: bins, sc: sc}
+	return e
+}
+
+// compose builds the schedule's traversal on sc and ex — the one
+// composition RunContext's engine, the serial retry sweep and Manual share:
+// the strategy → traversal switch, the grain default, per-worker updaters
+// sized from ex's immutable worker count (the count every traversal phase
+// runs with), their atomics flags, and the dedup and dense scratch. Eager
+// schedules also return the per-worker bins their updaters write, for the
+// caller to seed; fusion applies to eager push only.
+func (o *Ordered) compose(sc *scratch, ex *parallel.Executor, ctl *runCtl, fusion bool) (traversal, []*Updater, []*bucket.LocalBins) {
 	n := o.G.NumVertices()
 	w := ex.Workers()
 	grain := o.Cfg.Grain
@@ -321,40 +308,26 @@ func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint3
 		grain = parallel.DefaultGrain
 	}
 	ups := sc.getUpdaters(o, w)
-	e := &engine{o: o, ups: ups, ex: ex, ctl: ctl}
-
 	switch o.Cfg.Strategy {
 	case EagerWithFusion, EagerNoFusion:
 		bins := sc.getBins(w)
-		for i, v := range active {
-			bins[i%w].Insert(o.bucketOf(o.Prio[v]), v)
-		}
 		for i, u := range ups {
 			u.bins = bins[i]
 		}
-		e.src = &eagerBins{o: o, bins: bins, sc: sc}
 		if o.Cfg.Direction == DensePull {
 			inFron, _ := sc.getDense(n)
-			e.trav = &eagerPull{o: o, ex: ex, ups: ups, inFron: inFron, grain: grain, ctl: ctl}
-		} else {
-			for _, u := range ups {
-				u.atomics = true
-			}
-			e.trav = &eagerPush{
-				o: o, ex: ex, ups: ups, bins: bins,
-				fusion: o.Cfg.Strategy == EagerWithFusion,
-				grain:  grain,
-				ctl:    ctl,
-			}
+			return &eagerPull{o: o, ex: ex, ups: ups, inFron: inFron, grain: grain, ctl: ctl}, ups, bins
 		}
+		for _, u := range ups {
+			u.atomics = true
+		}
+		return &eagerPush{o: o, ex: ex, ups: ups, bins: bins, fusion: fusion, grain: grain, ctl: ctl}, ups, bins
 	case LazyConstantSum:
 		for _, u := range ups {
 			u.atomics = true
 		}
-		e.src = o.newLazySource(ex, active)
-		e.trav = &constSumTrav{o: o, ex: ex, sc: sc, ups: ups, hist: sc.getHist(n), grain: grain, ctl: ctl}
+		return &constSumTrav{o: o, ex: ex, sc: sc, ups: ups, hist: sc.getHist(n), grain: grain, ctl: ctl}, ups, nil
 	default: // Lazy
-		e.src = o.newLazySource(ex, active)
 		t := &lazyTrav{
 			o: o, ex: ex, sc: sc, ups: ups, grain: grain,
 			pullThreshold: int64(o.G.NumEdges()) / 20,
@@ -366,9 +339,8 @@ func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint3
 		if o.Cfg.Direction != SparsePush {
 			t.inFron, t.nextMap = sc.getDense(n)
 		}
-		e.trav = t
+		return t, ups, nil
 	}
-	return e
 }
 
 // phase runs one engine phase with panic containment: the injection hook

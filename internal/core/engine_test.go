@@ -338,50 +338,73 @@ func TestCrossStrategyAgreement(t *testing.T) {
 	}
 }
 
-// TestPoolingTogglesAndReuses: SetPooling returns the previous state, and
-// runs under both settings agree.
-func TestPoolingTogglesAndReuses(t *testing.T) {
-	prev := SetPooling(false)
-	defer SetPooling(prev)
-	g := lineGraph(t, 100)
-	op, fresh := ssspOp(g, 0, Config{Strategy: Lazy})
-	if _, err := op.Run(); err != nil {
-		t.Fatal(err)
+// TestPooledScratchReuse: the pool hands a run's scratch to the next run
+// as-is, trusting the invariant that it is clean at every round barrier. So
+// scratch released by a PPSP run its Stop cut short, by a run cancelled at a
+// barrier, and by a run on a larger graph (buffers grown past the next run's
+// size) must leave the following runs reference-equal, Stats included.
+func TestPooledScratchReuse(t *testing.T) {
+	configs := []Config{
+		{Strategy: Lazy, Direction: SparsePush, Delta: 1, Workers: 2},
+		{Strategy: Lazy, Direction: DensePull, Delta: 1, Workers: 2},
+		{Strategy: Lazy, Direction: Hybrid, Delta: 1, Workers: 2},
+		{Strategy: EagerWithFusion, Delta: 4, Workers: 1},
 	}
-	if on := SetPooling(true); on {
-		t.Error("SetPooling(false) did not stick")
-	}
-	// Repeated pooled runs (the second reuses the first's scratch).
-	for i := 0; i < 2; i++ {
-		op2, pooled := ssspOp(g, 0, Config{Strategy: Lazy})
-		if _, err := op2.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for v := range fresh {
-			if pooled[v] != fresh[v] {
-				t.Fatalf("run %d: pooled dist[%d]=%d, fresh %d", i, v, pooled[v], fresh[v])
-			}
-		}
-	}
-}
-
-// BenchmarkEngineReuse reports the allocation cost the per-run scratch pool
-// removes: back-to-back SSSP runs with pooling on versus off.
-func BenchmarkEngineReuse(b *testing.B) {
-	g := randomGraph(7)
-	for _, mode := range []struct {
-		name   string
-		pooled bool
-	}{{"pooled", true}, {"fresh", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer SetPooling(SetPooling(mode.pooled))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				op, _ := ssspOp(g, 0, Config{Strategy: Lazy})
-				if _, err := op.Run(); err != nil {
-					b.Fatal(err)
+	g := randomGraph(99)
+	big := lineGraph(t, 1000)
+	for _, cfg := range configs {
+		t.Run(cfg.Strategy.String()+"/"+cfg.Direction.String(), func(t *testing.T) {
+			wantDist, wantSt := runSSSP(t, g, cfg)
+			check := func(after string) {
+				t.Helper()
+				for i := 0; i < 2; i++ {
+					dist, st := runSSSP(t, g, cfg)
+					for v := range dist {
+						if dist[v] != wantDist[v] {
+							t.Fatalf("after %s, run %d: dist[%d] = %d, want %d", after, i, v, dist[v], wantDist[v])
+						}
+					}
+					if st != wantSt {
+						t.Fatalf("after %s, run %d: stats %+v, want %+v", after, i, st, wantSt)
+					}
 				}
 			}
+
+			// PPSP: stop once the bucket passes the target's distance.
+			target := 0
+			for v, d := range wantDist {
+				if d != Unreached && d > wantDist[target] {
+					target = v
+				}
+			}
+			op, _ := ssspOp(g, 0, cfg)
+			op.Stop = func(cur int64) bool { return cur > wantDist[target]/2 }
+			st, err := op.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Rounds >= wantSt.Rounds {
+				t.Fatalf("stopped run did not stop early: %+v", st)
+			}
+			check("a stopped PPSP run")
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			op, _ = ssspOp(g, 0, cfg)
+			op.Trace = &cancelAfter{after: 2, cancel: cancel}
+			if _, err := op.RunContext(ctx); err != context.Canceled {
+				t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+			}
+			check("a cancelled run")
+
+			op, dist := ssspOp(big, 0, cfg)
+			if _, err := op.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if last := len(dist) - 1; dist[last] != int64(last) {
+				t.Fatalf("larger graph: dist[%d] = %d", last, dist[last])
+			}
+			check("a larger-graph run")
 		})
 	}
 }

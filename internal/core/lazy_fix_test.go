@@ -61,13 +61,13 @@ func TestNoDedupMatchesDedup(t *testing.T) {
 
 // TestLazyEqualityAcrossWorkersAndPooling: slab recycling and the internal
 // UpdateBuckets fan-out must be invisible — identical results AND identical
-// stats across worker counts and pooling on/off. Delta=1 SSSP is used
-// because unit-width buckets settle every dequeued vertex (weights >= 1), so
-// each round's update set is deterministic regardless of interleaving; the
-// constant-sum k-core path is deterministic by construction (additive
-// histogram counts).
+// stats across worker counts, each run taking the pooled scratch the
+// previous one (sized for a different worker count) returned. Delta=1 SSSP
+// is used because unit-width buckets settle every dequeued vertex (weights
+// >= 1), so each round's update set is deterministic regardless of
+// interleaving; the constant-sum k-core path is deterministic by
+// construction (additive histogram counts).
 func TestLazyEqualityAcrossWorkersAndPooling(t *testing.T) {
-	defer SetPooling(SetPooling(true))
 	for _, dir := range []Direction{SparsePush, DensePull, Hybrid} {
 		t.Run(dir.String(), func(t *testing.T) {
 			g := randomGraph(99)
@@ -78,19 +78,16 @@ func TestLazyEqualityAcrossWorkersAndPooling(t *testing.T) {
 			ref.Workers = 1
 			wantDist, wantSt := runSSSP(t, g, ref)
 			for _, workers := range []int{1, 2, 4} {
-				for _, pooling := range []bool{true, false} {
-					SetPooling(pooling)
-					cfg := ref
-					cfg.Workers = workers
-					dist, st := runSSSP(t, g, cfg)
-					for v := range dist {
-						if dist[v] != wantDist[v] {
-							t.Fatalf("workers=%d pooling=%v: dist[%d] = %d, want %d", workers, pooling, v, dist[v], wantDist[v])
-						}
+				cfg := ref
+				cfg.Workers = workers
+				dist, st := runSSSP(t, g, cfg)
+				for v := range dist {
+					if dist[v] != wantDist[v] {
+						t.Fatalf("workers=%d: dist[%d] = %d, want %d", workers, v, dist[v], wantDist[v])
 					}
-					if st != wantSt {
-						t.Fatalf("workers=%d pooling=%v: stats %+v, want %+v", workers, pooling, st, wantSt)
-					}
+				}
+				if st != wantSt {
+					t.Fatalf("workers=%d: stats %+v, want %+v", workers, st, wantSt)
 				}
 			}
 		})
@@ -102,21 +99,18 @@ func TestLazyEqualityAcrossWorkersAndPooling(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			for _, pooling := range []bool{true, false} {
-				SetPooling(pooling)
-				op, core := kcoreOp(t, 5, Config{Strategy: LazyConstantSum, Workers: workers})
-				st, err := op.Run()
-				if err != nil {
-					t.Fatal(err)
+			op, core := kcoreOp(t, 5, Config{Strategy: LazyConstantSum, Workers: workers})
+			st, err := op.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range core {
+				if core[v] != wantCore[v] {
+					t.Fatalf("workers=%d: coreness[%d] = %d, want %d", workers, v, core[v], wantCore[v])
 				}
-				for v := range core {
-					if core[v] != wantCore[v] {
-						t.Fatalf("workers=%d pooling=%v: coreness[%d] = %d, want %d", workers, pooling, v, core[v], wantCore[v])
-					}
-				}
-				if st != wantSt {
-					t.Fatalf("workers=%d pooling=%v: stats %+v, want %+v", workers, pooling, st, wantSt)
-				}
+			}
+			if st != wantSt {
+				t.Fatalf("workers=%d: stats %+v, want %+v", workers, st, wantSt)
 			}
 		}
 	})

@@ -44,43 +44,23 @@ func NewManual(o *Ordered) (*Manual, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	n := o.G.NumVertices()
 	if o.FinalizeOnPop {
-		o.fin = atomicutil.NewFlags(n)
+		o.fin = atomicutil.NewFlags(o.G.NumVertices())
 	}
 	active, err := o.initialActive()
 	if err != nil {
 		return nil, err
 	}
-	grain := o.Cfg.Grain
-	if grain <= 0 {
-		grain = parallel.DefaultGrain
-	}
 	// Manual mode is long-lived (the user holds it across rounds), so its
 	// scratch is private, never pooled. Its executor is acquired for the
 	// whole loop and returned by Close (or by the executor's finalizer if
 	// the Manual is simply dropped), and its fixed count sizes the
-	// per-worker updaters — the same race fix RunContext gets.
-	sc := &scratch{}
+	// per-worker updaters — the same race fix RunContext gets. Manual
+	// rounds have no watchdog or injection hook (faults reach them through
+	// the user's EdgeFunc directly), so the control block is inert.
 	ex := parallel.Acquire(o.Cfg.Workers)
-	ups := sc.getUpdaters(o, ex.Workers())
-	// Manual rounds have no watchdog or injection hook (faults reach them
-	// through the user's EdgeFunc directly), so the control block is inert.
-	ctl := &runCtl{}
-	m := &Manual{o: o, src: o.newLazySource(ex, active), ups: ups, ex: ex}
-	if o.Cfg.Strategy == LazyConstantSum {
-		for _, u := range ups {
-			u.atomics = true
-		}
-		m.trav = &constSumTrav{o: o, ex: ex, sc: sc, ups: ups, hist: sc.getHist(n), grain: grain, ctl: ctl}
-	} else {
-		t := &lazyTrav{o: o, ex: ex, sc: sc, ups: ups, grain: grain, dedup: sc.getDedup(n), ctl: ctl}
-		if o.Cfg.Direction == DensePull {
-			t.inFron, t.nextMap = sc.getDense(n)
-		}
-		m.trav = t
-	}
-	return m, nil
+	trav, ups, _ := o.compose(&scratch{}, ex, &runCtl{}, false)
+	return &Manual{o: o, src: o.newLazySource(ex, active), trav: trav, ups: ups, ex: ex}, nil
 }
 
 // Close releases the loop's executor back to the pool. The Manual remains
@@ -195,7 +175,6 @@ func (m *Manual) Err() error { return m.err }
 // Stats returns counters accumulated so far.
 func (m *Manual) Stats() Stats {
 	st := m.st
-	st.BucketInserts = m.src.lz.Inserts
-	st.WindowAdvances = m.src.lz.Rebuckets
+	m.src.finish(&st)
 	return st
 }

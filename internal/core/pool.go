@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
@@ -37,31 +36,9 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// poolingOff disables scratch reuse (the control behind
-// graphit.SetEnginePooling and BenchmarkEngineReuse's fresh arm).
-var poolingOff atomic.Bool
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-// SetPooling toggles per-run buffer reuse and returns the previous setting.
-// Pooling is on by default.
-func SetPooling(on bool) bool {
-	prev := !poolingOff.Load()
-	poolingOff.Store(!on)
-	return prev
-}
-
-func getScratch() *scratch {
-	if poolingOff.Load() {
-		return new(scratch)
-	}
-	return scratchPool.Get().(*scratch)
-}
-
-func putScratch(sc *scratch) {
-	if poolingOff.Load() {
-		return
-	}
-	scratchPool.Put(sc)
-}
+func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
 // getBins returns w reset thread-local bins.
 func (sc *scratch) getBins(w int) []*bucket.LocalBins {

@@ -84,9 +84,6 @@ type Checked struct {
 	ExprTypes map[Expr]*Type
 }
 
-// TypeOf returns the resolved type of e (nil if unknown).
-func (c *Checked) TypeOf(e Expr) *Type { return c.ExprTypes[e] }
-
 // PQNamed reports whether name is a priority-queue global.
 func (c *Checked) PQNamed(name string) bool {
 	g := c.Globals[name]

@@ -185,51 +185,6 @@ func (e *Executor) PackIndicesInto(dst []uint32, n int, sc *PackScratch, keep fu
 	return dst
 }
 
-// PackU32Into appends to dst[:0] the elements of xs whose index passes keep,
-// preserving order, and returns the result. Like PackIndicesInto it reuses
-// dst and sc so steady-state callers allocate nothing.
-func (e *Executor) PackU32Into(dst, xs []uint32, sc *PackScratch, keep func(i int) bool) []uint32 {
-	dst = dst[:0]
-	n := len(xs)
-	if n == 0 {
-		return dst
-	}
-	if n < scanSerialCutoff || e.w <= 1 {
-		for i, x := range xs {
-			if keep(i) {
-				dst = append(dst, x)
-			}
-		}
-		return dst
-	}
-	flags := sc.grow(n)
-	e.For(n, func(i int) {
-		if keep(i) {
-			flags[i] = 1
-		} else {
-			flags[i] = 0
-		}
-	})
-	total := e.prefixSum(flags, sc)
-	if cap(dst) < int(total) {
-		dst = make([]uint32, total)
-	} else {
-		dst = dst[:total]
-	}
-	e.For(n, func(i int) {
-		var next int64
-		if i+1 < n {
-			next = flags[i+1]
-		} else {
-			next = total
-		}
-		if next != flags[i] {
-			dst[flags[i]] = xs[i]
-		}
-	})
-	return dst
-}
-
 // IotaU32 returns [0, 1, ..., n-1] as uint32, filled in parallel.
 func (e *Executor) IotaU32(n int) []uint32 {
 	out := make([]uint32, n)
@@ -240,14 +195,3 @@ func (e *Executor) IotaU32(n int) []uint32 {
 // IotaU32 is the package-level form of Executor.IotaU32, run on the default
 // executor.
 func IotaU32(n int) []uint32 { return defaultExecutor().IotaU32(n) }
-
-// MaxInt64 returns the maximum of xs, or def if xs is empty.
-func MaxInt64(xs []int64, def int64) int64 {
-	max := def
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}

@@ -50,31 +50,3 @@ func TestPackIndicesIntoMatchesReference(t *testing.T) {
 		ex.Close()
 	}
 }
-
-// TestPackU32IntoMatchesPackU32: the scratch-backed variant agrees with the
-// allocating original on both branches.
-func TestPackU32IntoMatchesPackU32(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		ex := NewExecutor(w)
-		for _, n := range []int{0, 7, scanSerialCutoff + 99} {
-			rng := rand.New(rand.NewSource(int64(3*n + w)))
-			xs := make([]uint32, n)
-			for i := range xs {
-				xs[i] = rng.Uint32() % 1000
-			}
-			keep := func(i int) bool { return xs[i]%3 == 0 }
-			want := ex.PackU32(xs, keep)
-			var sc PackScratch
-			got := ex.PackU32Into(nil, xs, &sc, keep)
-			if len(got) != len(want) {
-				t.Fatalf("w=%d n=%d: got %d, want %d", w, n, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("w=%d n=%d: got[%d] = %d, want %d", w, n, i, got[i], want[i])
-				}
-			}
-		}
-		ex.Close()
-	}
-}
