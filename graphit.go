@@ -24,6 +24,8 @@
 package graphit
 
 import (
+	"sync/atomic"
+
 	"graphit/internal/atomicutil"
 	"graphit/internal/core"
 	"graphit/internal/gen"
@@ -106,10 +108,7 @@ func AtomicLoad(p *int64) int64 { return atomicutil.Load(p) }
 func AtomicStore(p *int64, v int64) { atomicutil.Store(p, v) }
 
 // AtomicAdd atomically adds v to *p and returns the new value.
-func AtomicAdd(p *int64, v int64) int64 {
-	n, _ := atomicutil.AddClamped(p, v, core.NullMax+1)
-	return n
-}
+func AtomicAdd(p *int64, v int64) int64 { return atomic.AddInt64(p, v) }
 
 // NullMax is the null priority of higher_first queues (the analogue of
 // Unreached for max-ordered priority queues).

@@ -7,7 +7,6 @@ import (
 
 	"graphit/internal/autotune"
 	"graphit/internal/core"
-	"graphit/internal/graph"
 	"graphit/internal/lang/sched"
 )
 
@@ -33,20 +32,11 @@ func (p *Plan) Autotune(ctx context.Context, opt ExecOptions, tune autotune.Opti
 		return nil, "", fmt.Errorf("codegen: program constructs no priority queue")
 	}
 	// Load the graph once; per-trial reloads would swamp the measurements.
-	g := opt.Graph
-	if g == nil {
-		if len(opt.Argv) < 2 {
-			return nil, "", fmt.Errorf("codegen: no graph given and argv[1] missing")
-		}
-		var err error
-		g, err = graph.LoadFile(opt.Argv[1], graph.BuildOptions{
-			Weighted: p.Checked.Weighted, InEdges: true,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		opt.Graph = g
+	g, err := p.graph(opt)
+	if err != nil {
+		return nil, "", err
 	}
+	opt.Graph = g
 
 	// Derive the legal search space from the compiler's own analyses.
 	space := autotune.Space{MaxDeltaExp: 0}

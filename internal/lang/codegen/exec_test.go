@@ -6,6 +6,7 @@ import (
 
 	"graphit/internal/core"
 	"graphit/internal/graph"
+	"graphit/internal/parallel"
 )
 
 // tiny returns a 4-vertex weighted path graph 0-1-2-3.
@@ -255,4 +256,77 @@ func refWidest(g *graph.Graph, src uint32, srcCap int64) []int64 {
 		}
 	}
 	return cap
+}
+
+// TestWholeVectorCompoundAssign: `v += e` and `v min= e` on a whole vector
+// combine with every element instead of overwriting it.
+func TestWholeVectorCompoundAssign(t *testing.T) {
+	src := interpHeader + `
+const cnt : vector{Vertex}(int) = 0;
+func main()
+    cnt = 5;
+    cnt += 2;
+    print cnt[0];
+    cnt[1] = 1;
+    cnt min= 3;
+    print cnt[1];
+    print cnt[3];
+end`
+	res, err := runTiny(t, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.Printed, " "); got != "7 1 3" {
+		t.Fatalf("printed %q, want \"7 1 3\"", got)
+	}
+}
+
+// TestDSLApplySteadyStateAllocs gates the executor's per-edge path: once a
+// worker has its frame, applying sssp.gt's compiled UDF allocates nothing.
+// After the run every distance is final, so each relaxation loses and the
+// edge function exercises its loads, arithmetic and update without touching
+// a bucket.
+func TestDSLApplySteadyStateAllocs(t *testing.T) {
+	plan, err := Compile(readDSL(t, "sssp.gt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.ApplySchedule(`program->configApplyPriorityUpdate("s1", "lazy");`); err != nil {
+		t.Fatal(err)
+	}
+	ir, err := plan.lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	g := planGraph(t)
+	m := newMachine(ir, g, ExecOptions{Argv: []string{"sssp", "-", "1"}})
+	main := newFrame(nil, len(ir.main.slots))
+	m.block(ir.pre)(main)
+	op := m.ordered(ir.loop, main)
+	apply := op.Apply
+	var q *core.Updater
+	op.Apply = func(s, d graph.VertexID, w graph.Weight, u *core.Updater) {
+		q = u
+		apply(s, d, w, u)
+	}
+	if _, err := op.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Only reached sources: INT_MAX + w would overflow into a winning
+	// update and leave the pooled engine scratch dirty for later runs.
+	var edges []graph.Edge
+	for _, e := range g.Edges() {
+		if m.vecs[ir.loop.prio][e.Src] != core.Unreached {
+			edges = append(edges, e)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, e := range edges {
+			apply(e.Src, e.Dst, e.W, q)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per sweep of %d edge applications, want 0", allocs, len(edges))
+	}
 }

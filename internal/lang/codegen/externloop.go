@@ -1,12 +1,9 @@
 package codegen
 
 import (
-	"fmt"
-
 	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
 	"graphit/internal/core"
-	"graphit/internal/lang"
 	"graphit/internal/parallel"
 )
 
@@ -18,17 +15,11 @@ import (
 //     the host function must be safe for concurrent use).
 //   - applyExternReduce(f): f(v) returns the vertex's new priority; changed
 //     vertices are re-bucketed (INT_MIN / INT_MAX mark removal).
-func (env *execEnv) runExternLoop() (core.Stats, error) {
-	pq := env.plan.Checked.PQ
-	prio := env.vectors[pq.PriorityVector]
-	if pq.AllowCoarsening {
-		return core.Stats{}, fmt.Errorf("codegen: extern-driven loops do not support priority coarsening")
-	}
-	order := bucket.Increasing
-	null := core.Unreached
-	if !pq.LowerFirst {
+func (m *machine) runExternLoop(lp *irLoop) core.Stats {
+	prio := m.vecs[lp.prio]
+	order, null := bucket.Increasing, lp.null.v
+	if !lp.lowerFirst {
 		order = bucket.Decreasing
-		null = core.NullMax
 	}
 	bktOf := func(v uint32) int64 {
 		if p := prio[v]; p != null {
@@ -37,30 +28,6 @@ func (env *execEnv) runExternLoop() (core.Stats, error) {
 		return bucket.NullBkt
 	}
 	lz := bucket.NewLazy(len(prio), order, 128, bktOf)
-
-	// Resolve the extern binding for each loop statement once.
-	type phase struct {
-		fn     ExternFunc
-		name   string
-		reduce bool
-	}
-	var phases []phase
-	for _, s := range env.plan.Analysis.Loop.While.Body[1:] {
-		if ls, ok := s.(*lang.LabeledStmt); ok {
-			s = ls.S
-		}
-		es, ok := s.(*lang.ExprStmt)
-		if !ok {
-			continue // delete bucket
-		}
-		mc := es.E.(*lang.MethodCallExpr)
-		name := mc.Args[0].(*lang.IdentExpr).Name
-		fn := env.externs[name]
-		if fn == nil {
-			return core.Stats{}, fmt.Errorf("codegen: extern func %q is not bound", name)
-		}
-		phases = append(phases, phase{fn: fn, name: name, reduce: mc.Method == "applyExternReduce"})
-	}
 
 	var st core.Stats
 	w := parallel.Workers()
@@ -71,21 +38,12 @@ func (env *execEnv) runExternLoop() (core.Stats, error) {
 		}
 		st.Rounds++
 		var updated []uint32
-		for _, ph := range phases {
-			if !ph.reduce {
-				parallel.ForChunks(len(verts), 0, func(lo, hi, _ int) {
-					for _, v := range verts[lo:hi] {
-						ph.fn(int64(v))
-					}
-				})
-				st.GlobalSyncs++
-				continue
-			}
-			outs := make([][]uint32, w)
+		for i, ext := range lp.phases {
+			fn, reduce, outs := m.exts[ext], lp.reduce[i], make([][]uint32, w)
 			parallel.ForChunks(len(verts), 0, func(lo, hi, worker int) {
 				for _, v := range verts[lo:hi] {
-					np := ph.fn(int64(v))
-					if np == atomicutil.Load(&prio[v]) {
+					np := fn(int64(v))
+					if !reduce || np == atomicutil.Load(&prio[v]) {
 						continue
 					}
 					atomicutil.Store(&prio[v], np)
@@ -104,5 +62,5 @@ func (env *execEnv) runExternLoop() (core.Stats, error) {
 	}
 	st.BucketInserts = lz.Inserts
 	st.WindowAdvances = lz.Rebuckets
-	return st, nil
+	return st
 }

@@ -2,46 +2,51 @@ package codegen
 
 import (
 	"fmt"
-	"sort"
+	"go/token"
 	"strings"
 
 	"graphit/internal/core"
 	"graphit/internal/lang"
-	"graphit/internal/lang/analysis"
 )
 
 // EmitGo renders the compiled program as a standalone Go main package using
 // the graphit public API — the Go analogue of the C++ code generation in
-// paper Figure 9. The emitted code differs by schedule exactly where the
-// paper's does:
+// paper Figure 9. It prints the same lowered IR the executor runs, so the
+// two cannot disagree. The emitted code differs by schedule exactly where
+// the paper's does:
 //
-//   - SparsePush schedules compile auxiliary vector updates to atomic
-//     write-mins/stores (the compiler-inserted synchronization of §5.1);
-//   - DensePull schedules compile them to plain compare-and-write, since
-//     each destination is owned by one worker (Figure 9(b));
+//   - SparsePush schedules compile the edge function's vector accesses to
+//     atomic loads, stores, write-mins and fetch-adds (the compiler-inserted
+//     synchronization of §5.1);
+//   - DensePull schedules compile dst-indexed accesses to plain reads and a
+//     compare-then-store without a CAS loop, since each destination is owned
+//     by one worker (Figure 9(b)); every other access stays atomic;
 //   - the schedule chain itself (strategy, ∆, fusion threshold, direction)
 //     is materialized in the generated main.
 //
 // Extern functions are emitted as function variables the host must set.
 func (p *Plan) EmitGo() (string, error) {
-	if p.Analysis.Loop == nil {
+	loop := p.Analysis.Loop
+	if loop == nil {
 		return "", fmt.Errorf("codegen: program has no ordered loop to generate")
 	}
-	if p.Analysis.Loop.ExternDriven {
+	if loop.ExternDriven {
 		return "", fmt.Errorf("codegen: Go emission for extern-driven loops is not supported; use the plan backend")
 	}
-	e := &goEmitter{plan: p}
-	return e.emit()
+	ir, err := p.lower()
+	if err != nil {
+		return "", err
+	}
+	e := &goEmitter{ir: ir}
+	e.program(loop.Label)
+	return e.b.String(), nil
 }
 
 type goEmitter struct {
-	plan *Plan
-	b    strings.Builder
-	ind  int
-	// pull marks DensePull emission (plain instead of atomic writes).
-	pull bool
-	// udf is the UDF being emitted (nil in main).
-	udf *analysis.UDFInfo
+	ir  *irProgram
+	b   strings.Builder
+	ind int
+	fn  *irFunc // the function whose slots name the locals being printed
 }
 
 func (e *goEmitter) pf(format string, args ...any) {
@@ -50,133 +55,120 @@ func (e *goEmitter) pf(format string, args ...any) {
 	e.b.WriteByte('\n')
 }
 
-func (e *goEmitter) emit() (string, error) {
-	p := e.plan
-	loop := p.Analysis.Loop
-	s := p.Schedules.Get(loop.Label)
-	e.pull = s.Direction == core.DensePull
-	pq := p.Checked.PQ
-	if pq == nil {
-		return "", fmt.Errorf("codegen: program constructs no priority queue")
-	}
-	info := p.Analysis.UDFs[loop.UDFName]
+var goType = [...]string{kInt: "int64", kBool: "bool", kVertex: "graphit.VertexID", kWeight: "graphit.Weight"}
 
-	e.pf("// Code generated by graphitc. DO NOT EDIT.")
-	e.pf("// Source label %q compiled with schedule: %s", loop.Label, s.Config())
-	e.pf("package main")
-	e.pf("")
-	e.pf("import (")
-	e.ind++
-	e.pf(`"fmt"`)
-	e.pf(`"os"`)
-	e.pf(`"strconv"`)
-	e.pf("")
-	e.pf(`"graphit"`)
-	e.ind--
-	e.pf(")")
-	e.pf("")
-	e.pf("func atoi(s string) int64 {")
-	e.ind++
-	e.pf("v, err := strconv.ParseInt(s, 10, 64)")
-	e.pf("if err != nil { panic(err) }")
-	e.pf("return v")
-	e.ind--
-	e.pf("}")
-	e.pf("")
+// scaffold holds the names the emitted main declares or uses itself.
+var scaffold = map[string]bool{"g": true, "n": true, "i": true, "q": true, "op": true, "sched": true,
+	"stats": true, "err": true, "atoi": true, "main": true, "init": true, "fmt": true, "os": true,
+	"strconv": true, "graphit": true, "int64": true, "bool": true, "true": true, "false": true, "nil": true}
 
-	// Extern function hooks.
-	var externs []string
-	for _, d := range p.Checked.Prog.Decls {
-		if fd, ok := d.(*lang.FuncDecl); ok && fd.Extern {
-			externs = append(externs, fd.Name)
-		}
+// ident maps a DSL name to a Go identifier that cannot collide with a Go
+// keyword or the emitted scaffolding.
+func ident(name string) string {
+	if scaffold[name] || token.IsKeyword(name) {
+		return name + "_"
 	}
-	sort.Strings(externs)
-	for _, name := range externs {
-		e.pf("// %s is an extern function; the host must assign it before main runs.", name)
-		e.pf("var %s func(v graphit.VertexID) int64", name)
-		e.pf("")
-	}
+	return name
+}
 
+func (e *goEmitter) program(label string) {
+	ir, lp := e.ir, e.ir.loop
+	s := lp.sched
+	fmtImport := ""
+	if ir.prints {
+		fmtImport = "\t\"fmt\"\n"
+	}
+	fmt.Fprintf(&e.b, `// Code generated by graphitc. DO NOT EDIT.
+// Source label %q compiled with schedule: %s
+package main
+
+import (
+%s	"os"
+	"strconv"
+
+	"graphit"
+)
+
+func atoi(s string) int64 {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil { panic(err) }
+	return v
+}
+
+`, label, s.Config(), fmtImport)
+	for _, x := range ir.externs {
+		e.pf("// %s is an extern function; the host must assign it before main runs.", x.name)
+		e.pf("var %s %s\n", ident(x.name), signature("", x.params, x.ret))
+	}
 	e.pf("func main() {")
 	e.ind++
-	e.pf("g, err := graphit.LoadGraph(os.Args[1], graphit.BuildOptions{Weighted: %v, InEdges: true})",
-		p.Checked.Weighted)
+	e.pf("g, err := graphit.LoadGraph(os.Args[1], graphit.BuildOptions{Weighted: %v, InEdges: true})", ir.weighted)
 	e.pf("if err != nil { panic(err) }")
 	e.pf("n := g.NumVertices()")
-
-	// Vector globals.
-	var vectors []string
-	for name, gi := range p.Checked.Globals {
-		if gi.Type.Kind == "vector" {
-			vectors = append(vectors, name)
-		}
+	for _, v := range ir.vectors {
+		e.pf("%s := make([]int64, n)", ident(v))
 	}
-	sort.Strings(vectors)
-	for _, name := range vectors {
-		gi := p.Checked.Globals[name]
-		e.pf("%s := make([]int64, n)", name)
-		if gi.Decl.Init != nil {
-			init, err := e.goExpr(gi.Decl.Init)
-			if err != nil {
-				return "", err
-			}
-			e.pf("for i := range %s { %s[i] = %s }", name, name, init)
-		}
+	// User functions are closures over the vectors; declaring them all
+	// first lets them call each other in any order.
+	for _, fn := range ir.funcs {
+		e.pf("var %s %s", ident(fn.name), signature("q *graphit.Queue", fn.slots[:fn.params], fn.ret))
 	}
-
-	// Pre-loop statements.
-	for _, st := range p.Analysis.Pre {
-		if err := e.goMainStmt(st); err != nil {
-			return "", err
+	for _, fn := range ir.funcs {
+		e.fn = fn
+		e.pf("%s = %s {", ident(fn.name), signature("q *graphit.Queue", fn.slots[:fn.params], fn.ret))
+		e.block(fn.body)
+		if fn.ret != kVoid && !terminates(fn.body) {
+			e.pf("\treturn %s", e.expr(constant(0, fn.ret, "")))
 		}
+		e.pf("}")
 	}
+	e.fn = ir.main
+	e.stmts(ir.pre)
 
 	// The ordered operator (the compiled while loop, paper §5.2).
+	prio := ident(ir.vectors[lp.prio])
 	e.pf("")
 	e.pf("op := &graphit.Ordered{")
 	e.ind++
 	e.pf("G:    g,")
-	e.pf("Prio: %s,", pq.PriorityVector)
-	if pq.LowerFirst {
+	e.pf("Prio: %s,", prio)
+	if lp.lowerFirst {
 		e.pf("Order: graphit.LowerFirst,")
 	} else {
 		e.pf("Order: graphit.HigherFirst,")
 	}
-	if !pq.AllowCoarsening {
+	if lp.finalize {
 		e.pf("// allow_priority_coarsening=false: dequeued vertices are final.")
 		e.pf("FinalizeOnPop: true,")
 	}
-	if s.Strategy == core.LazyConstantSum {
-		if info.ConstantSum == nil {
-			return "", fmt.Errorf("codegen: schedule requests lazy_constant_sum but %s does not qualify", loop.UDFName)
-		}
+	if lp.constSum != nil {
 		e.pf("// Constant-sum analysis (paper Figure 10) extracted:")
-		e.pf("SumConst:          %d,", info.ConstantSum.Const)
-		e.pf("SumFloorIsCurrent: %v,", info.ConstantSum.ThresholdIsCurrentPriority)
+		e.pf("SumConst:          %d,", lp.constSum.Const)
+		e.pf("SumFloorIsCurrent: %v,", lp.constSum.ThresholdIsCurrentPriority)
 	}
-	if err := e.emitUDFClosure(info); err != nil {
-		return "", err
+	if s.Direction == core.DensePull {
+		e.pf("// DensePull: dst-indexed accesses are worker-owned; no CAS loops.")
+	} else if lp.needsAtomics {
+		e.pf("// Dependence analysis: concurrent destination writes -> atomics.")
 	}
-	if pq.StartExpr != nil {
-		start, err := e.goExpr(pq.StartExpr)
-		if err != nil {
-			return "", err
-		}
-		e.pf("Sources: []graphit.VertexID{graphit.VertexID(%s)},", start)
+	e.fn = lp.apply
+	w := "_"
+	if lp.apply.params == 3 {
+		w = e.local(2)
 	}
-	if loop.StopVertex != nil {
-		tgt, err := e.goExpr(loop.StopVertex)
-		if err != nil {
-			return "", err
-		}
+	e.pf("Apply: func(%s, %s graphit.VertexID, %s graphit.Weight, q *graphit.Queue) {", e.local(0), e.local(1), w)
+	e.block(lp.apply.body)
+	e.pf("},")
+	e.fn = ir.main
+	if lp.start != nil {
+		e.pf("Sources: []graphit.VertexID{%s},", e.expr(lp.start))
+	}
+	if lp.stop != nil {
 		e.pf("// Early termination: halt when the current priority reaches the")
 		e.pf("// target's finalized value (pq.finishedVertex in the source).")
 		e.pf("Stop: func(cur int64) bool {")
-		e.ind++
-		e.pf("best := graphit.AtomicLoad(&%s[%s])", pq.PriorityVector, tgt)
-		e.pf("return best != graphit.Unreached && cur >= best")
-		e.ind--
+		e.pf("\tbest := graphit.AtomicLoad(&%s[%s])", prio, e.expr(lp.stop))
+		e.pf("\treturn best != %s && cur >= best", lp.null.name)
 		e.pf("},")
 	}
 	e.ind--
@@ -184,57 +176,166 @@ func (e *goEmitter) emit() (string, error) {
 
 	// Schedule chain (paper Figure 8 rendered as the fluent Go API).
 	e.pf("sched := graphit.DefaultSchedule().")
-	e.ind++
-	e.pf("ConfigApplyPriorityUpdate(%q).", s.Strategy)
-	e.pf("ConfigApplyPriorityUpdateDelta(%d).", s.Delta)
-	e.pf("ConfigBucketFusionThreshold(%d).", s.FusionThreshold)
-	e.pf("ConfigNumBuckets(%d).", s.NumBuckets)
-	e.pf("ConfigApplyDirection(%q)", s.Direction)
-	e.ind--
+	e.pf("\tConfigApplyPriorityUpdate(%q).", s.Strategy)
+	e.pf("\tConfigApplyPriorityUpdateDelta(%d).", s.Delta)
+	e.pf("\tConfigBucketFusionThreshold(%d).", s.FusionThreshold)
+	e.pf("\tConfigNumBuckets(%d).", s.NumBuckets)
+	e.pf("\tConfigApplyDirection(%q)", s.Direction)
 	e.pf("stats, err := graphit.RunOrdered(op, sched)")
 	e.pf("if err != nil { panic(err) }")
 	e.pf("_ = stats")
-
-	// Post-loop statements.
-	for _, st := range p.Analysis.Post {
-		if err := e.goMainStmt(st); err != nil {
-			return "", err
-		}
-	}
+	e.stmts(ir.post)
 	e.ind--
 	e.pf("}")
-	return e.b.String(), nil
 }
 
-// emitUDFClosure renders the transformed user-defined function (paper
-// §5.1–5.2): parameters become engine arguments, priority updates route
-// through the per-worker Queue, and auxiliary writes get the schedule's
-// atomicity.
-func (e *goEmitter) emitUDFClosure(info *analysis.UDFInfo) error {
-	e.udf = info
-	defer func() { e.udf = nil }()
-	w := info.WeightName
-	if w == "" {
-		w = "_w"
+// signature renders a Go func type; lead is an optional first parameter.
+func signature(lead string, params []slotInfo, ret kind) string {
+	var ps []string
+	if lead != "" {
+		ps = append(ps, lead)
 	}
-	if info.NeedsAtomics && !e.pull {
-		e.pf("// Dependence analysis: concurrent destination writes -> atomics.")
+	for _, p := range params {
+		ps = append(ps, ident(p.name)+" "+goType[p.k])
 	}
-	if e.pull {
-		e.pf("// DensePull: destinations are worker-owned; no atomics needed.")
+	sig := "func(" + strings.Join(ps, ", ") + ")"
+	if ret != kVoid {
+		sig += " " + goType[ret]
 	}
-	e.pf("Apply: func(%s, %s graphit.VertexID, %s graphit.Weight, q *graphit.Queue) {",
-		info.SrcName, info.DstName, w)
+	return sig
+}
+
+// terminates reports whether Go sees the block as a terminating statement.
+func terminates(ss []*node) bool {
+	if len(ss) == 0 {
+		return false
+	}
+	s := ss[len(ss)-1]
+	return s.op == oReturn || s.op == oIf && s.els != nil && terminates(s.body) && terminates(s.els)
+}
+
+func (e *goEmitter) block(ss []*node) {
 	e.ind++
-	if info.WeightName == "" {
-		e.pf("_ = %s", w)
-	}
-	for _, st := range info.Func.Body {
-		if err := e.goUDFStmt(st); err != nil {
-			return err
-		}
-	}
+	e.stmts(ss)
 	e.ind--
-	e.pf("},")
-	return nil
+}
+
+func (e *goEmitter) stmts(ss []*node) {
+	for _, s := range ss {
+		e.stmt(s)
+	}
+}
+
+func (e *goEmitter) local(slot int64) string { return ident(e.fn.slots[slot].name) }
+
+func (e *goEmitter) stmt(s *node) {
+	var x string
+	if len(s.a) > 0 {
+		x = e.expr(s.a[0])
+	}
+	switch s.op {
+	case oSet:
+		name, slot := e.local(s.v), e.fn.slots[s.v]
+		switch {
+		case s.decl:
+			e.pf("var %s %s = %s", name, goType[slot.k], x)
+			if !slot.read {
+				e.pf("_ = %s", name)
+			}
+		default:
+			e.pf("%s", store(accPlain, s.oper, name, x))
+		}
+	case oStore:
+		e.pf("%s", store(s.mode, s.oper, fmt.Sprintf("%s[%s]", ident(e.ir.vectors[s.v]), x), e.expr(s.a[1])))
+	case oFill:
+		v := ident(e.ir.vectors[s.v])
+		e.pf("for i := range %s { %s }", v, store(accPlain, s.oper, v+"[i]", x))
+	case oDegrees:
+		v := ident(e.ir.vectors[s.v])
+		e.pf("for i := range %s { %s[i] = int64(g.OutDegree(graphit.VertexID(i))) }", v, v)
+	case oUpdate:
+		e.pf(updateForms[s.upd].goFmt, e.exprs(s.a)...)
+	case oEval:
+		if s.a[0].k == kVoid {
+			e.pf("%s", x)
+		} else {
+			e.pf("_ = %s", x)
+		}
+	case oIf:
+		e.pf("if %s {", x)
+		e.block(s.body)
+		if s.els != nil {
+			e.pf("} else {")
+			e.block(s.els)
+		}
+		e.pf("}")
+	case oWhile:
+		e.pf("for %s {", x)
+		e.block(s.body)
+		e.pf("}")
+	case oReturn:
+		e.pf("%s", strings.TrimSpace("return "+x))
+	case oPrint:
+		e.pf("fmt.Println(%s)", x)
+	}
+}
+
+// store renders one assignment under its access mode.
+func store(mode access, op lang.Kind, target, x string) string {
+	return fmt.Sprintf(assignForms[mode][op].goFmt, target, x)
+}
+
+func (e *goEmitter) exprs(xs []*node) []any {
+	out := make([]any, len(xs))
+	for i, x := range xs {
+		out[i] = e.expr(x)
+	}
+	return out
+}
+
+func (e *goEmitter) expr(x *node) string {
+	args := make([]string, len(x.a))
+	for i, a := range x.a {
+		args[i] = e.expr(a)
+	}
+	switch x.op {
+	case oConst:
+		switch {
+		case x.name != "":
+			return x.name
+		case x.k == kBool:
+			return fmt.Sprint(x.v != 0)
+		}
+		return fmt.Sprint(x.v)
+	case oLocal:
+		return e.local(x.v)
+	case oConv:
+		if x.k == kVertex {
+			return "graphit.VertexID(" + args[0] + ")"
+		}
+		return "int64(" + args[0] + ")"
+	case oLoad:
+		ref := fmt.Sprintf("%s[%s]", ident(e.ir.vectors[x.v]), args[0])
+		if x.mode == accAtomic {
+			return "graphit.AtomicLoad(&" + ref + ")"
+		}
+		return ref
+	case oBinary:
+		return fmt.Sprintf("(%s %s %s)", args[0], x.oper, args[1])
+	case oCall:
+		q := "q"
+		if e.fn == e.ir.main {
+			q = "nil"
+		}
+		return ident(x.fn.name) + "(" + strings.Join(append([]string{q}, args...), ", ") + ")"
+	case oExtern:
+		return ident(e.ir.externs[x.v].name) + "(" + strings.Join(args, ", ") + ")"
+	case oArgv:
+		return "atoi(os.Args[" + args[0] + "])"
+	case oCurPrio:
+		return "q.GetCurrentPriority()"
+	case oFinished:
+		return "q.FinishedVertex(" + args[0] + ")"
+	}
+	panic(fmt.Sprintf("codegen: IR expression op %d", x.op))
 }

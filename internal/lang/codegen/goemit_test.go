@@ -2,16 +2,14 @@ package codegen
 
 import (
 	"fmt"
-	"go/parser"
-	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"graphit/internal/core"
 	"graphit/internal/gen"
-	"graphit/internal/graph"
 )
 
 // emit compiles a DSL file with extra schedule text and returns Go source.
@@ -33,23 +31,110 @@ func emit(t *testing.T, file, schedText string) string {
 	return src
 }
 
-// TestEmitGoIsValidGo: every emitted program must parse with go/parser.
+// emittable lists every testdata/dsl program EmitGo accepts, with the
+// argv its binary and Execute both run with (after the graph path).
+var emittable = []struct {
+	file string
+	args []string
+}{
+	{"sssp.gt", []string{"3"}},
+	{"wbfs.gt", []string{"3"}},
+	{"ppsp.gt", []string{"3", "250"}},
+	{"astar.gt", []string{"3", "250"}},
+	{"kcore.gt", nil},
+	{"widestpath.gt", []string{"3", "1000"}},
+}
+
+// TestEmitGoIsValidGo builds every emittable program under a SparsePush and
+// a DensePull schedule in one temporary module, vets it, runs each binary
+// on a graph file, and requires its output to equal Execute's. astar's
+// extern heuristic is bound to 0 in a generated init, on both sides.
 func TestEmitGoIsValidGo(t *testing.T) {
-	cases := map[string]string{
-		"sssp.gt":  `program->configApplyPriorityUpdate("s1", "eager_with_fusion")->configApplyPriorityUpdateDelta("s1", "8");`,
-		"ppsp.gt":  ``,
-		"wbfs.gt":  ``,
-		"astar.gt": ``,
-		"kcore.gt": `program->configApplyPriorityUpdate("s1", "lazy_constant_sum");`,
+	if testing.Short() {
+		t.Skip("skipping toolchain round-trip in -short mode")
 	}
-	for file, sched := range cases {
-		t.Run(file, func(t *testing.T) {
-			src := emit(t, file, sched)
-			fset := token.NewFileSet()
-			if _, err := parser.ParseFile(fset, "gen.go", src, 0); err != nil {
-				t.Fatalf("emitted Go does not parse: %v\n%s", err, src)
+	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		path := filepath.Join(mod, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module gentest\n\ngo 1.22\n\nrequire graphit v0.0.0\n\nreplace graphit => "+root+"\n")
+	directions := []string{"SparsePush", "DensePull"}
+	for _, c := range emittable {
+		for _, dir := range directions {
+			src := emit(t, c.file, fmt.Sprintf(`program->configApplyPriorityUpdate("s1", "lazy")->configApplyDirection("s1", %q);`, dir))
+			pkg := strings.TrimSuffix(c.file, ".gt") + "_" + dir
+			write(filepath.Join(pkg, "main.go"), src)
+			if c.file == "astar.gt" {
+				write(filepath.Join(pkg, "heuristic.go"), "package main\n\nimport \"graphit\"\n\nfunc init() { heuristic = func(graphit.VertexID) int64 { return 0 } }\n")
+			}
+		}
+	}
+	gotool := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("go", args...)
+		cmd.Dir = mod
+		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOWORK=off")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+	bin := filepath.Join(mod, "bin")
+	gotool("vet", "./...")
+	gotool("build", "-o", bin+string(filepath.Separator), "./...")
+
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 777))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphPath := filepath.Join(mod, "g.wel")
+	var sb strings.Builder
+	for _, e := range g.Edges() {
+		fmt.Fprintf(&sb, "%d %d %d\n", e.Src, e.Dst, e.W)
+	}
+	write("g.wel", sb.String())
+	for _, c := range emittable {
+		t.Run(c.file, func(t *testing.T) {
+			for _, dir := range directions {
+				plan, err := Compile(readDSL(t, c.file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := plan.ApplySchedule(fmt.Sprintf(`program->configApplyPriorityUpdate("s1", "lazy")->configApplyDirection("s1", %q);`, dir)); err != nil {
+					t.Fatal(err)
+				}
+				res, err := plan.Execute(ExecOptions{
+					Argv:    append([]string{c.file, graphPath}, c.args...),
+					Externs: map[string]ExternFunc{"heuristic": func(...int64) int64 { return 0 }},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pkg := strings.TrimSuffix(c.file, ".gt") + "_" + dir
+				out, err := exec.Command(filepath.Join(bin, pkg), append([]string{graphPath}, c.args...)...).CombinedOutput()
+				if err != nil {
+					t.Fatalf("%s: %v\n%s", pkg, err, out)
+				}
+				want := strings.Join(res.Printed, "\n")
+				if got := strings.TrimSpace(string(out)); got != want {
+					t.Fatalf("%s printed %q, Execute printed %q", pkg, got, want)
+				}
 			}
 		})
+	}
+	// ppsp prints the exact shortest distance to its target.
+	if want := dijkstra(g, 3)[250]; want == core.Unreached {
+		t.Fatal("ppsp target unreachable in the test graph")
 	}
 }
 
@@ -67,12 +152,20 @@ func TestEmitGoScheduleDifferences(t *testing.T) {
 	if !strings.Contains(push, "graphit.AtomicLoad(&dist[") {
 		t.Errorf("push codegen lost atomic loads:\n%s", push)
 	}
-	// DensePull removes them (Fig 9(b)).
-	if strings.Contains(pull, "graphit.WriteMin(&dist[dst]") {
-		t.Errorf("pull codegen kept an unnecessary atomic write-min:\n%s", pull)
+	if !strings.Contains(push, "q.UpdatePriorityMin(dst, (new_dist + heuristic(dst)))") {
+		t.Errorf("push codegen lost the priority update:\n%s", push)
 	}
-	if !strings.Contains(pull, "if new_dist < dist[dst] { dist[dst] = new_dist }") {
-		t.Errorf("pull codegen should use a plain compare-and-write:\n%s", pull)
+	// DensePull removes them for dst-indexed accesses only (Fig 9(b)): the
+	// owner compares with a plain read and stores without a CAS loop ...
+	if strings.Contains(pull, "graphit.WriteMin(&dist[dst]") || strings.Contains(pull, "AtomicLoad(&dist[dst])") {
+		t.Errorf("pull codegen kept an unnecessary atomic on dist[dst]:\n%s", pull)
+	}
+	if !strings.Contains(pull, "if new_dist < dist[dst] { graphit.AtomicStore(&dist[dst], new_dist) }") {
+		t.Errorf("pull codegen should compare plainly and store once:\n%s", pull)
+	}
+	// ... while dist[src], which other workers write, stays atomic.
+	if !strings.Contains(pull, "graphit.AtomicLoad(&dist[src])") {
+		t.Errorf("pull codegen made a non-dst read plain:\n%s", pull)
 	}
 	// The schedule chain itself differs (Fig 9(c)).
 	if !strings.Contains(eager, `ConfigApplyPriorityUpdate("eager_with_fusion")`) {
@@ -121,57 +214,6 @@ func TestEmitGoGolden(t *testing.T) {
 		t.Errorf("generated code drifted from golden file %s:\n--- got ---\n%s", goldenPath, src)
 	}
 }
-
-// TestEmitGoCompilesAndRuns is the deepest end-to-end check: DSL -> Go
-// source -> `go build` -> run the binary on a graph file -> exact
-// shortest-path distances.
-func TestEmitGoCompilesAndRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping toolchain round-trip in -short mode")
-	}
-	src := emit(t, "ppsp.gt", `program->configApplyPriorityUpdateDelta("s1", "8");`)
-
-	dir := filepath.Join("testdata", "genbuild")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A small weighted graph file for the binary to load.
-	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 777))
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphPath := filepath.Join(t.TempDir(), "g.wel")
-	f, err := os.Create(graphPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(f, "%d %d %d\n", e.Src, e.Dst, e.W)
-	}
-	f.Close()
-
-	bin := filepath.Join(t.TempDir(), "ppsp")
-	build := exec.Command("go", "build", "-o", bin, "./"+dir)
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build of generated code failed: %v\n%s\n--- source ---\n%s", err, out, src)
-	}
-	out, err := exec.Command(bin, graphPath, "3", "250").CombinedOutput()
-	if err != nil {
-		t.Fatalf("generated binary failed: %v\n%s", err, out)
-	}
-	want := dijkstra(g, 3)[250]
-	got := strings.TrimSpace(string(out))
-	if got != fmt.Sprintf("%d", want) {
-		t.Fatalf("generated binary printed %q, want %d", got, want)
-	}
-}
-
-// loadGraphForGolden keeps graph import used when golden-only tests run.
-var _ = graph.BuildOptions{}
 
 // TestEmitGoGoldenKCore locks the generated k-core program under the
 // histogram schedule — the repository's Figure 10 codegen artifact.

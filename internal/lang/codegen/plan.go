@@ -1,19 +1,18 @@
-// Package codegen contains the back ends of the DSL compiler:
+// Package codegen contains the back ends of the DSL compiler. A Plan is a
+// checked, analyzed, scheduled program; Execute and EmitGo both lower it
+// once under its current schedules (lower.go) and then either
 //
-//   - Plan: lowers a checked, analyzed program to an executable plan that
-//     runs on the ordered runtime (internal/core), interpreting the
-//     user-defined functions. This is the "compile and run" path used by
-//     cmd/graphitc and the tests.
-//   - Go source emission (goemit.go): renders the program as a standalone
-//     Go main using the graphit public API — the Go analogue of the C++
-//     code generation shown in paper Figure 9.
+//   - compile the IR into closures that run on the ordered runtime
+//     (exec.go, internal/core) — the "compile and run" path used by
+//     cmd/graphitc and the tests, or
+//   - print it as a standalone Go main using the graphit public API
+//     (goemit.go) — the Go analogue of the C++ code generation shown in
+//     paper Figure 9.
 package codegen
 
 import (
 	"fmt"
 
-	"graphit/internal/atomicutil"
-	"graphit/internal/bucket"
 	"graphit/internal/core"
 	"graphit/internal/graph"
 	"graphit/internal/lang"
@@ -102,133 +101,29 @@ type ExecResult struct {
 
 // Execute runs the plan to completion.
 func (p *Plan) Execute(opt ExecOptions) (*ExecResult, error) {
-	chk := p.Checked
-	for _, d := range chk.Prog.Decls {
-		if fd, ok := d.(*lang.FuncDecl); ok && fd.Extern {
-			if opt.Externs[fd.Name] == nil {
-				return nil, fmt.Errorf("codegen: extern func %q is not bound", fd.Name)
-			}
+	for _, d := range p.Checked.Prog.Decls {
+		if fd, ok := d.(*lang.FuncDecl); ok && fd.Extern && opt.Externs[fd.Name] == nil {
+			return nil, fmt.Errorf("codegen: extern func %q is not bound", fd.Name)
 		}
 	}
-	g := opt.Graph
-	if g == nil {
-		if len(opt.Argv) < 2 {
-			return nil, fmt.Errorf("codegen: no graph given and argv[1] missing")
-		}
-		var err error
-		g, err = graph.LoadFile(opt.Argv[1], graph.BuildOptions{
-			Weighted: chk.Weighted,
-			InEdges:  true,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	env := &execEnv{
-		plan:    p,
-		g:       g,
-		argv:    opt.Argv,
-		externs: opt.Externs,
-		vectors: map[string][]int64{},
-		ints:    map[string]int64{},
-		strs:    map[string]string{},
-	}
-	if err := env.initVectors(); err != nil {
+	ir, err := p.lower()
+	if err != nil {
 		return nil, err
 	}
-	// Pre-loop statements of main (vector element writes, pq construction).
-	for _, s := range p.Analysis.Pre {
-		if err := env.execMainStmt(s); err != nil {
-			return nil, err
-		}
+	g, err := p.graph(opt)
+	if err != nil {
+		return nil, err
 	}
-	// The ordered loop itself.
-	var st core.Stats
-	if p.Analysis.Loop != nil {
-		if chk.PQ == nil || !env.pqBuilt {
-			return nil, fmt.Errorf("codegen: ordered loop reached before the priority queue was constructed")
-		}
-		var err error
-		if p.Analysis.Loop.ExternDriven {
-			st, err = env.runExternLoop()
-		} else {
-			st, err = env.runOrderedLoop()
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, s := range p.Analysis.Post {
-		if err := env.execMainStmt(s); err != nil {
-			return nil, err
-		}
-	}
-	return &ExecResult{Vectors: env.vectors, Stats: st, Printed: env.printed}, nil
+	return newMachine(ir, g, opt).run()
 }
 
-// runOrderedLoop builds the core operator for the recognized loop and runs
-// it — the runtime analogue of the compiler's while-loop replacement
-// (paper §5.2).
-func (env *execEnv) runOrderedLoop() (core.Stats, error) {
-	p := env.plan
-	loop := p.Analysis.Loop
-	pq := p.Checked.PQ
-	s := p.Schedules.Get(loop.Label)
-	cfg := s.Config()
-	if !pq.AllowCoarsening && cfg.Delta > 1 {
-		return core.Stats{}, fmt.Errorf("codegen: schedule sets ∆=%d but the priority queue disallows coarsening", cfg.Delta)
+// graph returns opt.Graph, or loads argv[1] when it is nil.
+func (p *Plan) graph(opt ExecOptions) (*graph.Graph, error) {
+	if opt.Graph != nil {
+		return opt.Graph, nil
 	}
-	prio := env.vectors[pq.PriorityVector]
-	order := bucket.Increasing
-	if !pq.LowerFirst {
-		order = bucket.Decreasing
+	if len(opt.Argv) < 2 {
+		return nil, fmt.Errorf("codegen: no graph given and argv[1] missing")
 	}
-	info := p.Analysis.UDFs[loop.UDFName]
-	op := &core.Ordered{
-		G:     env.g,
-		Prio:  prio,
-		Order: order,
-		// Finalize-on-dequeue is exactly the no-coarsening contract of
-		// paper §2: without coarsening, dequeued vertices are final.
-		FinalizeOnPop: !pq.AllowCoarsening,
-		Cfg:           cfg,
-	}
-	if cfg.Strategy == core.LazyConstantSum {
-		if info.ConstantSum == nil {
-			return core.Stats{}, fmt.Errorf("codegen: schedule requests lazy_constant_sum but %s does not qualify (needs a single constant updatePrioritySum)", loop.UDFName)
-		}
-		op.SumConst = info.ConstantSum.Const
-		op.SumFloorIsCurrent = info.ConstantSum.ThresholdIsCurrentPriority
-	}
-	op.Apply = env.compileUDF(info)
-	if pq.StartExpr != nil {
-		start, err := env.evalMainInt(pq.StartExpr)
-		if err != nil {
-			return core.Stats{}, err
-		}
-		op.Sources = []uint32{uint32(start)}
-	}
-	if loop.StopVertex != nil {
-		target, err := env.evalMainInt(loop.StopVertex)
-		if err != nil {
-			return core.Stats{}, err
-		}
-		tv := uint32(target)
-		null := core.Unreached
-		if order == bucket.Decreasing {
-			null = core.NullMax
-		}
-		op.Stop = func(cur int64) bool {
-			best := atomicutil.Load(&prio[tv])
-			return best != null && cur >= best
-		}
-	}
-	st, err := op.Run()
-	if err != nil {
-		return st, err
-	}
-	if e := env.udfErr.Load(); e != nil {
-		return st, *e
-	}
-	return st, nil
+	return graph.LoadFile(opt.Argv[1], graph.BuildOptions{Weighted: p.Checked.Weighted, InEdges: true})
 }
