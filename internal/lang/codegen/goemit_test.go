@@ -31,6 +31,39 @@ func emit(t *testing.T, file, schedText string) string {
 	return src
 }
 
+// tempModule creates a Go module in a temporary directory that requires
+// graphit from this checkout. It returns the module directory, a function
+// writing a file into it, and one running the go tool inside it.
+func tempModule(t *testing.T) (string, func(name, src string), func(args ...string)) {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		path := filepath.Join(mod, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotool := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("go", args...)
+		cmd.Dir = mod
+		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOWORK=off")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+	write("go.mod", "module gentest\n\ngo 1.22\n\nrequire graphit v0.0.0\n\nreplace graphit => "+root+"\n")
+	return mod, write, gotool
+}
+
 // emittable lists every testdata/dsl program EmitGo accepts, with the
 // argv its binary and Execute both run with (after the graph path).
 var emittable = []struct {
@@ -53,22 +86,7 @@ func TestEmitGoIsValidGo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping toolchain round-trip in -short mode")
 	}
-	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := t.TempDir()
-	write := func(name, src string) {
-		t.Helper()
-		path := filepath.Join(mod, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module gentest\n\ngo 1.22\n\nrequire graphit v0.0.0\n\nreplace graphit => "+root+"\n")
+	mod, write, gotool := tempModule(t)
 	directions := []string{"SparsePush", "DensePull"}
 	for _, c := range emittable {
 		for _, dir := range directions {
@@ -78,15 +96,6 @@ func TestEmitGoIsValidGo(t *testing.T) {
 			if c.file == "astar.gt" {
 				write(filepath.Join(pkg, "heuristic.go"), "package main\n\nimport \"graphit\"\n\nfunc init() { heuristic = func(graphit.VertexID) int64 { return 0 } }\n")
 			}
-		}
-	}
-	gotool := func(args ...string) {
-		t.Helper()
-		cmd := exec.Command("go", args...)
-		cmd.Dir = mod
-		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOWORK=off")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 		}
 	}
 	bin := filepath.Join(mod, "bin")
@@ -132,9 +141,40 @@ func TestEmitGoIsValidGo(t *testing.T) {
 			}
 		})
 	}
-	// ppsp prints the exact shortest distance to its target.
-	if want := dijkstra(g, 3)[250]; want == core.Unreached {
+}
+
+// TestEmitGoCompilesAndRuns is the deepest end-to-end check: DSL -> Go
+// source -> `go build` -> run the binary on a graph file -> exact
+// shortest-path distance, checked against Dijkstra rather than Execute.
+func TestEmitGoCompilesAndRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping toolchain round-trip in -short mode")
+	}
+	src := emit(t, "ppsp.gt", `program->configApplyPriorityUpdateDelta("s1", "8");`)
+	mod, write, gotool := tempModule(t)
+	write(filepath.Join("ppsp", "main.go"), src)
+	bin := filepath.Join(mod, "ppsp.bin")
+	gotool("build", "-o", bin, "./ppsp")
+
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 777))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, e := range g.Edges() {
+		fmt.Fprintf(&sb, "%d %d %d\n", e.Src, e.Dst, e.W)
+	}
+	write("g.wel", sb.String())
+	out, err := exec.Command(bin, filepath.Join(mod, "g.wel"), "3", "250").CombinedOutput()
+	if err != nil {
+		t.Fatalf("generated binary failed: %v\n%s", err, out)
+	}
+	want := dijkstra(g, 3)[250]
+	if want == core.Unreached {
 		t.Fatal("ppsp target unreachable in the test graph")
+	}
+	if got := strings.TrimSpace(string(out)); got != fmt.Sprintf("%d", want) {
+		t.Fatalf("generated binary printed %q, want %d", got, want)
 	}
 }
 
