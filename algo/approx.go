@@ -28,12 +28,10 @@ func SSSPApproxContext(ctx context.Context, g *graphit.Graph, src graphit.Vertex
 	}
 	dist := initDist(g.NumVertices(), src)
 	op := &graphit.Ordered{
-		G:     g,
-		Prio:  dist,
-		Order: graphit.LowerFirst,
-		Apply: func(s, d graphit.VertexID, w graphit.Weight, q *graphit.Queue) {
-			q.UpdatePriorityMin(d, q.Priority(s)+int64(w))
-		},
+		G:       g,
+		Prio:    dist,
+		Order:   graphit.LowerFirst,
+		Relax:   graphit.MinPlus,
 		Sources: []graphit.VertexID{src},
 	}
 	cfg, err := sched.Config()
@@ -64,12 +62,10 @@ func PPSPApproxContext(ctx context.Context, g *graphit.Graph, src, dst graphit.V
 	}
 	dist := initDist(g.NumVertices(), src)
 	op := &graphit.Ordered{
-		G:     g,
-		Prio:  dist,
-		Order: graphit.LowerFirst,
-		Apply: func(s, d graphit.VertexID, w graphit.Weight, q *graphit.Queue) {
-			q.UpdatePriorityMin(d, q.Priority(s)+int64(w))
-		},
+		G:       g,
+		Prio:    dist,
+		Order:   graphit.LowerFirst,
+		Relax:   graphit.MinPlus,
 		Sources: []graphit.VertexID{src},
 		Stop: func(cur int64) bool {
 			best := graphit.AtomicLoad(&dist[dst])

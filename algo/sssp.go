@@ -36,11 +36,9 @@ func SSSPContext(ctx context.Context, g *graphit.Graph, src graphit.VertexID, sc
 		G:     g,
 		Prio:  dist,
 		Order: graphit.LowerFirst,
-		// The UDF from paper Figure 3, lines 7–10: compute the relaxed
-		// distance and lower dst's priority to it.
-		Apply: func(s, d graphit.VertexID, w graphit.Weight, q *graphit.Queue) {
-			q.UpdatePriorityMin(d, q.Priority(s)+int64(w))
-		},
+		// The UDF from paper Figure 3, lines 7–10 — lower dst's priority
+		// to the relaxed distance — run natively by the engine.
+		Relax:   graphit.MinPlus,
 		Sources: []graphit.VertexID{src},
 	}
 	st, err := graphit.RunOrderedContext(ctx, op, sched)
@@ -80,12 +78,10 @@ func PPSPContext(ctx context.Context, g *graphit.Graph, src, dst graphit.VertexI
 	}
 	dist := initDist(g.NumVertices(), src)
 	op := &graphit.Ordered{
-		G:     g,
-		Prio:  dist,
-		Order: graphit.LowerFirst,
-		Apply: func(s, d graphit.VertexID, w graphit.Weight, q *graphit.Queue) {
-			q.UpdatePriorityMin(d, q.Priority(s)+int64(w))
-		},
+		G:       g,
+		Prio:    dist,
+		Order:   graphit.LowerFirst,
+		Relax:   graphit.MinPlus,
 		Sources: []graphit.VertexID{src},
 		Stop: func(cur int64) bool {
 			best := graphit.AtomicLoad(&dist[dst])

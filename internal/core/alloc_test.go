@@ -135,3 +135,49 @@ func TestPullRoundAbortSkipsPack(t *testing.T) {
 		t.Fatal("control round produced no updates; the abort assertion above proved nothing")
 	}
 }
+
+// TestEagerMinPlusSteadyStateAllocs: a warmed eager-fusion push round with
+// the native MinPlus operator — the prebuilt sweep body, the stale filter,
+// the per-edge compare and the fusion check — performs zero heap allocation.
+// Priorities are converged, so every relaxation loses and bucket 0 admits
+// the whole replayed frontier.
+func TestEagerMinPlusSteadyStateAllocs(t *testing.T) {
+	g := lineGraph(t, 4000)
+	cfg := DefaultConfig()
+	cfg.Delta = 8
+	cfg.Workers = 1
+	op, _ := minPlusOp(g, 0, cfg)
+	op.Cfg.normalize()
+	if err := op.validate(); err != nil {
+		t.Fatal(err)
+	}
+	active, err := op.initialActive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := op.buildEngine(new(scratch), parallel.NewExecutor(1), active, &runCtl{})
+	var st Stats
+	if fault, err := e.run(context.Background(), NopTracer{}, false, &st); fault != nil || err != nil {
+		t.Fatalf("warmup run: fault=%v err=%v", fault, err)
+	}
+	if st.FusedRounds == 0 {
+		t.Fatal("warmup run fused no rounds")
+	}
+	tr, ok := e.trav.(*eagerPush)
+	if !ok || !tr.fusion {
+		t.Fatalf("expected a fusing *eagerPush, got %T", e.trav)
+	}
+	frontier := make([]uint32, 64)
+	for i := range frontier {
+		frontier[i] = uint32(i * 7)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.relax(0, 0, frontier)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state eager MinPlus round allocates %.0f times, want 0", allocs)
+	}
+	if got := e.ups[0].relaxations; got == 0 {
+		t.Error("replayed rounds relaxed no edges")
+	}
+}

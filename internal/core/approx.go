@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
 	"graphit/internal/parallel"
 )
@@ -164,18 +165,11 @@ func (o *Ordered) approxPass(ctx context.Context, q *approxQueue, ex *parallel.E
 				// priority has moved to an earlier bucket (already
 				// handled); later buckets still get processed — the
 				// priority inversion Galois tolerates.
-				b := o.bucketOf(u.Priority(v))
+				p := atomicutil.Load(&o.Prio[v])
+				b := o.bucketOf(p)
 				if b != bucket.NullBkt && b >= bin {
 					u.processed++
-					wts := o.G.OutWts(v)
-					for i, d := range o.G.OutNeigh(v) {
-						var wt int32
-						if wts != nil {
-							wt = wts[i]
-						}
-						u.relaxations++
-						o.Apply(v, d, wt, u)
-					}
+					o.sweepOut(v, p, u)
 					if b > bin {
 						u.inversions++
 					}

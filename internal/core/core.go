@@ -6,17 +6,19 @@
 // (histogram) reduction (§5.1) — combined with SparsePush or DensePull edge
 // traversal.
 //
-// An algorithm supplies a priority vector, an edge update function written
-// against the Updater API (the runtime face of updatePriorityMin /
-// updatePriorityMax / updatePrioritySum from paper Table 1), and a Config
-// chosen by the scheduling layer. The engine owns bucketing,
-// synchronization, deduplication, stale-entry filtering, finalization, and
-// termination — exactly the low-level details the paper's DSL hides.
+// An algorithm supplies a priority vector, an edge operator — the native
+// MinPlus relaxation, or an edge update function written against the
+// Updater API (the runtime face of updatePriorityMin / updatePriorityMax /
+// updatePrioritySum from paper Table 1) — and a Config chosen by the
+// scheduling layer. The engine owns bucketing, synchronization,
+// deduplication, stale-entry filtering, finalization, and termination —
+// exactly the low-level details the paper's DSL hides.
 package core
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"graphit/internal/atomicutil"
@@ -176,6 +178,10 @@ type Config struct {
 	// partial Stats; FaultRetrySerial re-executes the faulted round
 	// serially and resumes.
 	OnFault FaultPolicy
+
+	// deltaShift is log2(Delta) when Delta is a power of two, else -1; set
+	// by normalize.
+	deltaShift int8
 }
 
 // DefaultConfig mirrors the scheduling language's defaults (bold options in
@@ -200,12 +206,28 @@ func (c *Config) normalize() {
 	if c.Delta < 1 {
 		c.Delta = 1
 	}
+	c.deltaShift = -1
+	if c.Delta&(c.Delta-1) == 0 {
+		c.deltaShift = int8(bits.TrailingZeros64(uint64(c.Delta)))
+	}
 	if c.FusionThreshold <= 0 {
 		c.FusionThreshold = 1000
 	}
 	if c.NumBuckets <= 0 {
 		c.NumBuckets = 128
 	}
+}
+
+// coarsen returns p / Delta, truncated as Go's / truncates. Tuned ∆s are
+// powers of two throughout, and the bucket of a priority is taken on every
+// swept vertex and every win, so a power-of-two ∆ pays a shift instead of an
+// int64 division. >> floors where / truncates, so a negative p (an
+// unfloored constant-sum) is first biased by ∆-1.
+func (c *Config) coarsen(p int64) int64 {
+	if s := c.deltaShift; s >= 0 {
+		return (p + (p>>63)&(c.Delta-1)) >> uint(s)
+	}
+	return p / c.Delta
 }
 
 // Stats reports machine-independent execution counters. Rounds and
@@ -255,6 +277,19 @@ type EdgeFunc func(src, dst graph.VertexID, w graph.Weight, u *Updater)
 // run (paper §2: "halt once a certain vertex has been finalized").
 type StopFunc func(curPrio int64) bool
 
+// Relaxation names an edge operator the engines run natively, with no call
+// per edge. The zero value names none: the operator runs Apply.
+type Relaxation uint8
+
+// MinPlus is ∆-stepping's relaxation prio[dst] = min(prio[dst], prio[src]+w)
+// — paper Figure 3's updateEdge, what the compiler inlines as a writeMin in
+// the generated edge loop (§5.1). Every engine body has its own native loop
+// for it: the source's priority is loaded once per swept vertex, a plain
+// compare precedes the CAS, and a win is recorded in the schedule's bucket
+// sink exactly as Updater.UpdatePriorityMin records it. It needs a
+// weighted graph and lower_first order, and is not a constant-sum update.
+const MinPlus Relaxation = 1
+
 // Ordered is one ordered edgeset-apply operator: the runtime object compiled
 // from `while(pq.finished()==false) { ... applyUpdatePriority(f) }`.
 type Ordered struct {
@@ -263,7 +298,12 @@ type Ordered struct {
 	// algorithm may alias it with its own data (e.g. dist for SSSP).
 	Prio  []int64
 	Order bucket.Order
-	// Apply is the edge UDF. Not used by LazyConstantSum.
+	// Relax names the edge operator when the engines can run it natively
+	// (MinPlus); it and Apply are mutually exclusive.
+	Relax Relaxation
+	// Apply is the edge UDF when Relax names no operator: the escape hatch
+	// for A*, widest path, k-core and any UDF of another shape. Not used by
+	// LazyConstantSum.
 	Apply EdgeFunc
 	// SumConst is the constant priority delta for LazyConstantSum (e.g. -1
 	// for k-core); the engine applies prio += SumConst*count per round.
@@ -310,10 +350,7 @@ func (o *Ordered) bucketOf(p int64) int64 {
 	if p == o.nullPrio() {
 		return bucket.NullBkt
 	}
-	if o.Cfg.Delta > 1 {
-		return p / o.Cfg.Delta
-	}
-	return p
+	return o.Cfg.coarsen(p)
 }
 
 // validate checks structural preconditions shared by all strategies.
@@ -325,7 +362,10 @@ func (o *Ordered) validate() error {
 		return fmt.Errorf("core: priority vector has %d entries for %d vertices",
 			len(o.Prio), o.G.NumVertices())
 	}
-	if o.Cfg.Strategy != LazyConstantSum && o.Apply == nil {
+	if err := o.validateRelax(); err != nil {
+		return err
+	}
+	if o.Cfg.Strategy != LazyConstantSum && o.Apply == nil && o.Relax != MinPlus {
 		return fmt.Errorf("core: nil edge function")
 	}
 	if o.Cfg.Strategy == LazyConstantSum && o.SumConst == 0 {
@@ -358,5 +398,26 @@ func (o *Ordered) validate() error {
 	// Negative (non-null) priorities are rejected lazily, while the initial
 	// frontier is built (initialActive) — not here, which would cost an O(V)
 	// sweep on every Run (painful across 40 autotune trials).
+	return nil
+}
+
+// validateRelax rejects a Relax the engines cannot run natively. The
+// unweighted case is rejected here so the native loops carry no nil-weights
+// branch.
+func (o *Ordered) validateRelax() error {
+	switch {
+	case o.Relax == 0:
+		return nil
+	case o.Relax != MinPlus:
+		return fmt.Errorf("core: unknown relaxation %d", o.Relax)
+	case o.Apply != nil:
+		return fmt.Errorf("core: Relax: MinPlus and a non-nil Apply both name the edge operator; set one")
+	case o.Cfg.Strategy == LazyConstantSum:
+		return fmt.Errorf("core: Relax: MinPlus is not a constant-sum update and cannot run under lazy_constant_sum")
+	case o.Order != bucket.Increasing:
+		return fmt.Errorf("core: Relax: MinPlus lowers priorities and requires lower_first order")
+	case !o.G.Weighted():
+		return fmt.Errorf("core: Relax: MinPlus requires a weighted graph")
+	}
 	return nil
 }

@@ -83,8 +83,23 @@ func TestStrategyAndDirectionParsing(t *testing.T) {
 	}
 }
 
+// minPlusOp is ssspOp with the native operator in place of the closure.
+func minPlusOp(g *graph.Graph, src uint32, cfg Config) (*Ordered, []int64) {
+	op, dist := ssspOp(g, src, cfg)
+	op.Apply, op.Relax = nil, MinPlus
+	return op, dist
+}
+
 func TestValidationErrors(t *testing.T) {
 	g := lineGraph(t, 4)
+	// Cases named in want must fail with a message containing that text.
+	want := map[string]string{
+		"minplus with constant sum": "lazy_constant_sum",
+		"minplus higher first":      "lower_first",
+		"minplus with apply":        "non-nil Apply",
+		"minplus unweighted":        "weighted graph",
+		"unknown relaxation":        "unknown relaxation",
+	}
 	cases := map[string]func() *Ordered{
 		"nil graph": func() *Ordered {
 			op, _ := ssspOp(g, 0, DefaultConfig())
@@ -138,13 +153,69 @@ func TestValidationErrors(t *testing.T) {
 			op, _ := ssspOp(g, 0, cfg)
 			return op
 		},
+		"minplus with constant sum": func() *Ordered {
+			cfg := DefaultConfig()
+			cfg.Strategy = LazyConstantSum
+			op, _ := minPlusOp(g, 0, cfg)
+			op.SumConst = -1
+			return op
+		},
+		"minplus higher first": func() *Ordered {
+			cfg := DefaultConfig()
+			cfg.Strategy = Lazy
+			op, _ := minPlusOp(g, 0, cfg)
+			op.Order = bucket.Decreasing
+			return op
+		},
+		"minplus with apply": func() *Ordered {
+			op, _ := ssspOp(g, 0, DefaultConfig())
+			op.Relax = MinPlus
+			return op
+		},
+		"minplus unweighted": func() *Ordered {
+			g2, _ := graph.Build([]graph.Edge{{Src: 0, Dst: 1}}, graph.BuildOptions{InEdges: true})
+			op, _ := minPlusOp(g2, 0, DefaultConfig())
+			return op
+		},
+		"unknown relaxation": func() *Ordered {
+			op, _ := minPlusOp(g, 0, DefaultConfig())
+			op.Relax = MinPlus + 1
+			return op
+		},
 	}
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := mk().Run(); err == nil {
-				t.Error("expected a validation error")
+			_, err := mk().Run()
+			if err == nil {
+				t.Fatal("expected a validation error")
+			}
+			if w := want[name]; !strings.Contains(err.Error(), w) {
+				t.Errorf("error %q does not mention %q", err, w)
 			}
 		})
+	}
+}
+
+// TestCoarsenMatchesDivision: the shift Config.coarsen takes for a
+// power-of-two ∆ equals Go's truncating p / ∆ for every int64 the engine can
+// see — negatives included, where >> alone would floor — and so does the
+// lane kernel's bucketOfP, which shares the helper.
+func TestCoarsenMatchesDivision(t *testing.T) {
+	for _, d := range []int64{1, 2, 3, 16, 2048} {
+		cfg := Config{Delta: d}
+		cfg.normalize()
+		if pow2 := d&(d-1) == 0; pow2 != (cfg.deltaShift >= 0) {
+			t.Fatalf("∆=%d: deltaShift %d", d, cfg.deltaShift)
+		}
+		lane := &laneTrav{mo: &MultiOrdered{Cfg: cfg}}
+		for _, p := range []int64{0, 1, d - 1, d, 1<<40 + 12345, Unreached - 1, -1, -d - 1, -(1 << 40) - 7, NullMax + 1} {
+			if got, want := cfg.coarsen(p), p/d; got != want {
+				t.Errorf("∆=%d: coarsen(%d) = %d, want %d", d, p, got, want)
+			}
+			if got := lane.bucketOfP(p); got != p/d {
+				t.Errorf("∆=%d: lane bucketOfP(%d) = %d, want %d", d, p, got, p/d)
+			}
+		}
 	}
 }
 

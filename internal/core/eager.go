@@ -62,53 +62,71 @@ type eagerPush struct {
 	grain  int
 	ctl    *runCtl
 	cursor atomic.Int64
+
+	// body is built once and reused every round (a closure literal handed to
+	// the executor escapes to the heap on every call); bid and frontier are
+	// the round it sweeps.
+	body     func(worker int)
+	bid      int64
+	frontier []uint32
 }
 
 func (t *eagerPush) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool, bool) {
-	o := t.o
+	if t.body == nil {
+		t.body = t.sweep
+	}
 	t.cursor.Store(0)
-	fsize := len(frontier)
-	t.ex.Run(func(worker int) {
-		u := t.ups[worker]
-		for {
-			if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
-				return
-			}
-			lo := int(t.cursor.Add(int64(t.grain))) - t.grain
-			if lo >= fsize {
-				break
-			}
-			hi := lo + t.grain
-			if hi > fsize {
-				hi = fsize
-			}
-			for _, v := range frontier[lo:hi] {
-				o.processPush(v, bid, u)
-			}
-		}
-		if t.fusion {
-			my := t.bins[worker]
-			for {
-				// The fusion checkpoint also breaks fusion livelocks: a UDF
-				// that keeps re-inserting into the current bucket spins here
-				// without ever reaching a global barrier, so this is the
-				// only point a watchdog abort can interrupt it.
-				if t.ctl.checkpoint(PhaseFusion, worker) {
-					return
-				}
-				sz := my.Len(bid)
-				if sz == 0 || sz > o.Cfg.FusionThreshold {
-					break
-				}
-				mine := my.Take(bid)
-				u.fused++
-				for _, v := range mine {
-					o.processPush(v, bid, u)
-				}
-			}
-		}
-	})
+	t.bid, t.frontier = bid, frontier
+	t.ex.Run(t.body)
+	t.frontier = nil
 	return nil, false, t.ctl.aborted() != abortNone
+}
+
+// sweep is one worker's share of a round: dynamic chunks of the shared
+// frontier, then (eager_with_fusion) its own current-bucket bin while that
+// stays under the fusion threshold.
+func (t *eagerPush) sweep(worker int) {
+	o, bid, frontier := t.o, t.bid, t.frontier
+	fsize := len(frontier)
+	u := t.ups[worker]
+	for {
+		if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
+			return
+		}
+		lo := int(t.cursor.Add(int64(t.grain))) - t.grain
+		if lo >= fsize {
+			break
+		}
+		hi := lo + t.grain
+		if hi > fsize {
+			hi = fsize
+		}
+		for _, v := range frontier[lo:hi] {
+			o.processPush(v, bid, u)
+		}
+	}
+	if !t.fusion {
+		return
+	}
+	my := t.bins[worker]
+	for {
+		// The fusion checkpoint also breaks fusion livelocks: a UDF that
+		// keeps re-inserting into the current bucket spins here without
+		// ever reaching a global barrier, so this is the only point a
+		// watchdog abort can interrupt it.
+		if t.ctl.checkpoint(PhaseFusion, worker) {
+			return
+		}
+		sz := my.Len(bid)
+		if sz == 0 || sz > o.Cfg.FusionThreshold {
+			break
+		}
+		mine := my.Take(bid)
+		u.fused++
+		for _, v := range mine {
+			o.processPush(v, bid, u)
+		}
+	}
 }
 
 // eagerPull is the DensePull traversal over eager bins: a serial mark of
@@ -152,11 +170,12 @@ func (t *eagerPull) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool
 	return nil, true, t.ctl.aborted() != abortNone
 }
 
-// processPush applies the UDF to the out-edges of v if v still belongs to
-// the current bucket (GAPBS's stale-entry filter) and, under FinalizeOnPop,
-// has not already been processed.
+// processPush sweeps the out-edges of v if v still belongs to the current
+// bucket (GAPBS's stale-entry filter) and, under FinalizeOnPop, has not
+// already been processed.
 func (o *Ordered) processPush(v uint32, curBin int64, u *Updater) {
-	b := o.bucketOf(atomicutil.Load(&o.Prio[v]))
+	p := atomicutil.Load(&o.Prio[v])
+	b := o.bucketOf(p)
 	if b == bucket.NullBkt || b < curBin {
 		return // stale: already handled in an earlier bucket
 	}
@@ -164,22 +183,42 @@ func (o *Ordered) processPush(v uint32, curBin int64, u *Updater) {
 		return // already finalized (k-core processes each vertex once)
 	}
 	u.processed++
+	o.sweepOut(v, p, u)
+}
+
+// sweepOut applies the operator to every out-edge of v, whose priority the
+// caller loaded once as p. The MinPlus loop relaxes from that one load:
+// priorities only fall, and if v's falls mid-sweep, the write that lowered
+// it re-queued v, so v is swept again from the lower value.
+func (o *Ordered) sweepOut(v uint32, p int64, u *Updater) {
 	g := o.G
 	neigh := g.OutNeigh(v)
 	wts := g.OutWts(v)
-	for i, d := range neigh {
-		var wt int32
-		if wts != nil {
-			wt = wts[i]
+	if o.Relax != MinPlus {
+		for i, d := range neigh {
+			var wt int32
+			if wts != nil {
+				wt = wts[i]
+			}
+			u.relaxations++
+			o.Apply(v, d, wt, u)
 		}
-		u.relaxations++
-		o.Apply(v, d, wt, u)
+		return
+	}
+	u.relaxations += int64(len(neigh))
+	wts = wts[:len(neigh)] // validate guarantees weights; elides the bounds check
+	prio, fin := o.Prio, o.fin
+	for i, d := range neigh {
+		np := p + int64(wts[i])
+		if np < atomicutil.Load(&prio[d]) && (fin == nil || !fin.IsSet(d)) && atomicutil.WriteMin(&prio[d], np) {
+			u.record(d, np)
+		}
 	}
 }
 
-// processPull applies the UDF to the in-edges of v that originate in the
-// dense frontier. v is owned by exactly one worker this round, so its
-// priority updates need no atomics.
+// processPull applies the operator to the in-edges of v that originate in
+// the dense frontier. v is owned by exactly one worker this round, so its
+// priority updates need no CAS loop.
 func (o *Ordered) processPull(v uint32, inFron []bool, u *Updater) {
 	if o.fin != nil && o.fin.IsSet(v) {
 		return // finalized vertices accept no further updates
@@ -188,17 +227,36 @@ func (o *Ordered) processPull(v uint32, inFron []bool, u *Updater) {
 	neigh := g.InNeighbors(v)
 	wts := g.InWeights(v)
 	touched := false
-	for i, src := range neigh {
-		if !inFron[src] {
-			continue
+	if o.Relax == MinPlus {
+		wts = wts[:len(neigh)]
+		// Only this worker writes Prio[v], so one load serves the whole
+		// sweep; sources are read atomically, as other workers write them.
+		cur := atomicutil.Load(&o.Prio[v])
+		for i, src := range neigh {
+			if !inFron[src] {
+				continue
+			}
+			u.relaxations++
+			touched = true
+			if np := atomicutil.Load(&o.Prio[src]) + int64(wts[i]); np < cur {
+				cur = np
+				atomicutil.Store(&o.Prio[v], np)
+				u.record(v, np)
+			}
 		}
-		var wt int32
-		if wts != nil {
-			wt = wts[i]
+	} else {
+		for i, src := range neigh {
+			if !inFron[src] {
+				continue
+			}
+			var wt int32
+			if wts != nil {
+				wt = wts[i]
+			}
+			u.relaxations++
+			o.Apply(src, v, wt, u)
+			touched = true
 		}
-		u.relaxations++
-		o.Apply(src, v, wt, u)
-		touched = true
 	}
 	if touched {
 		u.processed++

@@ -112,8 +112,8 @@ func (t *lazyTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool,
 	return updated, false, t.ctl.aborted() != abortNone
 }
 
-// pushRound applies the UDF over the out-edges of the frontier with atomic
-// updates, collecting changed vertices once each (CAS dedup) into
+// pushRound applies the operator over the out-edges of the frontier with
+// atomic updates, collecting changed vertices once each (CAS dedup) into
 // per-worker buffers (the outEdges buffer of paper Figure 9(a)).
 func (t *lazyTrav) pushRound(verts []uint32) []uint32 {
 	if t.pushBody == nil {
@@ -122,20 +122,10 @@ func (t *lazyTrav) pushRound(verts []uint32) []uint32 {
 				return
 			}
 			o := t.o
-			g := o.G
 			u := t.ups[worker]
 			for _, v := range t.curVerts[lo:hi] {
 				u.processed++
-				neigh := g.OutNeigh(v)
-				wts := g.OutWts(v)
-				for i, d := range neigh {
-					var wt int32
-					if wts != nil {
-						wt = wts[i]
-					}
-					u.relaxations++
-					o.Apply(v, d, wt, u)
-				}
+				o.sweepOut(v, atomicutil.Load(&o.Prio[v]), u)
 			}
 		}
 	}
@@ -154,7 +144,7 @@ func (t *lazyTrav) pushRound(verts []uint32) []uint32 {
 	return updated
 }
 
-// pullRound applies the UDF over the in-edges of all vertices against a
+// pullRound applies the operator over the in-edges of all vertices against a
 // dense frontier; destination updates need no atomics (paper Figure 9(b)).
 // The changed set is packed straight out of nextMap into the run's reusable
 // update buffer — no O(n) iota slice, no per-round flag array — so a

@@ -20,13 +20,15 @@ const MaxLanes = 64
 // order-independent), while round barriers and bucket maintenance are paid
 // once instead of k times.
 //
-// There is one engine, the serial lane kernel (see laneTrav), for every lane
-// count and configuration. Only the lazy strategy with lower_first
-// (increasing) order is supported, and OnFault=retry_serial is rejected — a
-// faulted multi run fails with partial per-lane stats. Cfg.Workers,
-// Direction, Grain and NoDedup are hints a multi run ignores: the kernel is
-// single-goroutine push with its own duplicate filter, acquires no executor,
-// and needs no in-edges.
+// It always runs MinPlus, so it has no Relax or Apply field: the operator is
+// not a choice. There is one engine, the serial lane kernel (see laneTrav) —
+// a serial MinPlus body over k priority planes — for every lane count and
+// configuration. Only the lazy strategy with lower_first (increasing) order
+// is supported, and OnFault=retry_serial is rejected — a faulted multi run
+// fails with partial per-lane stats. Cfg.Workers, Direction, Grain and
+// NoDedup are hints a multi run ignores: the kernel is single-goroutine push
+// with its own duplicate filter, acquires no executor, and needs no
+// in-edges.
 type MultiOrdered struct {
 	G *graph.Graph
 	// Lanes[l] is lane l's priority vector (e.g. dist for SSSP) — exactly the
@@ -165,16 +167,12 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 		mo: mo, k: k, nPad: nPad,
 		nLog:  uint(bits.TrailingZeros(uint(nPad))),
 		wts:   mo.G.Wts,
-		delta: face.Cfg.Delta, deltaShift: -1,
 		state: sc.getLaneState(k * nPad),
 		casc:  sc.laneCasc[:0],
 		part:  sc.lanePart,
 		cnt:   make([]int, k+1),
 		pos:   make([]int, k),
 		stats: ms.Lanes,
-	}
-	if d := t.delta; d&(d-1) == 0 { // normalize() guarantees d >= 1
-		t.deltaShift = bits.TrailingZeros64(uint64(d))
 	}
 	if t.wts == nil {
 		t.wts = make([]int32, len(mo.G.Neigh))
@@ -271,9 +269,7 @@ type laneTrav struct {
 	// bucket of the priority the win overwrote, because an id left at an
 	// aliasing bucket ≥ 128 away would be swept late, and per-lane stops rely
 	// on every id being swept in its own bucket.
-	state      []byte
-	delta      int64
-	deltaShift int // log2(delta) when delta is a power of two, else -1
+	state []byte
 	// stopped[l] is set between rounds once lane l's stop condition holds;
 	// nil when the run has no Stops.
 	stopped []bool
@@ -289,15 +285,9 @@ type laneTrav struct {
 	stats []LaneStats // the run's MultiStats.Lanes
 }
 
-// bucketOfP is on the hot path of every win; tuned ∆s are powers of two
-// throughout, and a shift instead of an int64 division is worth several
-// percent of the whole run.
-func (t *laneTrav) bucketOfP(p int64) int64 {
-	if t.deltaShift >= 0 {
-		return p >> uint(t.deltaShift)
-	}
-	return p / t.delta
-}
+// bucketOfP is on the hot path of every win: Config.coarsen, a shift for
+// the power-of-two ∆s tuning picks.
+func (t *laneTrav) bucketOfP(p int64) int64 { return t.mo.Cfg.coarsen(p) }
 
 // bucketTag is the state-byte value of an id queued at bucket b: the low 7
 // bucket bits and a set live bit, so it is never zero.

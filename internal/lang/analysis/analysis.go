@@ -6,6 +6,8 @@
 //   - constant-sum detection, which recognizes updatePrioritySum calls with
 //     a fixed literal delta and a getCurrentPriority threshold, enabling
 //     the histogram (lazy_constant_sum) schedule of Figure 10;
+//   - min-plus detection, which recognizes Figure 3's relaxation so the
+//     engine runs its native operator instead of the compiled UDF;
 //   - while-loop pattern detection on main, which proves the ordered loop
 //     has no other uses of the dequeued bucket so the eager transformation
 //     (Figure 9(c)) is legal, and extracts early-termination targets from
@@ -82,6 +84,14 @@ type UDFInfo struct {
 	ConstantSum *ConstantSumInfo
 	// ReadsVectors lists vector globals read by the UDF.
 	ReadsVectors []string
+	// MinPlus reports that the UDF is exactly paper Figure 3's relaxation
+	// over the queue's own priority vector P —
+	//
+	//	[var x : int = P[src] + w;] pq.updatePriorityMin(dst, [P[dst],] x)
+	//
+	// with the sum written in place of x or its operands swapped — so the
+	// back ends hand the engine core.MinPlus instead of compiling the body.
+	MinPlus bool
 }
 
 // ConstantSumInfo carries the extracted constants for lazy_constant_sum.

@@ -297,3 +297,56 @@ end`
 		t.Fatalf("folded `0 - 1` not detected as constant -1: %+v", cs)
 	}
 }
+
+// TestMinPlusRecognition: exactly Figure 3's relaxation over the queue's own
+// priority vector is recognised; a heuristic, another vector, a constant in
+// place of the weight, or an extra statement keeps the UDF compiled.
+func TestMinPlusRecognition(t *testing.T) {
+	for file, want := range map[string]bool{
+		"sssp.gt": true, "ppsp.gt": true, "wbfs.gt": true,
+		"astar.gt": false, "kcore.gt": false, "widestpath.gt": false,
+	} {
+		res := analyzeFile(t, file)
+		if got := res.UDFs[res.Loop.UDFName].MinPlus; got != want {
+			t.Errorf("%s: MinPlus = %v, want %v", file, got, want)
+		}
+	}
+	const header = `element Vertex end
+element Edge end
+const edges : edgeset{Edge}(Vertex, Vertex, int) = load(argv[1]);
+const dist : vector{Vertex}(int) = INT_MAX;
+const other : vector{Vertex}(int) = 0;
+const pq : priority_queue{Vertex}(int);
+func updateEdge(src : Vertex, dst : Vertex, weight : int)
+`
+	const footer = `
+end
+func main()
+    pq = new priority_queue{Vertex}(int)(true, "lower_first", dist, 0);
+    while (pq.finished() == false)
+        var bucket : vertexset{Vertex} = pq.dequeueReadySet();
+        #s1# edges.from(bucket).applyUpdatePriority(updateEdge);
+        delete bucket;
+    end
+end`
+	for body, want := range map[string]bool{
+		`pq.updatePriorityMin(dst, dist[src] + weight);`:                                     true,
+		`pq.updatePriorityMin(dst, weight + dist[src]);`:                                     true,
+		`var nd : int = weight + dist[src]; pq.updatePriorityMin(dst, dist[dst], nd);`:       true,
+		`pq.updatePriorityMin(dst, other[src] + weight);`:                                    false,
+		`pq.updatePriorityMin(dst, dist[src] + 1);`:                                          false,
+		`pq.updatePriorityMin(dst, dist[dst] + weight);`:                                     false,
+		`pq.updatePriorityMin(dst, other[dst], dist[src] + weight);`:                         false,
+		`var nd : int = dist[src] + weight; pq.updatePriorityMin(dst, nd + 1);`:              false,
+		`var nd : int = dist[src] + weight; other[dst] = 1; pq.updatePriorityMin(dst, nd);`:  false,
+		`var nd : int = dist[src] + weight; var x : int = nd; pq.updatePriorityMin(dst, x);`: false,
+	} {
+		res, err := analyzeSrc(t, header+body+footer)
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if got := res.UDFs["updateEdge"].MinPlus; got != want {
+			t.Errorf("%s: MinPlus = %v, want %v", body, got, want)
+		}
+	}
+}

@@ -52,7 +52,7 @@ func analyzeUDF(chk *lang.Checked, fd *lang.FuncDecl) (*UDFInfo, error) {
 			}
 			return nil
 		case *lang.MethodCallExpr:
-			if recv, ok := e.Recv.(*lang.IdentExpr); ok && chk.PQNamed(recv.Name) {
+			if isPQ(chk, e.Recv) {
 				if u, ok2 := classifyUpdate(e); ok2 {
 					info.Updates = append(info.Updates, u)
 				}
@@ -191,7 +191,65 @@ func analyzeUDF(chk *lang.Checked, fd *lang.FuncDecl) (*UDFInfo, error) {
 			}
 		}
 	}
+	info.MinPlus = isMinPlus(chk, info)
 	return info, nil
+}
+
+// isMinPlus matches the UDF body against the shape UDFInfo.MinPlus
+// documents.
+func isMinPlus(chk *lang.Checked, info *UDFInfo) bool {
+	if chk.PQ == nil || info.WeightName == "" {
+		return false
+	}
+	prio, body := chk.PQ.PriorityVector, info.Func.Body
+	var sum lang.Expr
+	local := ""
+	if len(body) == 2 {
+		vd, ok := body[0].(*lang.VarDeclStmt)
+		if !ok || vd.Type.Kind != "int" || vd.Init == nil ||
+			vd.Name == prio || vd.Name == info.SrcName || vd.Name == info.DstName {
+			return false
+		}
+		sum, local, body = vd.Init, vd.Name, body[1:]
+	}
+	if len(body) != 1 {
+		return false
+	}
+	es, ok := body[0].(*lang.ExprStmt)
+	if !ok {
+		return false
+	}
+	mc, ok := es.E.(*lang.MethodCallExpr)
+	if !ok || mc.Method != "updatePriorityMin" || !isPQ(chk, mc.Recv) || !exprIsParam(mc.Args[0], info.DstName) {
+		return false
+	}
+	if len(mc.Args) == 3 && !isElem(mc.Args[1], prio, info.DstName) {
+		return false
+	}
+	val := mc.Args[len(mc.Args)-1]
+	if local == "" {
+		sum = val
+	} else if !exprIsParam(val, local) {
+		return false
+	}
+	b, ok := sum.(*lang.BinaryExpr)
+	if !ok || b.Op != lang.Plus {
+		return false
+	}
+	return isElem(b.L, prio, info.SrcName) && exprIsParam(b.R, info.WeightName) ||
+		isElem(b.R, prio, info.SrcName) && exprIsParam(b.L, info.WeightName)
+}
+
+// isPQ reports whether e names the priority queue.
+func isPQ(chk *lang.Checked, e lang.Expr) bool {
+	id, ok := e.(*lang.IdentExpr)
+	return ok && chk.PQNamed(id.Name)
+}
+
+// isElem reports whether e is vec[param].
+func isElem(e lang.Expr, vec, param string) bool {
+	ix, ok := e.(*lang.IndexExpr)
+	return ok && exprIsParam(ix.X, vec) && exprIsParam(ix.Index, param)
 }
 
 // titleKind renders an update kind as the operator-name suffix.

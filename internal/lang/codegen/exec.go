@@ -109,7 +109,7 @@ func (m *machine) run() (res *ExecResult, err error) {
 	main := newFrame(nil, len(m.ir.main.slots))
 	m.block(m.ir.pre)(main)
 	var st core.Stats
-	if lp := m.ir.loop; lp != nil && lp.apply == nil {
+	if lp := m.ir.loop; lp != nil && lp.phases != nil {
 		st = m.runExternLoop(lp)
 	} else if lp != nil {
 		if st, err = m.ordered(lp, main).Run(); err != nil {
@@ -132,7 +132,10 @@ func (m *machine) run() (res *ExecResult, err error) {
 func (m *machine) ordered(lp *irLoop, main *frame) *core.Ordered {
 	prio := m.vecs[lp.prio]
 	op := &core.Ordered{G: m.g, Prio: prio, Order: bucket.Increasing, FinalizeOnPop: lp.finalize,
-		Cfg: lp.sched.Config(), Apply: m.edgeFunc(lp.apply)}
+		Cfg: lp.sched.Config(), Relax: lp.relax}
+	if lp.apply != nil {
+		op.Apply = m.edgeFunc(lp.apply)
+	}
 	if !lp.lowerFirst {
 		op.Order = bucket.Decreasing
 	}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -282,12 +283,13 @@ end`
 }
 
 // TestDSLApplySteadyStateAllocs gates the executor's per-edge path: once a
-// worker has its frame, applying sssp.gt's compiled UDF allocates nothing.
-// After the run every distance is final, so each relaxation loses and the
-// edge function exercises its loads, arithmetic and update without touching
-// a bucket.
+// worker has its frame, applying a compiled UDF allocates nothing. It runs
+// astar.gt, whose heuristic keeps its UDF off the native min-plus operator
+// (sssp.gt's is recognised and never compiled). The replayed edges are the
+// ones whose relaxation loses after the run, so the edge function exercises
+// its frame, loads, arithmetic and compare without touching a bucket.
 func TestDSLApplySteadyStateAllocs(t *testing.T) {
-	plan, err := Compile(readDSL(t, "sssp.gt"))
+	plan, err := Compile(readDSL(t, "astar.gt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +300,14 @@ func TestDSLApplySteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ir.loop.apply == nil {
+		t.Fatal("astar.gt's UDF was not compiled")
+	}
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	g := planGraph(t)
-	m := newMachine(ir, g, ExecOptions{Argv: []string{"sssp", "-", "1"}})
+	heuristic := func(...int64) int64 { return 0 }
+	m := newMachine(ir, g, ExecOptions{Argv: []string{"astar", "-", "1", "2"},
+		Externs: map[string]ExternFunc{"heuristic": heuristic}})
 	main := newFrame(nil, len(ir.main.slots))
 	m.block(ir.pre)(main)
 	op := m.ordered(ir.loop, main)
@@ -313,13 +320,18 @@ func TestDSLApplySteadyStateAllocs(t *testing.T) {
 	if _, err := op.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Only reached sources: INT_MAX + w would overflow into a winning
-	// update and leave the pooled engine scratch dirty for later runs.
+	// Only losing relaxations from reached sources: a winning one would move
+	// a vertex into the pooled engine scratch and leave it dirty for later
+	// runs (and INT_MAX + w would overflow into a win).
+	dist := m.vecs[slices.Index(ir.vectors, "dist")]
 	var edges []graph.Edge
 	for _, e := range g.Edges() {
-		if m.vecs[ir.loop.prio][e.Src] != core.Unreached {
+		if dist[e.Src] != core.Unreached && dist[e.Src]+int64(e.W) >= dist[e.Dst] {
 			edges = append(edges, e)
 		}
+	}
+	if len(edges) == 0 {
+		t.Fatal("no edges to replay")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, e := range edges {

@@ -21,6 +21,8 @@ import (
 //   - DensePull schedules compile dst-indexed accesses to plain reads and a
 //     compare-then-store without a CAS loop, since each destination is owned
 //     by one worker (Figure 9(b)); every other access stays atomic;
+//   - a UDF the min-plus analysis recognises is emitted as
+//     Relax: graphit.MinPlus, with no Apply closure;
 //   - the schedule chain itself (strategy, ∆, fusion threshold, direction)
 //     is materialized in the generated main.
 //
@@ -146,20 +148,26 @@ func atoi(s string) int64 {
 		e.pf("SumConst:          %d,", lp.constSum.Const)
 		e.pf("SumFloorIsCurrent: %v,", lp.constSum.ThresholdIsCurrentPriority)
 	}
-	if s.Direction == core.DensePull {
-		e.pf("// DensePull: dst-indexed accesses are worker-owned; no CAS loops.")
-	} else if lp.needsAtomics {
-		e.pf("// Dependence analysis: concurrent destination writes -> atomics.")
+	if lp.relax == core.MinPlus {
+		e.pf("// Min-plus analysis: the edge function is %s[dst] = min(%s[dst], %s[src] + w),", prio, prio, prio)
+		e.pf("// which the engine runs natively.")
+		e.pf("Relax: graphit.MinPlus,")
+	} else {
+		if s.Direction == core.DensePull {
+			e.pf("// DensePull: dst-indexed accesses are worker-owned; no CAS loops.")
+		} else if lp.needsAtomics {
+			e.pf("// Dependence analysis: concurrent destination writes -> atomics.")
+		}
+		e.fn = lp.apply
+		w := "_"
+		if lp.apply.params == 3 {
+			w = e.local(2)
+		}
+		e.pf("Apply: func(%s, %s graphit.VertexID, %s graphit.Weight, q *graphit.Queue) {", e.local(0), e.local(1), w)
+		e.block(lp.apply.body)
+		e.pf("},")
+		e.fn = ir.main
 	}
-	e.fn = lp.apply
-	w := "_"
-	if lp.apply.params == 3 {
-		w = e.local(2)
-	}
-	e.pf("Apply: func(%s, %s graphit.VertexID, %s graphit.Weight, q *graphit.Queue) {", e.local(0), e.local(1), w)
-	e.block(lp.apply.body)
-	e.pf("},")
-	e.fn = ir.main
 	if lp.start != nil {
 		e.pf("Sources: []graphit.VertexID{%s},", e.expr(lp.start))
 	}

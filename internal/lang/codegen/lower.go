@@ -157,10 +157,11 @@ type irLoop struct {
 	finalize          bool // allow_priority_coarsening=false: dequeued vertices are final
 	constSum          *analysis.ConstantSumInfo
 	needsAtomics      bool
-	apply             *irFunc // nil for extern-driven loops
-	phases            []int   // extern-driven loops: the extern each phase applies
-	reduce            []bool  // ... and whether the phase is applyExternReduce
-	start, stop, null *node   // start and stop are main locals or constants, or nil
+	relax             core.Relaxation // core.MinPlus when analysis recognised the UDF
+	apply             *irFunc         // the UDF otherwise; nil for extern-driven loops
+	phases            []int           // extern-driven loops: the extern each phase applies
+	reduce            []bool          // ... and whether the phase is applyExternReduce
+	start, stop, null *node           // start and stop are main locals or constants, or nil
 }
 
 type irProgram struct {
@@ -312,6 +313,12 @@ func (l *lowerer) loop(p *Plan) *irLoop {
 	}
 	if li.StopVertex != nil {
 		lp.stop = l.hoist(l.index(li.StopVertex))
+	}
+	if info.MinPlus {
+		// The engine runs the recognised relaxation natively; the body is
+		// never lowered.
+		lp.relax = core.MinPlus
+		return lp
 	}
 	lp.apply = &irFunc{name: info.Func.Name, ret: kVoid}
 	params := []slotInfo{{name: info.SrcName, k: kVertex}, {name: info.DstName, k: kVertex}}

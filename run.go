@@ -38,6 +38,12 @@ type StopFunc = core.StopFunc
 // graphit/algo.
 type Ordered = core.Ordered
 
+// MinPlus is the native min-plus relaxation prio[dst] = min(prio[dst],
+// prio[src]+w): set Ordered.Relax to it instead of writing that UDF as an
+// Apply closure, and every engine runs it without a call per edge. It needs
+// a weighted graph and lower_first order.
+const MinPlus = core.MinPlus
+
 // RunOrdered executes op under schedule s and returns execution counters.
 func RunOrdered(op *Ordered, s Schedule) (Stats, error) {
 	return RunOrderedContext(context.Background(), op, s)
