@@ -227,36 +227,21 @@ func (o *Ordered) processPull(v uint32, inFron []bool, u *Updater) {
 	neigh := g.InNeighbors(v)
 	wts := g.InWeights(v)
 	touched := false
-	if o.Relax == MinPlus {
-		wts = wts[:len(neigh)]
-		// Only this worker writes Prio[v], so one load serves the whole
-		// sweep; sources are read atomically, as other workers write them.
-		cur := atomicutil.Load(&o.Prio[v])
-		for i, src := range neigh {
-			if !inFron[src] {
-				continue
-			}
-			u.relaxations++
-			touched = true
-			if np := atomicutil.Load(&o.Prio[src]) + int64(wts[i]); np < cur {
-				cur = np
-				atomicutil.Store(&o.Prio[v], np)
-				u.record(v, np)
-			}
+	for i, src := range neigh {
+		if !inFron[src] {
+			continue
 		}
-	} else {
-		for i, src := range neigh {
-			if !inFron[src] {
-				continue
-			}
-			var wt int32
-			if wts != nil {
-				wt = wts[i]
-			}
-			u.relaxations++
+		var wt int32
+		if wts != nil {
+			wt = wts[i]
+		}
+		u.relaxations++
+		if o.Relax == MinPlus {
+			u.UpdatePriorityMin(v, atomicutil.Load(&o.Prio[src])+int64(wt))
+		} else {
 			o.Apply(src, v, wt, u)
-			touched = true
 		}
+		touched = true
 	}
 	if touched {
 		u.processed++

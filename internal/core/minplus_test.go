@@ -51,12 +51,12 @@ func pairRun(t *testing.T, g *graph.Graph, src uint32, cfg Config, run func(*Ord
 }
 
 // TestMinPlusMatchesApply: the native MinPlus body of every engine computes
-// what the UDF closure it replaces computes, under every legal direction of
-// every strategy it runs under, coarsened or not, serial or parallel, and
-// serially with finalize-on-pop (which, coarsened, blocks updates to vertices
-// already dequeued in the bucket) — and, serially, with the same counts. The
-// approximate engine and a serial retry after an injected relax-chunk panic
-// are held to the same bar.
+// what the UDF closure it replaces computes — the same priorities, and at one
+// worker the same Stats — under every legal direction of every strategy,
+// coarsened or not, serial or parallel. Finalize-on-pop, which when coarsened
+// blocks updates to vertices already dequeued in the bucket, is compared at
+// one worker. The approximate engine and a serial retry after an injected
+// relax-chunk panic are held to the same bar.
 func TestMinPlusMatchesApply(t *testing.T) {
 	legal := []struct {
 		s    Strategy

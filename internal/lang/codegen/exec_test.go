@@ -194,6 +194,30 @@ end`
 	}
 }
 
+// TestMinPlusShapeOnHigherFirstIsADSLError: the engine's native MinPlus is
+// lower_first only. Figure 3's UDF over a higher_first queue is refused by
+// analysis with a DSL-level message, before lowering or any engine sees it.
+func TestMinPlusShapeOnHigherFirstIsADSLError(t *testing.T) {
+	src := interpHeader + `
+func updateEdge(src : Vertex, dst : Vertex, weight : int)
+    pq.updatePriorityMin(dst, dist[src] + weight);
+end
+func main()
+    dist[0] = 0;
+    pq = new priority_queue{Vertex}(int)(true, "higher_first", dist, 0);
+    while (pq.finished() == false)
+        var bucket : vertexset{Vertex} = pq.dequeueReadySet();
+        edges.from(bucket).applyUpdatePriority(updateEdge);
+        delete bucket;
+    end
+    print dist[3];
+end`
+	_, err := Compile(src)
+	if err == nil || !strings.Contains(err.Error(), "lowers priorities on a higher_first queue") {
+		t.Fatalf("err = %v, want analysis's higher_first error", err)
+	}
+}
+
 // TestPlanWidestPathMaxQueue exercises the higher_first /
 // updatePriorityMax path of the plan backend end-to-end.
 func TestPlanWidestPathMaxQueue(t *testing.T) {

@@ -316,7 +316,8 @@ func (l *lowerer) loop(p *Plan) *irLoop {
 	}
 	if info.MinPlus {
 		// The engine runs the recognised relaxation natively; the body is
-		// never lowered.
+		// never lowered. Analysis refuses updatePriorityMin on a higher_first
+		// queue, so the queue here is lower_first, as MinPlus requires.
 		lp.relax = core.MinPlus
 		return lp
 	}

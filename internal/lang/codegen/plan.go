@@ -117,9 +117,13 @@ func (p *Plan) Execute(opt ExecOptions) (*ExecResult, error) {
 	return newMachine(ir, g, opt).run()
 }
 
-// graph returns opt.Graph, or loads argv[1] when it is nil.
+// graph returns opt.Graph, or loads argv[1] when it is nil. A program whose
+// edgeset carries weights needs a graph that has them, as load(argv[1]) gives.
 func (p *Plan) graph(opt ExecOptions) (*graph.Graph, error) {
 	if opt.Graph != nil {
+		if p.Checked.Weighted && !opt.Graph.Weighted() {
+			return nil, fmt.Errorf("codegen: the program's edgeset is weighted but ExecOptions.Graph has no weights")
+		}
 		return opt.Graph, nil
 	}
 	if len(opt.Argv) < 2 {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -275,6 +276,23 @@ func TestPlanAStarWithExternHeuristic(t *testing.T) {
 	}
 	if got := res.Vectors["dist"][dst]; got != want[dst] {
 		t.Fatalf("A* dist = %d, want %d", got, want[dst])
+	}
+}
+
+// TestPlanRejectsUnweightedGraph: a program over a weighted edgeset given a
+// graph without weights fails in codegen, before any engine runs.
+func TestPlanRejectsUnweightedGraph(t *testing.T) {
+	plan, err := Compile(readDSL(t, "sssp.gt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Build([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, graph.BuildOptions{InEdges: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = plan.Execute(ExecOptions{Graph: g, Argv: []string{"sssp", "-", "0"}})
+	if err == nil || !strings.HasPrefix(err.Error(), "codegen:") {
+		t.Fatalf("err = %v, want a codegen error", err)
 	}
 }
 
