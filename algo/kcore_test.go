@@ -69,6 +69,53 @@ func TestKCoreMatchesReferenceAcrossSchedules(t *testing.T) {
 	}
 }
 
+// TestKCoreConstantSumCountsIndependentOfWorkers: lazy_constant_sum k-core
+// on a hub-heavy symmetrized R-MAT gives the reference coreness and the same
+// Rounds, Relaxations, BucketInserts and Processed at every worker count.
+// The histogram's counts are exact whichever worker makes a vertex's first
+// touch, so each round drains the same totals; an interleaving bug in the
+// first-touch rule shows up here as a lost or double-applied count.
+func TestKCoreConstantSumCountsIndependentOfWorkers(t *testing.T) {
+	opt := graphit.DefaultRMAT(12, 16, 5)
+	opt.Symmetrize = true
+	g, err := graphit.RMAT(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := Lookup("kcore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := sp.Ref(g, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base graphit.Stats
+	for _, w := range []int{1, 2, 4} {
+		sched := graphit.DefaultSchedule().ConfigApplyPriorityUpdate("lazy_constant_sum").ConfigNumWorkers(w)
+		got, err := KCore(g, sched)
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", w, err)
+		}
+		for v, c := range ref.Values {
+			if got.Coreness[v] != c {
+				t.Fatalf("Workers=%d: coreness[%d] = %d, want %d", w, v, got.Coreness[v], c)
+			}
+		}
+		st := got.Stats
+		if w == 1 {
+			base = st
+			continue
+		}
+		if st.Rounds != base.Rounds || st.Relaxations != base.Relaxations ||
+			st.BucketInserts != base.BucketInserts || st.Processed != base.Processed {
+			t.Errorf("Workers=%d: rounds/relaxations/inserts/processed = %d/%d/%d/%d, want %d/%d/%d/%d as at Workers=1",
+				w, st.Rounds, st.Relaxations, st.BucketInserts, st.Processed,
+				base.Rounds, base.Relaxations, base.BucketInserts, base.Processed)
+		}
+	}
+}
+
 func TestKCoreRejectsCoarsening(t *testing.T) {
 	g := symGraphs(t)["rmat"]
 	_, err := KCore(g, graphit.DefaultSchedule().ConfigApplyPriorityUpdateDelta(4))

@@ -147,11 +147,16 @@ func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedu
 				}
 			}
 		})
-		// Phase 3: release all reservations made this round.
+		// Phase 3: release all reservations made this round. Each set
+		// clears only the elements it reserved: the smallest-id reserver of
+		// e is itself a ready set that visits e here, so every reservation
+		// is still cleared, and the other visitors only read.
 		parallel.ForChunks(len(sets), cfg.Grain, func(lo, hi, _ int) {
 			for _, s := range sets[lo:hi] {
 				elementsOf(s, func(e uint32) {
-					atomicutil.Store(&reserve[e], unreserved)
+					if atomicutil.Load(&reserve[e]) == int64(s) {
+						atomicutil.Store(&reserve[e], unreserved)
+					}
 				})
 			}
 		})

@@ -181,3 +181,42 @@ func TestEagerMinPlusSteadyStateAllocs(t *testing.T) {
 		t.Error("replayed rounds relaxed no edges")
 	}
 }
+
+// TestConstSumSteadyStateAllocs: a warmed lazy_constant_sum round — the
+// prebuilt counting body, the per-worker touched lists, Drain and the
+// transformed UDF — performs zero heap allocation. The replayed frontier is
+// fixed and the floor is 0, so each replay re-counts the same destinations
+// and drains them (moving any still above 0 further down) without growing
+// a buffer past the warm round's size.
+func TestConstSumSteadyStateAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Strategy = LazyConstantSum
+	cfg.Workers = 1
+	op, _ := kcoreOp(t, 7, cfg)
+	op.Cfg.normalize()
+	if err := op.validate(); err != nil {
+		t.Fatal(err)
+	}
+	active, err := op.initialActive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := op.buildEngine(new(scratch), parallel.NewExecutor(1), active, &runCtl{})
+	tr, ok := e.trav.(*constSumTrav)
+	if !ok {
+		t.Fatalf("expected *constSumTrav, got %T", e.trav)
+	}
+	frontier := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
+	if updated, _, aborted := tr.relax(0, 0, frontier); aborted || len(updated) == 0 {
+		t.Fatalf("warm round: %d updated, aborted=%v; want a completed round that moves priorities", len(updated), aborted)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.relax(0, 0, frontier)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state constant-sum round allocates %.0f times, want 0", allocs)
+	}
+	if e.ups[0].relaxations == 0 {
+		t.Error("replayed rounds counted no edges")
+	}
+}

@@ -326,7 +326,7 @@ func (o *Ordered) compose(sc *scratch, ex *parallel.Executor, ctl *runCtl, fusio
 		for _, u := range ups {
 			u.atomics = true
 		}
-		return &constSumTrav{o: o, ex: ex, sc: sc, ups: ups, hist: sc.getHist(n), grain: grain, ctl: ctl}, ups, nil
+		return &constSumTrav{o: o, ex: ex, sc: sc, ups: ups, hist: sc.getHist(n, w), grain: grain, ctl: ctl}, ups, nil
 	default: // Lazy
 		t := &lazyTrav{
 			o: o, ex: ex, sc: sc, ups: ups, grain: grain,

@@ -195,32 +195,39 @@ type constSumTrav struct {
 	hist  *histogram.Counter
 	grain int
 	ctl   *runCtl
+
+	countBody func(lo, hi, worker int) // built once per run, like pushBody
+	curVerts  []uint32                 // countBody's frontier for the current sweep
 }
 
 func (t *constSumTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool, bool) {
 	o := t.o
-	g := o.G
 	if o.fin != nil {
 		for _, v := range frontier {
 			o.fin.TrySet(v)
 		}
 	}
-	t.ex.ForChunks(len(frontier), t.grain, func(lo, hi, worker int) {
-		if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
-			return
-		}
-		u := t.ups[worker]
-		for _, v := range frontier[lo:hi] {
-			u.processed++
-			for _, d := range g.OutNeigh(v) {
-				u.relaxations++
-				if o.fin != nil && o.fin.IsSet(d) {
-					continue
+	if t.countBody == nil {
+		t.countBody = func(lo, hi, worker int) {
+			if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
+				return
+			}
+			u := t.ups[worker]
+			for _, v := range t.curVerts[lo:hi] {
+				u.processed++
+				for _, d := range o.G.OutNeigh(v) {
+					u.relaxations++
+					if o.fin != nil && o.fin.IsSet(d) {
+						continue
+					}
+					t.hist.Add(d, worker)
 				}
-				t.hist.Add(d)
 			}
 		}
-	})
+	}
+	t.curVerts = frontier
+	t.ex.ForChunks(len(frontier), t.grain, t.countBody)
+	t.curVerts = nil
 	// Abort gate before Drain: the counting sweep above never touches the
 	// priority vector, so an aborted round leaves Prio untouched and a
 	// serial retry re-counts on a fresh histogram and applies exactly once.

@@ -32,6 +32,7 @@ type scratch struct {
 	pack     parallel.PackScratch
 	hist     *histogram.Counter
 	histN    int
+	histW    int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -102,11 +103,11 @@ func (sc *scratch) getDense(n int) (inFron, nextMap []bool) {
 	return sc.inFron, sc.nextMap
 }
 
-// getHist returns a drained histogram counter sized for n vertices.
-func (sc *scratch) getHist(n int) *histogram.Counter {
-	if sc.hist == nil || sc.histN < n {
-		sc.hist = histogram.New(n)
-		sc.histN = n
+// getHist returns a drained histogram counter for n vertices and w workers.
+func (sc *scratch) getHist(n, w int) *histogram.Counter {
+	if sc.hist == nil || sc.histN < n || sc.histW < w {
+		sc.hist = histogram.New(n, w)
+		sc.histN, sc.histW = n, w
 	}
 	return sc.hist
 }

@@ -13,46 +13,29 @@
 // registry (internal/obs) folds latencies and frontier sizes into.
 package histogram
 
-import (
-	"sync"
-	"sync/atomic"
+import "sync/atomic"
 
-	"graphit/internal/atomicutil"
-)
-
-// Counter accumulates per-vertex update counts for one round.
+// Counter accumulates per-vertex update counts for one round. An update is
+// one fetch-add; the add that returns 1 is the vertex's first touch this
+// round, and its worker appends the vertex to its own touched list.
 type Counter struct {
 	counts  []int64
-	seen    *atomicutil.Flags
-	mu      sync.Mutex
-	touched []uint32
+	touched [][]uint32 // touched[worker]: vertices whose first touch it made
 }
 
-// New returns a counter over vertices [0, n).
-func New(n int) *Counter {
+// New returns a counter over vertices [0, n) for workers [0, workers).
+func New(n, workers int) *Counter {
 	return &Counter{
-		counts: make([]int64, n),
-		seen:   atomicutil.NewFlags(n),
+		counts:  make([]int64, n),
+		touched: make([][]uint32, workers),
 	}
 }
 
-// Add records one update for v. Safe for concurrent use.
-func (c *Counter) Add(v uint32) {
-	atomic.AddInt64(&c.counts[v], 1)
-	if c.seen.TrySet(v) {
-		c.mu.Lock()
-		c.touched = append(c.touched, v)
-		c.mu.Unlock()
-	}
-}
-
-// AddN records n updates for v at once. Safe for concurrent use.
-func (c *Counter) AddN(v uint32, n int64) {
-	atomic.AddInt64(&c.counts[v], n)
-	if c.seen.TrySet(v) {
-		c.mu.Lock()
-		c.touched = append(c.touched, v)
-		c.mu.Unlock()
+// Add records one update for v on behalf of worker. Safe for concurrent use
+// provided no two goroutines pass the same worker at once.
+func (c *Counter) Add(v uint32, worker int) {
+	if atomic.AddInt64(&c.counts[v], 1) == 1 {
+		c.touched[worker] = append(c.touched[worker], v)
 	}
 }
 
@@ -60,13 +43,20 @@ func (c *Counter) AddN(v uint32, n int64) {
 // accumulated count, then resets the counter for the next round. Drain is
 // not safe for concurrent use with Add.
 func (c *Counter) Drain(fn func(v uint32, count int64)) {
-	for _, v := range c.touched {
-		fn(v, c.counts[v])
-		c.counts[v] = 0
-		c.seen.Clear(v)
+	for w, list := range c.touched {
+		for _, v := range list {
+			fn(v, c.counts[v])
+			c.counts[v] = 0
+		}
+		c.touched[w] = list[:0]
 	}
-	c.touched = c.touched[:0]
 }
 
 // Touched returns the number of distinct vertices updated this round.
-func (c *Counter) Touched() int { return len(c.touched) }
+func (c *Counter) Touched() int {
+	n := 0
+	for _, list := range c.touched {
+		n += len(list)
+	}
+	return n
+}
