@@ -66,7 +66,8 @@ func LoadGraph(path string, opt BuildOptions) (*Graph, error) {
 	return graph.LoadFile(path, opt)
 }
 
-// BuildGraph constructs a CSR graph from an edge list (consumed).
+// BuildGraph constructs a CSR graph from an edge list. The edge list is
+// consumed; its contents are unspecified afterwards.
 func BuildGraph(edges []Edge, opt BuildOptions) (*Graph, error) {
 	return graph.Build(edges, opt)
 }

@@ -2,7 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Edge is a directed weighted edge used by builders and loaders.
@@ -30,8 +31,17 @@ type BuildOptions struct {
 	Coords []Point
 }
 
-// Build constructs a CSR graph from an edge list. The edge list is consumed
-// (sorted in place).
+// Build constructs a CSR graph from an edge list. The edge list is consumed;
+// its contents are unspecified afterwards.
+//
+// Construction is a counting sort, as in GAPBS's builder: one pass counts
+// every source's degree (an edge counts for both endpoints under
+// Symmetrize), a prefix sum turns the counts into offsets, and a second pass
+// scatters each edge straight into the final Neigh/Wts arrays. Each
+// vertex's range is then sorted by (destination, weight) and, when
+// duplicates are removed, compacted in place so the minimum weight
+// survives. The result is the same as sorting the whole edge list by
+// (source, destination, weight).
 func Build(edges []Edge, opt BuildOptions) (*Graph, error) {
 	n := opt.NumVertices
 	for _, e := range edges {
@@ -42,82 +52,151 @@ func Build(edges []Edge, opt BuildOptions) (*Graph, error) {
 			n = int(e.Dst) + 1
 		}
 	}
+	if int64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: %d vertices exceed the limit of 2^32-1", n)
+	}
 	if opt.NumVertices > 0 && n > opt.NumVertices {
 		return nil, fmt.Errorf("graph: edge endpoint exceeds NumVertices=%d", opt.NumVertices)
 	}
 	if opt.Coords != nil && len(opt.Coords) != n {
 		return nil, fmt.Errorf("graph: %d coords for %d vertices", len(opt.Coords), n)
 	}
-
-	if opt.RemoveSelfLoops {
-		kept := edges[:0]
-		for _, e := range edges {
-			if e.Src != e.Dst {
-				kept = append(kept, e)
-			}
-		}
-		edges = kept
-	}
 	if opt.Symmetrize {
-		rev := make([]Edge, 0, len(edges))
-		for _, e := range edges {
-			rev = append(rev, Edge{Src: e.Dst, Dst: e.Src, W: e.W})
-		}
-		edges = append(edges, rev...)
 		// Symmetrizing introduces duplicates whenever both directions were
-		// already present; always dedup so degrees stay meaningful.
+		// already present; always dedup so degrees stay meaningful. A
+		// self-loop is its own reverse, so it is scattered once.
 		opt.RemoveDuplicates = true
 	}
+	skip := func(e Edge) bool { return opt.RemoveSelfLoops && e.Src == e.Dst }
+	mirror := func(e Edge) bool { return opt.Symmetrize && e.Src != e.Dst }
 
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
+	// Count: off[v+1] is v's degree, then the prefix sum makes off[v] the
+	// start of v's range.
+	off := make([]int64, n+1)
+	for _, e := range edges {
+		if skip(e) {
+			continue
 		}
-		if edges[i].Dst != edges[j].Dst {
-			return edges[i].Dst < edges[j].Dst
+		off[e.Src+1]++
+		if mirror(e) {
+			off[e.Dst+1]++
 		}
-		return edges[i].W < edges[j].W
-	})
-	if opt.RemoveDuplicates {
-		kept := edges[:0]
-		for i, e := range edges {
-			if i > 0 && e.Src == kept[len(kept)-1].Src && e.Dst == kept[len(kept)-1].Dst {
-				continue // keep first = minimum weight due to sort order
+	}
+	var maxDeg int64
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, off[v+1])
+		off[v+1] += off[v]
+	}
+	raw := off[n]
+
+	// Scatter, with off[v] as v's cursor: afterwards off[v] is the end of
+	// v's range, which is where v+1's range starts.
+	neigh := make([]VertexID, raw)
+	var wts []Weight
+	if opt.Weighted {
+		wts = make([]Weight, raw)
+	}
+	put := func(src, dst VertexID, w Weight) {
+		at := off[src]
+		off[src]++
+		neigh[at] = dst
+		if wts != nil {
+			wts[at] = w
+		}
+	}
+	for _, e := range edges {
+		if skip(e) {
+			continue
+		}
+		put(e.Src, e.Dst, e.W)
+		if mirror(e) {
+			put(e.Dst, e.Src, e.W)
+		}
+	}
+	edges = nil // let the collector take the input back during the sort
+
+	// Sort and compact each range, writing the final offsets. Sorted by
+	// (dst, w), the first of a run of parallel edges carries the minimum
+	// weight.
+	var keys []uint64
+	if wts != nil {
+		keys = make([]uint64, maxDeg)
+	}
+	var m, lo int64
+	for v := 0; v < n; v++ {
+		hi := off[v]
+		off[v] = m
+		if wts == nil {
+			slices.Sort(neigh[lo:hi])
+		} else {
+			sortPairs(neigh[lo:hi], wts[lo:hi], keys)
+		}
+		if !opt.RemoveDuplicates { // nothing moves
+			m, lo = hi, hi
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			if m > off[v] && neigh[i] == neigh[m-1] {
+				continue
 			}
-			kept = append(kept, e)
+			neigh[m] = neigh[i]
+			if wts != nil {
+				wts[m] = wts[i]
+			}
+			m++
 		}
-		edges = kept
+		lo = hi
+	}
+	off[n] = m
+
+	// Keep the scatter arrays unless dedup freed more than a quarter of
+	// them: copying costs a transient second set of arrays, keeping costs
+	// the slack for the graph's lifetime.
+	neigh = neigh[:m]
+	if wts != nil {
+		wts = wts[:m]
+	}
+	if 4*(raw-m) > raw {
+		neigh, wts = slices.Clone(neigh), slices.Clone(wts)
 	}
 
 	g := &Graph{
 		n:         n,
-		m:         len(edges),
-		Off:       make([]int64, n+1),
-		Neigh:     make([]VertexID, len(edges)),
+		m:         int(m),
+		Off:       off,
+		Neigh:     neigh,
+		Wts:       wts,
 		symmetric: opt.Symmetrize,
 		Coord:     opt.Coords,
 	}
-	if opt.Weighted {
-		g.Wts = make([]Weight, len(edges))
-	}
-	for _, e := range edges {
-		g.Off[e.Src+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.Off[v+1] += g.Off[v]
-	}
-	for i, e := range edges {
-		g.Neigh[i] = e.Dst
-		if opt.Weighted {
-			g.Wts[i] = e.W
-		}
-		_ = i
-	}
-
 	if opt.InEdges {
 		buildInEdges(g)
 	}
 	return g, nil
+}
+
+// sortPairs sorts the parallel ranges ns and ws by (ns[i], ws[i]), using
+// keys (at least len(ns) long) as scratch. A range already in order, such
+// as one copied from a built graph's Edges, is left alone; any other sorts
+// packed dst<<32 | w keys, where flipping the weight's sign bit makes the
+// unsigned key order the signed weight order.
+func sortPairs(ns []VertexID, ws []Weight, keys []uint64) {
+	sorted := true
+	for i := 1; i < len(ns) && sorted; i++ {
+		sorted = ns[i-1] < ns[i] || ns[i-1] == ns[i] && ws[i-1] <= ws[i]
+	}
+	if sorted {
+		return
+	}
+	const sign = 1 << 31
+	keys = keys[:len(ns)]
+	for i, d := range ns {
+		keys[i] = uint64(d)<<32 | uint64(uint32(ws[i])^sign)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		ns[i], ws[i] = VertexID(k>>32), Weight(uint32(k)^sign)
+	}
 }
 
 // buildInEdges fills the transposed CSR from the out-CSR.
