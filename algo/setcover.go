@@ -37,7 +37,8 @@ type SetCoverResult struct {
 // set moves buckets at most once per round.
 //
 // Like k-core, set cover tolerates no priority coarsening; the schedule's
-// ∆ must be 1. The schedule's NumBuckets and Grain options apply.
+// ∆ must be 1. The schedule's NumBuckets, Grain and NumWorkers options
+// apply.
 func SetCover(g *graphit.Graph, sched graphit.Schedule) (*SetCoverResult, error) {
 	return SetCoverContext(context.Background(), g, sched)
 }
@@ -45,6 +46,23 @@ func SetCover(g *graphit.Graph, sched graphit.Schedule) (*SetCoverResult, error)
 // SetCoverContext is SetCover under a context: cancellation is checked at
 // every round barrier and returns the partial (possibly incomplete) cover
 // together with ctx.Err().
+//
+// Each round runs two phases over the bucket's ready sets, and every set
+// reads only its live elements, as in Julienne: a set's first visit reads
+// its CSR range plus itself and packs the elements still uncovered into a
+// list of its own (carved from its worker's append-only slab; the graph is
+// never modified), and every later pass reads and re-packs that list in
+// place. Phase 1 write-mins the set's id onto each live element while
+// packing. Phase 2 counts the elements the set won; a set that commits
+// covers them and clears its reservations in the same pass, and one that
+// does not clears its reservations while recounting and re-packing. Only a
+// set itself ever tests an element's reservation against its own id, so no
+// third release phase is needed. A set's bucket is its packed length.
+//
+// The rounds run on an executor of the schedule's ConfigNumWorkers workers,
+// checked out for this run alone. At one worker the cover is deterministic.
+// Stats.Relaxations counts element visits: every list entry either phase
+// reads.
 func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedule) (*SetCoverResult, error) {
 	if !g.Symmetric() {
 		return nil, fmt.Errorf("algo: set cover requires a symmetrized graph")
@@ -60,112 +78,145 @@ func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedu
 
 	const unreserved = int64(math.MaxInt64)
 	const uncoveredMark = int64(-1)
+	const slabChunk = 1 << 14     // entries per slab allocation
 	coveredBy := make([]int64, n) // element -> committed set
 	reserve := make([]int64, n)   // element -> reserving set this round
-	prio := make([]int64, n)      // set -> # uncovered elements it covers
-	chosen := make([]bool, n)
-	for v := 0; v < n; v++ {
+	for v := range coveredBy {
 		coveredBy[v] = uncoveredMark
 		reserve[v] = unreserved
-		prio[v] = int64(g.OutDegree(graphit.VertexID(v))) + 1 // neighbors + self
 	}
-
-	bktOf := func(v uint32) int64 {
-		if p := prio[v]; p > 0 {
-			return p
+	chosen := make([]bool, n)
+	// live[s] is set s's packed list: the elements still uncovered when s
+	// was last visited, nil before its first visit and empty once s is
+	// committed or has nothing left to cover.
+	live := make([][]uint32, n)
+	bktOf := func(s uint32) int64 {
+		l := live[s]
+		if l == nil {
+			return int64(g.OutDegree(s)) + 1 // neighbors + self
 		}
-		return bucket.NullBkt
+		if len(l) == 0 {
+			return bucket.NullBkt
+		}
+		return int64(len(l))
 	}
 	lz := bucket.NewLazy(n, bucket.Decreasing, cfg.NumBuckets, bktOf)
 
-	var st graphit.Stats
-	elementsOf := func(v uint32, f func(e uint32)) {
-		f(v)
-		for _, e := range g.OutNeigh(v) {
-			f(e)
+	ex := parallel.Acquire(cfg.Workers)
+	defer parallel.Release(ex)
+	type coverWorker struct {
+		slab    []uint32 // current slab chunk; first visits pack into its tail
+		updated []uint32 // sets to re-bucket after this round
+		visits  int64
+		_       [64]byte // keeps workers' fields off one cache line
+	}
+	workers := make([]coverWorker, ex.Workers())
+	var sets []uint32
+	var threshold int64
+
+	// Phase 1: reserve and pack. Every ready set write-mins its id onto its
+	// uncovered elements (the smallest set id wins each) and keeps only
+	// those in its list. Sets commit only in phase 2, so coveredBy is read
+	// plainly here.
+	reservePhase := func(lo, hi, worker int) {
+		w := &workers[worker]
+		for _, s := range sets[lo:hi] {
+			src := live[s]
+			dst, first := src[:0], src == nil // a re-pack overwrites what it has read
+			if first {
+				// The CSR range plus s itself, packed into this worker's slab.
+				src = g.OutNeigh(s)
+				if cap(w.slab)-len(w.slab) < len(src)+1 {
+					w.slab = make([]uint32, 0, max(slabChunk, len(src)+1))
+				}
+				dst = w.slab[len(w.slab):]
+				w.visits++
+				if coveredBy[s] == uncoveredMark {
+					atomicutil.WriteMin(&reserve[s], int64(s))
+					dst = append(dst, s)
+				}
+			}
+			for _, e := range src {
+				if coveredBy[e] == uncoveredMark {
+					atomicutil.WriteMin(&reserve[e], int64(s))
+					dst = append(dst, e)
+				}
+			}
+			w.visits += int64(len(src))
+			if first {
+				w.slab = w.slab[:len(w.slab)+len(dst)]
+			}
+			live[s] = dst
+		}
+	}
+	// Phase 2: a set that reserved at least half of the bucket's value
+	// commits; the rest are re-bucketed by their true remaining coverage.
+	commitPhase := func(lo, hi, worker int) {
+		w := &workers[worker]
+		for _, s := range sets[lo:hi] {
+			l, id := live[s], int64(s)
+			w.visits += 2 * int64(len(l))
+			var won int64
+			for _, e := range l {
+				if atomicutil.Load(&reserve[e]) == id {
+					won++
+				}
+			}
+			if won >= threshold {
+				// Releasing as it covers leaves no reservation behind, so
+				// every round starts from a clear reserve array.
+				chosen[s] = true
+				for _, e := range l {
+					if atomicutil.Load(&reserve[e]) == id {
+						atomicutil.Store(&coveredBy[e], id)
+						atomicutil.Store(&reserve[e], unreserved)
+					}
+				}
+				live[s] = l[:0] // done; never re-bucketed
+				continue
+			}
+			// An element s holds is uncovered (only s could cover it);
+			// elements other sets commit this round read as covered.
+			k := 0
+			for _, e := range l {
+				if atomicutil.Load(&reserve[e]) == id {
+					atomicutil.Store(&reserve[e], unreserved)
+				} else if atomicutil.Load(&coveredBy[e]) != uncoveredMark {
+					continue
+				}
+				l[k] = e
+				k++
+			}
+			live[s] = l[:k]
+			if k > 0 {
+				w.updated = append(w.updated, s)
+			}
 		}
 	}
 
+	var st graphit.Stats
 	var runErr error
 	for {
 		if err := ctx.Err(); err != nil {
 			runErr = err
 			break
 		}
-		bid, sets := lz.Next()
-		if bid == bucket.NullBkt {
+		var bid int64
+		if bid, sets = lz.Next(); bid == bucket.NullBkt {
 			break
 		}
 		st.Rounds++
-		// Phase 1: reservation. Every ready set write-mins its id onto its
-		// uncovered elements; the smallest set id wins each element.
-		parallel.ForChunks(len(sets), cfg.Grain, func(lo, hi, _ int) {
-			for _, s := range sets[lo:hi] {
-				elementsOf(s, func(e uint32) {
-					if atomicutil.Load(&coveredBy[e]) == uncoveredMark {
-						atomicutil.WriteMin(&reserve[e], int64(s))
-					}
-				})
-			}
-		})
-		// Phase 2: commit or release. A set that reserved at least half of
-		// the bucket's value keeps its elements; others are re-bucketed by
-		// their true remaining coverage.
-		threshold := (bid + 1) / 2
-		updated := make([][]uint32, parallel.Workers())
-		parallel.ForChunks(len(sets), cfg.Grain, func(lo, hi, worker int) {
-			for _, s := range sets[lo:hi] {
-				var won int64
-				elementsOf(s, func(e uint32) {
-					if atomicutil.Load(&coveredBy[e]) == uncoveredMark &&
-						atomicutil.Load(&reserve[e]) == int64(s) {
-						won++
-					}
-				})
-				out := &updated[worker]
-				if won >= threshold {
-					chosen[s] = true
-					elementsOf(s, func(e uint32) {
-						if atomicutil.Load(&reserve[e]) == int64(s) {
-							atomicutil.Store(&coveredBy[e], int64(s))
-						}
-					})
-					prio[s] = 0 // done; never re-bucketed
-				} else {
-					// Recompute true uncovered coverage; note elements
-					// committed this round by other sets read as covered.
-					var c int64
-					elementsOf(s, func(e uint32) {
-						if atomicutil.Load(&coveredBy[e]) == uncoveredMark {
-							c++
-						}
-					})
-					prio[s] = c
-					if c > 0 {
-						*out = append(*out, s)
-					}
-				}
-			}
-		})
-		// Phase 3: release all reservations made this round. Each set
-		// clears only the elements it reserved: the smallest-id reserver of
-		// e is itself a ready set that visits e here, so every reservation
-		// is still cleared, and the other visitors only read.
-		parallel.ForChunks(len(sets), cfg.Grain, func(lo, hi, _ int) {
-			for _, s := range sets[lo:hi] {
-				elementsOf(s, func(e uint32) {
-					if atomicutil.Load(&reserve[e]) == int64(s) {
-						atomicutil.Store(&reserve[e], unreserved)
-					}
-				})
-			}
-		})
-		st.GlobalSyncs += 3
-		var upd []uint32
-		for _, u := range updated {
-			upd = append(upd, u...)
+		threshold = (bid + 1) / 2
+		ex.ForChunks(len(sets), cfg.Grain, reservePhase)
+		ex.ForChunks(len(sets), cfg.Grain, commitPhase)
+		st.GlobalSyncs += 2
+		upd := workers[0].updated
+		for i := 1; i < len(workers); i++ {
+			upd = append(upd, workers[i].updated...)
+			workers[i].updated = workers[i].updated[:0]
 		}
 		lz.UpdateBuckets(upd)
+		workers[0].updated = upd[:0]
 	}
 
 	num := 0
@@ -173,6 +224,9 @@ func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedu
 		if c {
 			num++
 		}
+	}
+	for i := range workers {
+		st.Relaxations += workers[i].visits
 	}
 	st.BucketInserts = lz.Inserts
 	st.WindowAdvances = lz.Rebuckets

@@ -48,8 +48,9 @@ func TestFaultDrill(t *testing.T) {
 	// 8th query instead gets a one-shot round stall long enough to trip the
 	// 2s round watchdog, so the drill exercises both fault kinds. (A stall
 	// only bites when the query's primary actually runs and reaches round 2
-	// — open breakers and setcover's engine-free loop skip it — so the rate
-	// is set well above the one-in-a-drill minimum the assertion needs.)
+	// — open breakers skip it, and setcover's own round loop has no engine
+	// watchdog or relax-chunk hook to stall — so the rate is set well above
+	// the one-in-a-drill minimum the assertion needs.)
 	var injecting, stallOnly atomic.Bool
 	var reqCounter atomic.Int64
 	injecting.Store(true)
