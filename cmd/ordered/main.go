@@ -13,7 +13,7 @@
 //	ordered -algo bellmanford -graph g.wel -src 0      # unordered baseline
 //	ordered -algo sssp -graph g.wel -trace trace.jsonl # per-round JSON lines
 //	ordered -algo sssp -graph huge.bin -timeout 30s    # bounded run
-//	ordered -algo sssp -graph g.wel -round-timeout 5s -on-fault retry_serial
+//	ordered -algo sssp -graph g.wel -round-timeout 5s   # per-round watchdog
 //
 // -trace writes one JSON object per line ("-" for stdout): a run_start
 // record with the schedule and graph shape, one round record per engine
@@ -25,13 +25,11 @@
 // -timeout bounds the whole run; -round-timeout arms the engine's per-round
 // watchdog instead, aborting any single round that stalls (with a
 // diagnosable StuckError carrying recent round trace events). -stuck-rounds
-// aborts after that many consecutive zero-progress rounds. -on-fault
-// chooses what a contained fault (an edge-function panic, or a watchdog
-// abort) does to the run: "fail" halts with the partial result, and
-// "retry_serial" re-executes the faulted round serially and resumes. In
-// every case the process stays alive and prints what was computed.
+// aborts after that many consecutive zero-progress rounds. A contained
+// fault (an edge-function panic, or a watchdog abort) halts the run; the
+// process stays alive and prints the partial result.
 //
-// Algorithm, strategy, direction, and fault-policy names are validated by
+// Algorithm, strategy, and direction names are validated by
 // the shared cliutil layer (also used by cmd/graphd), so an unknown name
 // fails with one consistent error listing the valid options.
 package main
@@ -70,7 +68,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "cancel the run after this long (0 = no limit)")
 		roundTO    = flag.Duration("round-timeout", 0, "abort any single round exceeding this (0 = no watchdog)")
 		stuckK     = flag.Int("stuck-rounds", 0, "abort after this many consecutive zero-progress rounds (0 = off)")
-		onFault    = flag.String("on-fault", "fail", "reaction to a contained fault: fail | retry_serial")
 	)
 	flag.Parse()
 	if *graphPath == "" {
@@ -93,7 +90,6 @@ func main() {
 		Workers:         *workers,
 		RoundTimeout:    *roundTO,
 		StuckRounds:     *stuckK,
-		OnFault:         *onFault,
 	}.Schedule()
 	fatal(err)
 	if *workers > 0 {

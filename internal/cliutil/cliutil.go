@@ -1,9 +1,9 @@
 // Package cliutil is the shared parse-and-validate layer for binaries and
 // services that accept scheduling-language options by name (cmd/ordered,
 // cmd/graphd, the server's query endpoint). It exists so an unknown
-// strategy, direction, fault policy, or algorithm name fails with one
-// consistent error that lists the valid options, instead of each consumer
-// drifting toward its own spelling.
+// strategy, direction, or algorithm name fails with one consistent error
+// that lists the valid options, instead of each consumer drifting toward
+// its own spelling.
 package cliutil
 
 import (
@@ -28,7 +28,6 @@ type ScheduleParams struct {
 	Grain           int
 	RoundTimeout    time.Duration
 	StuckRounds     int
-	OnFault         string
 }
 
 // Schedule validates the params and builds the graphit.Schedule they
@@ -48,12 +47,6 @@ func (p ScheduleParams) Schedule() (graphit.Schedule, error) {
 			return s, optionError("direction", p.Direction, core.DirectionNames())
 		}
 		s = s.ConfigApplyDirection(p.Direction)
-	}
-	if p.OnFault != "" {
-		if _, err := core.ParseFaultPolicy(p.OnFault); err != nil {
-			return s, optionError("fault policy", p.OnFault, core.FaultPolicyNames())
-		}
-		s = s.ConfigOnFault(p.OnFault)
 	}
 	if p.Delta != 0 {
 		s = s.ConfigApplyPriorityUpdateDelta(p.Delta)
@@ -81,9 +74,9 @@ func (p ScheduleParams) Schedule() (graphit.Schedule, error) {
 
 // Normalize resolves p to its canonical, fully-defaulted form: by-name
 // fields come back with the engine's canonical spelling (an empty Strategy
-// becomes "eager_with_fusion", an empty OnFault becomes "fail", …) and the
-// numeric fields the engine would default-fill at run time (∆, the fusion
-// threshold, the bucket count) are materialized. Any two params describing
+// becomes "eager_with_fusion", …) and the numeric fields the engine would
+// default-fill at run time (∆, the fusion threshold, the bucket count) are
+// materialized. Any two params describing
 // the same effective schedule therefore normalize to identical values — the
 // property stable cache keys are built on. Operational fields (Workers,
 // Grain, RoundTimeout, StuckRounds) pass through unchanged: they select
@@ -99,7 +92,6 @@ func (p ScheduleParams) Normalize() (ScheduleParams, error) {
 	}
 	p.Strategy = cfg.Strategy.String()
 	p.Direction = cfg.Direction.String()
-	p.OnFault = cfg.OnFault.String()
 	// The engine clamps these at run time (core.Config.normalize); mirror
 	// its rules so the normalized params name the schedule that actually
 	// executes.
@@ -125,8 +117,8 @@ func (p ScheduleParams) Normalize() (ScheduleParams, error) {
 // Workers and Grain are kept: the exact engines are deterministic across
 // worker counts, but the approximate ones need not be.
 func (p ScheduleParams) CanonicalKey() string {
-	return fmt.Sprintf("strategy=%s,dir=%s,delta=%d,fusion=%d,buckets=%d,workers=%d,grain=%d,onfault=%s",
-		p.Strategy, p.Direction, p.Delta, p.FusionThreshold, p.NumBuckets, p.Workers, p.Grain, p.OnFault)
+	return fmt.Sprintf("strategy=%s,dir=%s,delta=%d,fusion=%d,buckets=%d,workers=%d,grain=%d",
+		p.Strategy, p.Direction, p.Delta, p.FusionThreshold, p.NumBuckets, p.Workers, p.Grain)
 }
 
 // ParseAlgo resolves an algorithm name against the registry; an unknown

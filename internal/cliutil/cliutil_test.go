@@ -25,11 +25,6 @@ func TestUnknownNamesListValidOptions(t *testing.T) {
 			ScheduleParams{Direction: "Sideways"},
 			[]string{`unknown direction "Sideways"`, "SparsePush", "DensePull", "DensePull-SparsePush"},
 		},
-		{
-			"fault policy",
-			ScheduleParams{OnFault: "retry"},
-			[]string{`unknown fault policy "retry"`, "fail", "retry_serial"},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,7 +67,6 @@ func TestScheduleBuildsConfiguredValues(t *testing.T) {
 		Workers:      2,
 		RoundTimeout: 250 * time.Millisecond,
 		StuckRounds:  17,
-		OnFault:      "retry_serial",
 	}.Schedule()
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +78,7 @@ func TestScheduleBuildsConfiguredValues(t *testing.T) {
 	if cfg.Strategy.String() != "lazy_constant_sum" || cfg.Delta != 64 ||
 		cfg.NumBuckets != 32 || cfg.Direction.String() != "DensePull" ||
 		cfg.Workers != 2 || cfg.RoundTimeout != 250*time.Millisecond ||
-		cfg.StuckRounds != 17 || cfg.OnFault.String() != "retry_serial" {
+		cfg.StuckRounds != 17 {
 		t.Fatalf("config = %+v", cfg)
 	}
 

@@ -34,8 +34,8 @@ func warmLazyEngine(t *testing.T, dir Direction) (*lazyTrav, []uint32) {
 	ctl := &runCtl{}
 	e := op.buildEngine(sc, ex, active, ctl)
 	var st Stats
-	if fault, err := e.run(context.Background(), NopTracer{}, false, &st); fault != nil || err != nil {
-		t.Fatalf("warmup run: fault=%v err=%v", fault, err)
+	if err := e.run(context.Background(), NopTracer{}, false, &st); err != nil {
+		t.Fatalf("warmup run: %v", err)
 	}
 	if st.Rounds == 0 {
 		t.Fatal("warmup run made no rounds")
@@ -157,8 +157,8 @@ func TestEagerMinPlusSteadyStateAllocs(t *testing.T) {
 	}
 	e := op.buildEngine(new(scratch), parallel.NewExecutor(1), active, &runCtl{})
 	var st Stats
-	if fault, err := e.run(context.Background(), NopTracer{}, false, &st); fault != nil || err != nil {
-		t.Fatalf("warmup run: fault=%v err=%v", fault, err)
+	if err := e.run(context.Background(), NopTracer{}, false, &st); err != nil {
+		t.Fatalf("warmup run: %v", err)
 	}
 	if st.FusedRounds == 0 {
 		t.Fatal("warmup run fused no rounds")

@@ -33,11 +33,7 @@ func (o *Ordered) RunApprox() (Stats, error) {
 // together with ctx.Err().
 //
 // Panics in the edge function are contained like in the bucketed engine: all
-// workers join, and the fault returns as a *PanicError with partial Stats —
-// or, under Cfg.OnFault=FaultRetrySerial, the run is re-executed serially
-// from the surviving priority vector (approximate ordering is min-only, so
-// the relaxed state is a valid starting point and the serial pass converges
-// to the same fixpoint).
+// workers join, and the fault returns as a *PanicError with partial Stats.
 func (o *Ordered) RunApproxContext(ctx context.Context) (Stats, error) {
 	o.Cfg.normalize()
 	if err := o.validate(); err != nil {
@@ -72,23 +68,7 @@ func (o *Ordered) RunApproxContext(ctx context.Context) (Stats, error) {
 	parallel.Release(ex)
 	st.BucketInserts += q.inserts
 	if pe != nil {
-		if o.Cfg.OnFault != FaultRetrySerial {
-			return st, pe
-		}
-		// Serial fallback: rebuild the queue from every still-reachable
-		// vertex and drain it on one worker with the hook suppressed. The
-		// partial parallel pass only lowered priorities, so re-relaxing
-		// from the surviving vector reaches the exact min fixpoint.
-		st.Retries++
-		if act := o.reactivate(); len(act) > 0 {
-			rq := newApproxQueue(o, act)
-			rex := parallel.NewExecutor(1)
-			rpe := o.approxPass(ctx, rq, rex, &runCtl{prefix: RetryPrefix}, batch, &st)
-			st.BucketInserts += rq.inserts
-			if rpe != nil {
-				return st, rpe
-			}
-		}
+		return st, pe
 	}
 	if err := ctx.Err(); err != nil {
 		return st, err
@@ -114,7 +94,7 @@ func newApproxQueue(o *Ordered, active []uint32) *approxQueue {
 func (o *Ordered) approxPass(ctx context.Context, q *approxQueue, ex *parallel.Executor, ctl *runCtl, batch int, st *Stats) (pe *PanicError) {
 	defer func() {
 		if r := recover(); r != nil {
-			pe = asPanicError(ctl.prefix+PhaseApproxBatch, 0, r)
+			pe = asPanicError(PhaseApproxBatch, 0, r)
 		}
 	}()
 	var stMu sync.Mutex

@@ -160,24 +160,18 @@ type Config struct {
 	// (§5.1).
 	NoDedup bool
 	// RoundTimeout, when positive, arms a watchdog that aborts any round
-	// staying in flight longer than this, returning a *StuckError (or
-	// retrying under OnFault=FaultRetrySerial). The abort is cooperative —
-	// checked at chunk boundaries inside traversal phases — so it catches
-	// livelocks (e.g. a fusion loop that never drains) but cannot interrupt
-	// a single blocked call into a user edge function. 0 disables the
-	// watchdog (the default); go test -timeout remains the backstop for
-	// truly hung code.
+	// staying in flight longer than this, returning a *StuckError. The
+	// abort is cooperative — checked at chunk boundaries inside traversal
+	// phases — so it catches livelocks (e.g. a fusion loop that never
+	// drains) but cannot interrupt a single blocked call into a user edge
+	// function. 0 disables the watchdog (the default); go test -timeout
+	// remains the backstop for truly hung code.
 	RoundTimeout time.Duration
 	// StuckRounds, when positive, aborts with a *StuckError after this many
 	// consecutive rounds that extract the same bucket with zero relaxations
 	// — a state a correct engine cannot reach, so it is reported as a
-	// defect (never retried). 0 disables the detector (the default).
+	// defect. 0 disables the detector (the default).
 	StuckRounds int
-	// OnFault selects the reaction to a contained fault (recovered panic or
-	// round timeout): FaultFail (default) returns the typed error with
-	// partial Stats; FaultRetrySerial re-executes the faulted round
-	// serially and resumes.
-	OnFault FaultPolicy
 
 	// deltaShift is log2(Delta) when Delta is a power of two, else -1; set
 	// by normalize.
@@ -256,9 +250,6 @@ type Stats struct {
 	// PullRounds counts rounds traversed in the pull direction (equal to
 	// Rounds under DensePull; per-round under Hybrid).
 	PullRounds int64 `json:"pull_rounds"`
-	// Retries counts serial fault-recovery cycles (OnFault=FaultRetrySerial):
-	// each is one contained fault that was retried and rebuilt.
-	Retries int64 `json:"retries,omitempty"`
 }
 
 func (s Stats) String() string {
@@ -386,14 +377,6 @@ func (o *Ordered) validate() error {
 	}
 	if o.Cfg.Strategy == EagerWithFusion && o.Cfg.Direction == DensePull {
 		return fmt.Errorf("core: bucket fusion requires SparsePush traversal")
-	}
-	if o.Cfg.OnFault == FaultRetrySerial && o.FinalizeOnPop && eager {
-		// Eager traversals gate per-vertex processing on fin.TrySet: a
-		// vertex finalized by a partially-applied round would be skipped by
-		// both the serial retry and the rebuild, losing its edge sweep.
-		// Lazy strategies finalize the whole frontier up-front instead, so
-		// a retry re-runs the round intact — use one of those.
-		return fmt.Errorf("core: OnFault=retry_serial cannot restore eager finalize-on-pop state; use a lazy strategy")
 	}
 	// Negative (non-null) priorities are rejected lazily, while the initial
 	// frontier is built (initialActive) — not here, which would cost an O(V)

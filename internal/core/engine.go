@@ -66,9 +66,9 @@ func (o *Ordered) Run() (Stats, error) {
 // edge function) is recovered and returned as a *PanicError, and a round
 // exceeding Cfg.RoundTimeout or stalling for Cfg.StuckRounds rounds is
 // aborted with a *StuckError — in both cases with partial Stats and the
-// process, executor, and pools intact. Under Cfg.OnFault=FaultRetrySerial
-// the engine instead re-executes the faulted round serially, rebuilds its
-// bucket state from the priority vector, and resumes.
+// process, executor, and pools intact. A contained fault ends the run; the
+// engine never retries (qexec reruns a faulted request from scratch on its
+// fallback schedule).
 func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 	o.Cfg.normalize()
 	if err := o.validate(); err != nil {
@@ -114,144 +114,21 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 		tr.RunStart(o.runInfo(len(active)))
 	}
 	var st Stats
-	var runErr error
-	clean := true
-	lastProgress := int64(-1)
-	for {
-		fault, err := e.run(ctx, tr, trace, &st)
-		// The engine (or its replacement below) is done with its source
-		// either way; fold the source's counters before moving on.
-		e.src.finish(&st)
-		if fault == nil {
-			runErr = err
-			break
-		}
-		// A fault leaves derived state (bins, dedup flags, histograms,
-		// updater buffers) partial: the scratch must not be pooled.
-		clean = false
-		if o.Cfg.OnFault != FaultRetrySerial || st.Relaxations <= lastProgress {
-			// No retry policy — or the previous retry cycle made no
-			// progress, so retrying again would loop forever on the same
-			// deterministic fault.
-			runErr = fault.err
-			break
-		}
-		lastProgress = st.Relaxations
-		st.Retries++
-		ctl.reset()
-		if fault.frontier != nil {
-			if rerr := o.retryRelax(fault, &st, ctl); rerr != nil {
-				runErr = rerr
-				break
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
-		}
-		act := o.reactivate()
-		if len(act) == 0 {
-			break // the retried round reached the fixpoint
-		}
-		// Rebuild the engine from the authoritative priority vector on
-		// fresh scratch; the dirty scratch is abandoned to the GC.
-		sc = new(scratch)
-		e = o.buildEngine(sc, ex, act, ctl)
-	}
+	runErr := e.run(ctx, tr, trace, &st)
+	e.src.finish(&st)
 	if stopWatch != nil {
 		stopWatch()
 	}
 	if trace {
 		tr.RunEnd(st, runErr)
 	}
-	// Not deferred on purpose: scratch that went through a fault — or a
-	// watchdog-driven mid-round cancellation — is dirty (partial dedup
-	// flags, undrained histogram) and must not be pooled, and pooling must
-	// happen only after every parallel phase has joined.
-	if ctl.aborted() != abortNone {
-		clean = false
-	}
-	if clean {
+	// Not deferred on purpose: pooling must happen only after every
+	// parallel phase has joined, and only clean scratch is pooled.
+	if ctl.clean(runErr) {
 		putScratch(sc)
 	}
 	parallel.Release(ex)
 	return st, runErr
-}
-
-// reactivate returns every vertex that must re-enter a rebuilt engine
-// after a fault: non-null priority and not finalized. Together with the
-// finalized flags, the priority vector is the engine's only authoritative
-// state, so this set (re-bucketed by current priority) restores a
-// consistent engine regardless of where the previous one faulted.
-// Already-settled vertices are re-processed — their relaxations win no
-// updates, so the rebuilt run still terminates with identical results.
-func (o *Ordered) reactivate() []uint32 {
-	null := o.nullPrio()
-	var act []uint32
-	for v, p := range o.Prio {
-		if p == null {
-			continue
-		}
-		if o.fin != nil && o.fin.IsSet(uint32(v)) {
-			continue
-		}
-		act = append(act, uint32(v))
-	}
-	return act
-}
-
-// retryRelax re-executes one faulted round's relax phase serially and
-// deterministically: a single worker sweeps the saved frontier with fresh
-// scratch state (clean dedup flags, empty histogram), so the round's
-// effects land exactly once even though the parallel attempt applied an
-// unknown prefix of them. Min/max updates are idempotent, and constant-sum
-// skips its serial Drain when aborted mid-count, so re-running the whole
-// frontier is safe for every strategy (validate rejects the one unsafe
-// combination, eager finalize-on-pop). Phase names seen by fault hooks
-// carry the "retry." prefix; a fault during the retry itself is terminal.
-func (o *Ordered) retryRelax(f *roundFault, st *Stats, ctl *runCtl) (err error) {
-	rctl := &runCtl{hook: ctl.hook, prefix: RetryPrefix}
-	rctl.round.Store(f.round)
-	re := o.buildRetrySweep(rctl)
-	defer func() {
-		if r := recover(); r != nil {
-			re.fold(st)
-			err = asPanicError(RetryPrefix+PhaseRelax, f.round, r)
-		}
-	}()
-	for _, u := range re.ups {
-		u.curBin, u.curPrio = f.bid, f.curPrio
-	}
-	re.trav.relax(f.bid, f.curPrio, f.frontier)
-	re.fold(st)
-	return nil
-}
-
-// retrySweep is the single-worker traversal used by retryRelax: the same
-// traversal type the faulted engine ran, minus the bucket source (the
-// retry's bucket insertions are discarded — the rebuild re-derives them
-// from the priority vector).
-type retrySweep struct {
-	trav traversal
-	ups  []*Updater
-}
-
-func (re *retrySweep) fold(st *Stats) {
-	for _, u := range re.ups {
-		st.Relaxations += u.relaxations
-		st.Inversions += u.inversions
-		st.Processed += u.processed
-		u.relaxations, u.inversions, u.processed, u.fused = 0, 0, 0, 0
-	}
-}
-
-func (o *Ordered) buildRetrySweep(ctl *runCtl) *retrySweep {
-	// One worker (w=1 runs on the caller, no goroutines) on fresh scratch.
-	// Fusion is off: the retry must re-execute exactly the faulted round, not
-	// chase newly generated same-bucket work (the rebuilt parallel engine
-	// picks that up).
-	trav, ups, _ := o.compose(new(scratch), parallel.NewExecutor(1), ctl, false)
-	return &retrySweep{trav: trav, ups: ups}
 }
 
 // tracer resolves the run's Tracer: the operator's explicit Trace field,
@@ -280,7 +157,7 @@ func (o *Ordered) runInfo(frontier int) RunInfo {
 // buildEngine composes the (bucketSource, traversal) pair for the
 // configured schedule and seeds it with the initial active set.
 func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint32, ctl *runCtl) *engine {
-	trav, ups, bins := o.compose(sc, ex, ctl, o.Cfg.Strategy == EagerWithFusion)
+	trav, ups, bins := o.compose(sc, ex, ctl)
 	e := &engine{o: o, trav: trav, ups: ups, ex: ex, ctl: ctl}
 	if bins == nil {
 		e.src = o.newLazySource(ex, active)
@@ -294,13 +171,12 @@ func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint3
 }
 
 // compose builds the schedule's traversal on sc and ex — the one
-// composition RunContext's engine, the serial retry sweep and Manual share:
-// the strategy → traversal switch, the grain default, per-worker updaters
-// sized from ex's immutable worker count (the count every traversal phase
-// runs with), their atomics flags, and the dedup and dense scratch. Eager
-// schedules also return the per-worker bins their updaters write, for the
-// caller to seed; fusion applies to eager push only.
-func (o *Ordered) compose(sc *scratch, ex *parallel.Executor, ctl *runCtl, fusion bool) (traversal, []*Updater, []*bucket.LocalBins) {
+// composition RunContext's engine and Manual share: the strategy →
+// traversal switch, the grain default, per-worker updaters sized from ex's
+// immutable worker count (the count every traversal phase runs with), their
+// atomics flags, and the dedup and dense scratch. Eager schedules also
+// return the per-worker bins their updaters write, for the caller to seed.
+func (o *Ordered) compose(sc *scratch, ex *parallel.Executor, ctl *runCtl) (traversal, []*Updater, []*bucket.LocalBins) {
 	n := o.G.NumVertices()
 	w := ex.Workers()
 	grain := o.Cfg.Grain
@@ -321,7 +197,7 @@ func (o *Ordered) compose(sc *scratch, ex *parallel.Executor, ctl *runCtl, fusio
 		for _, u := range ups {
 			u.atomics = true
 		}
-		return &eagerPush{o: o, ex: ex, ups: ups, bins: bins, fusion: fusion, grain: grain, ctl: ctl}, ups, bins
+		return &eagerPush{o: o, ex: ex, ups: ups, bins: bins, fusion: o.Cfg.Strategy == EagerWithFusion, grain: grain, ctl: ctl}, ups, bins
 	case LazyConstantSum:
 		for _, u := range ups {
 			u.atomics = true
@@ -351,7 +227,7 @@ func (e *engine) phase(name string, fn func()) (pe *PanicError) {
 	ctl := e.ctl
 	defer func() {
 		if r := recover(); r != nil {
-			pe = asPanicError(ctl.prefix+name, ctl.round.Load(), r)
+			pe = asPanicError(name, ctl.round.Load(), r)
 		}
 	}()
 	ctl.fire(name, 0)
@@ -382,11 +258,10 @@ const recentRounds = 8
 
 // run is the single shared round loop: extract the next bucket, check the
 // stop condition, sweep edges, fold counters, bulk-update buckets — with a
-// cooperative cancellation check at every round barrier. It returns a
-// non-nil roundFault when a round was interrupted by a contained panic or
-// a watchdog timeout (the caller decides between failing and retrying),
-// and a terminal error for cancellation or a no-progress abort.
-func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) (*roundFault, error) {
+// cooperative cancellation check at every round barrier. Every error it
+// returns ends the run: a contained *PanicError, a *StuckError from the
+// watchdog or the no-progress detector, or the context's error.
+func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) error {
 	o := e.o
 	ctl := e.ctl
 	keepRecent := o.Cfg.RoundTimeout > 0 || o.Cfg.StuckRounds > 0
@@ -396,22 +271,22 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) (*ro
 	var stuckSince time.Time
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		ctl.beginRound(st.Rounds + 1)
 		var bid int64
 		var frontier []uint32
 		if pe := e.phase(PhaseNext, func() { bid, frontier = e.src.next() }); pe != nil {
-			return &roundFault{err: pe, round: st.Rounds + 1}, nil
+			return pe
 		}
 		if bid == bucket.NullBkt {
 			ctl.endRound()
-			return nil, nil
+			return nil
 		}
 		curPrio := bid * o.Cfg.Delta
 		if o.Stop != nil && o.Stop(curPrio) {
 			ctl.endRound()
-			return nil, nil
+			return nil
 		}
 		st.Rounds++
 		for _, u := range e.ups {
@@ -426,25 +301,18 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) (*ro
 		pe := e.phase(PhaseRelax, func() { updated, pull, aborted = e.trav.relax(bid, curPrio, frontier) })
 		rRelax, rProc, rFused := e.fold(st)
 		if pe != nil {
-			return &roundFault{
-				err: pe, round: st.Rounds, bid: bid, curPrio: curPrio,
-				frontier: append([]uint32(nil), frontier...),
-			}, nil
+			return pe
 		}
 		if aborted {
 			if ctl.aborted() == abortCancel {
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
-			se := &StuckError{
+			return &StuckError{
 				Reason: StuckRoundTimeout, Round: st.Rounds, Bucket: bid,
 				Priority: curPrio, Frontier: len(frontier),
 				Elapsed: time.Since(begin),
 				Recent:  append([]RoundEvent(nil), recent...),
 			}
-			return &roundFault{
-				err: se, round: st.Rounds, bid: bid, curPrio: curPrio,
-				frontier: append([]uint32(nil), frontier...),
-			}, nil
 		}
 		if r := ctl.aborted(); r != abortNone {
 			// The abort raced with the round's completion: the traversal
@@ -452,7 +320,7 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) (*ro
 			// Honor cancellation at this barrier; a late timeout is moot —
 			// the round is done — so clear it and continue.
 			if r == abortCancel {
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
 			ctl.reset()
 			ctl.beginRound(st.Rounds) // keep the watchdog timing this round's tail
@@ -464,7 +332,7 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) (*ro
 		// bulk bucket update (paper Figure 5, lines 12–13).
 		st.GlobalSyncs++
 		if pe := e.phase(PhaseUpdate, func() { e.src.update(updated) }); pe != nil {
-			return &roundFault{err: pe, round: st.Rounds}, nil
+			return pe
 		}
 		ev := RoundEvent{
 			Round:       st.Rounds,
@@ -501,7 +369,7 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) (*ro
 				stuckRun++
 				if stuckRun >= o.Cfg.StuckRounds {
 					ctl.endRound()
-					return nil, &StuckError{
+					return &StuckError{
 						Reason: StuckNoProgress, Round: st.Rounds, Bucket: bid,
 						Priority: curPrio, Frontier: len(frontier),
 						Elapsed: time.Since(stuckSince),

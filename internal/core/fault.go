@@ -11,51 +11,10 @@ import (
 	"graphit/internal/parallel"
 )
 
-// FaultPolicy selects how the engine reacts to a contained fault — a panic
-// recovered from a traversal phase, or a round aborted by RoundTimeout.
-type FaultPolicy int
-
-const (
-	// FaultFail stops the run and returns the fault (a *PanicError or
-	// *StuckError) together with the partial Stats. The default.
-	FaultFail FaultPolicy = iota
-	// FaultRetrySerial re-executes the faulted round serially and
-	// deterministically on one worker, then rebuilds the engine's bucket
-	// state from the authoritative priority vector and resumes in parallel.
-	// The priority vector (plus the finalized set) is the engine's only
-	// authoritative state — bins, buckets, dedup flags, and histograms are
-	// all derived from it — so a rebuild restores a consistent engine after
-	// any mid-round fault.
-	FaultRetrySerial
-)
-
-var faultPolicyNames = [...]string{
-	FaultFail:        "fail",
-	FaultRetrySerial: "retry_serial",
-}
-
-func (p FaultPolicy) String() string {
-	if p >= 0 && int(p) < len(faultPolicyNames) {
-		return faultPolicyNames[p]
-	}
-	return fmt.Sprintf("FaultPolicy(%d)", int(p))
-}
-
-// ParseFaultPolicy parses "fail" or "retry_serial".
-func ParseFaultPolicy(s string) (FaultPolicy, error) {
-	for i, n := range faultPolicyNames {
-		if n == s {
-			return FaultPolicy(i), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown fault policy %q", s)
-}
-
 // Engine phase names, as reported by PanicError.Phase and passed to fault
 // hooks. The coarse phases (next_bucket, relax, update_buckets) bracket the
 // three stages of a round; the dotted names are the finer-grained points
-// inside the relax phase where parallel workers check in. Phases executed
-// during a serial retry carry the "retry." prefix.
+// inside the relax phase where parallel workers check in.
 const (
 	PhaseNext        = "next_bucket"
 	PhaseRelax       = "relax"
@@ -63,18 +22,15 @@ const (
 	PhaseFusion      = "relax.fusion"
 	PhaseUpdate      = "update_buckets"
 	PhaseApproxBatch = "approx.batch"
-	// RetryPrefix prefixes every phase executed by the serial retry of a
-	// faulted round (FaultRetrySerial).
-	RetryPrefix = "retry."
 )
 
 // PanicError reports a panic recovered from an engine phase. The run is
-// halted (or retried, under FaultRetrySerial), the executor's workers are
-// joined and returned to their reusable state, and the error propagates out
-// of RunContext/RunApproxContext alongside the partial Stats.
+// halted, the executor's workers are joined and returned to their reusable
+// state, and the error propagates out of RunContext/RunApproxContext
+// alongside the partial Stats.
 type PanicError struct {
 	// Phase is the engine phase the panic was recovered in (see the Phase*
-	// constants); retried phases carry the "retry." prefix.
+	// constants).
 	Phase string
 	// Round is the 1-based round being executed (0 if no round had begun).
 	Round int64
@@ -160,8 +116,7 @@ const (
 // into a user edge function — a Go limitation the watchdog documents by
 // aborting as soon as the offending chunk returns).
 type runCtl struct {
-	hook   FaultHook
-	prefix string
+	hook FaultHook
 
 	reason     atomic.Int32 // abortNone/abortTimeout/abortCancel
 	round      atomic.Int64 // 1-based round in flight (0 when idle)
@@ -188,21 +143,29 @@ func (c *runCtl) beginRound(round int64) {
 	c.roundStart.Store(time.Now().UnixNano())
 }
 
-// endRound marks the run idle (between rounds, or retrying serially) so the
-// watchdog does not time an interval no round is consuming.
+// endRound marks the run idle (between rounds) so the watchdog does not
+// time an interval no round is consuming.
 func (c *runCtl) endRound() { c.roundStart.Store(0) }
 
-// reset clears the abort flag after a handled fault so the retried/rebuilt
-// engine starts clean.
+// reset clears a timeout abort that raced with its round's completion, so
+// the run continues clean.
 func (c *runCtl) reset() {
 	c.reason.Store(abortNone)
 	c.endRound()
 }
 
+// clean reports whether a finished run's scratch may be pooled: not after a
+// contained panic or a watchdog-driven mid-round abort, which leave derived
+// state (dedup flags, histograms, lane buffers) partial.
+func (c *runCtl) clean(err error) bool {
+	_, panicked := err.(*PanicError)
+	return !panicked && c.aborted() == abortNone
+}
+
 // fire invokes the fault-injection hook, if any.
 func (c *runCtl) fire(phase string, worker int) {
 	if c.hook != nil {
-		c.hook(c.prefix+phase, c.round.Load(), worker)
+		c.hook(phase, c.round.Load(), worker)
 	}
 }
 
@@ -210,7 +173,7 @@ func (c *runCtl) fire(phase string, worker int) {
 // has no global rounds and passes the worker's batch index instead.
 func (c *runCtl) fireAt(phase string, round int64, worker int) {
 	if c.hook != nil {
-		c.hook(c.prefix+phase, round, worker)
+		c.hook(phase, round, worker)
 	}
 }
 
@@ -239,8 +202,9 @@ func (c *runCtl) startWatchdog(ctx context.Context, timeout time.Duration) func(
 		}
 		t := time.NewTicker(tick)
 		defer t.Stop()
-		// After a timeout abort the engine may retry and resume; only abort
-		// again once a different round is in flight.
+		// Abort each round start at most once: once the engine has reset a
+		// timeout that raced with its round's completion, that interval is
+		// judged and must not be aborted again.
 		var lastAborted int64
 		for {
 			select {
@@ -279,18 +243,4 @@ func asPanicError(phase string, round int64, r any) *PanicError {
 	default:
 		return &PanicError{Phase: phase, Round: round, Value: r, Stack: debug.Stack()}
 	}
-}
-
-// roundFault describes one contained fault: the error to report, and — when
-// the fault interrupted the relax phase, whose effects on the priority
-// vector may be partial — the round's saved frontier so FaultRetrySerial
-// can re-execute it. Faults outside relax (next_bucket, update_buckets, or
-// a timeout that raced with round completion) carry a nil frontier: the
-// priority vector is already consistent and a rebuild alone suffices.
-type roundFault struct {
-	err      error // *PanicError or *StuckError
-	round    int64
-	bid      int64
-	curPrio  int64
-	frontier []uint32
 }

@@ -12,37 +12,6 @@ import (
 	"graphit/internal/testutil"
 )
 
-func TestFaultPolicyParsing(t *testing.T) {
-	for _, p := range []FaultPolicy{FaultFail, FaultRetrySerial} {
-		got, err := ParseFaultPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("round trip %v: %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParseFaultPolicy("bogus"); err == nil {
-		t.Error("expected error for bogus policy")
-	}
-}
-
-func TestValidateRejectsEagerFinalizeRetry(t *testing.T) {
-	g := lineGraph(t, 4)
-	op, _ := ssspOp(g, 0, DefaultConfig())
-	op.FinalizeOnPop = true
-	op.Cfg.OnFault = FaultRetrySerial
-	if _, err := op.Run(); err == nil || !strings.Contains(err.Error(), "retry_serial") {
-		t.Fatalf("expected retry_serial rejection, got %v", err)
-	}
-	// The lazy strategies finalize the frontier up front, so the same policy
-	// is accepted there.
-	op2, _ := ssspOp(g, 0, DefaultConfig())
-	op2.FinalizeOnPop = true
-	op2.Cfg.Strategy = Lazy
-	op2.Cfg.OnFault = FaultRetrySerial
-	if _, err := op2.Run(); err != nil {
-		t.Fatalf("lazy finalize-on-pop with retry_serial should run: %v", err)
-	}
-}
-
 // stuckSrc hands out the same bucket forever — the defective bucketSource
 // the no-progress detector exists to diagnose.
 type stuckSrc struct {
@@ -72,10 +41,7 @@ func TestStuckNoProgressDetector(t *testing.T) {
 		ctl:  &runCtl{},
 	}
 	var st Stats
-	fault, err := e.run(context.Background(), NopTracer{}, false, &st)
-	if fault != nil {
-		t.Fatalf("no-progress abort must be terminal, got retryable fault %v", fault.err)
-	}
+	err := e.run(context.Background(), NopTracer{}, false, &st)
 	var se *StuckError
 	if !errors.As(err, &se) {
 		t.Fatalf("expected *StuckError, got %v", err)

@@ -67,8 +67,3 @@ func StrategyNames() []string {
 func DirectionNames() []string {
 	return append([]string(nil), directionNames[:]...)
 }
-
-// FaultPolicyNames returns the valid fault-policy names.
-func FaultPolicyNames() []string {
-	return append([]string(nil), faultPolicyNames[:]...)
-}

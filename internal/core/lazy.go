@@ -84,8 +84,7 @@ func (t *lazyTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool,
 	o := t.o
 	if o.fin != nil {
 		// Finalize dequeued vertices first so intra-bucket updates to them
-		// are rejected (k-core: coreness is fixed at dequeue). TrySet is
-		// idempotent, so a serial retry of this round re-runs it safely.
+		// are rejected (k-core: coreness is fixed at dequeue).
 		for _, v := range frontier {
 			o.fin.TrySet(v)
 		}
@@ -229,10 +228,9 @@ func (t *constSumTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, b
 	t.ex.ForChunks(len(frontier), t.grain, t.countBody)
 	t.curVerts = nil
 	// Abort gate before Drain: the counting sweep above never touches the
-	// priority vector, so an aborted round leaves Prio untouched and a
-	// serial retry re-counts on a fresh histogram and applies exactly once.
-	// Past this point the round always completes — Drain mutates Prio and
-	// must never re-run (updatePrioritySum is not idempotent).
+	// priority vector, so an aborted round leaves Prio untouched. Past this
+	// point the round always completes — Drain mutates Prio, and
+	// updatePrioritySum is not idempotent, so it is never cut short.
 	if t.ctl.aborted() != abortNone {
 		return nil, false, true
 	}

@@ -59,7 +59,7 @@ func NewManual(o *Ordered) (*Manual, error) {
 	// rounds have no watchdog or injection hook (faults reach them through
 	// the user's EdgeFunc directly), so the control block is inert.
 	ex := parallel.Acquire(o.Cfg.Workers)
-	trav, ups, _ := o.compose(&scratch{}, ex, &runCtl{}, false)
+	trav, ups, _ := o.compose(&scratch{}, ex, &runCtl{})
 	return &Manual{o: o, src: o.newLazySource(ex, active), trav: trav, ups: ups, ex: ex}, nil
 }
 

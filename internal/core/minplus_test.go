@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"graphit/internal/gen"
@@ -55,8 +54,7 @@ func pairRun(t *testing.T, g *graph.Graph, src uint32, cfg Config, run func(*Ord
 // worker the same Stats — under every legal direction of every strategy,
 // coarsened or not, serial or parallel. Finalize-on-pop, which when coarsened
 // blocks updates to vertices already dequeued in the bucket, is compared at
-// one worker. The approximate engine and a serial retry after an injected
-// relax-chunk panic are held to the same bar.
+// one worker. The approximate engine is held to the same bar.
 func TestMinPlusMatchesApply(t *testing.T) {
 	legal := []struct {
 		s    Strategy
@@ -98,25 +96,6 @@ func TestMinPlusMatchesApply(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/approx/d%d/w%d", name, delta, w), func(t *testing.T) {
 					pairRun(t, g, 0, cfg, approx)
 				})
-				for _, s := range []Strategy{EagerWithFusion, Lazy} {
-					cfg.Strategy, cfg.OnFault = s, FaultRetrySerial
-					t.Run(fmt.Sprintf("%s/%s/retry_serial/d%d/w%d", name, s, delta, w), func(t *testing.T) {
-						pairRun(t, g, 0, cfg, func(o *Ordered) (Stats, error) {
-							var fired atomic.Bool
-							ctx := WithFaultHook(context.Background(), func(phase string, round int64, _ int) {
-								if phase == PhaseRelaxChunk && round == 3 && fired.CompareAndSwap(false, true) {
-									panic("injected relax fault")
-								}
-							})
-							st, err := o.RunContext(ctx)
-							if err == nil && st.Retries != 1 {
-								err = fmt.Errorf("%d retries, want 1", st.Retries)
-							}
-							return st, err
-						})
-					})
-					cfg.OnFault = FaultFail
-				}
 			}
 		}
 	}

@@ -24,8 +24,8 @@ const MaxLanes = 64
 // not a choice. There is one engine, the serial lane kernel (see laneTrav) —
 // a serial MinPlus body over k priority planes — for every lane count and
 // configuration. Only the lazy strategy with lower_first (increasing) order
-// is supported, and OnFault=retry_serial is rejected — a faulted multi run
-// fails with partial per-lane stats. Cfg.Workers, Direction, Grain and
+// is supported, and a faulted multi run fails with partial per-lane stats,
+// like any run. Cfg.Workers, Direction, Grain and
 // NoDedup are hints a multi run ignores: the kernel is single-goroutine push
 // with its own duplicate filter, acquires no executor, and needs no
 // in-edges.
@@ -110,9 +110,6 @@ func (mo *MultiOrdered) validate() error {
 	if mo.Cfg.Strategy != Lazy {
 		return fmt.Errorf("core: multi-source runs require the lazy strategy (got %s)", mo.Cfg.Strategy)
 	}
-	if mo.Cfg.OnFault == FaultRetrySerial {
-		return fmt.Errorf("core: OnFault=retry_serial is not supported for multi-source runs")
-	}
 	k := len(mo.Lanes)
 	n := mo.G.NumVertices()
 	if max := MaxLanesFor(n); k < 1 || k > max {
@@ -146,7 +143,7 @@ func (mo *MultiOrdered) Run() (MultiStats, error) {
 
 // RunContext executes the multi-source operator under ctx with the same
 // cancellation, watchdog, and panic-containment envelope as
-// Ordered.RunContext (minus serial retry, which validate rejects). On a
+// Ordered.RunContext. On a
 // contained fault or cancellation the lane vectors hold a partially-relaxed
 // (still monotone-safe) state and MultiStats carries the partial counters.
 func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
@@ -209,12 +206,8 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 	src := &laneSource{lazySource{o: face, lz: lz}}
 	e := &engine{o: face, src: src, trav: t, ups: ups, ctl: ctl}
 
-	fault, runErr := e.run(ctx, tr, trace, &ms.Stats)
+	runErr := e.run(ctx, tr, trace, &ms.Stats)
 	src.finish(&ms.Stats)
-	if fault != nil {
-		// No retry policy for multi runs: a contained fault is terminal.
-		runErr = fault.err
-	}
 	if stopWatch != nil {
 		stopWatch()
 	}
@@ -223,7 +216,7 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 	}
 	// A faulted or aborted round leaves the cascade and partition buffers
 	// mid-use; only a clean run hands its (grown) scratch back to the pool.
-	if fault == nil && ctl.aborted() == abortNone {
+	if ctl.clean(runErr) {
 		sc.laneCasc, sc.lanePart = t.casc, t.part
 		putScratch(sc)
 	}

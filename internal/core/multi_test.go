@@ -216,7 +216,6 @@ func TestMultiValidate(t *testing.T) {
 	}{
 		{"eager strategy", func(mo *MultiOrdered) { mo.Cfg.Strategy = EagerWithFusion }},
 		{"constant-sum strategy", func(mo *MultiOrdered) { mo.Cfg.Strategy = LazyConstantSum }},
-		{"retry_serial", func(mo *MultiOrdered) { mo.Cfg.OnFault = FaultRetrySerial }},
 		{"decreasing order", func(mo *MultiOrdered) { mo.Order = bucket.Decreasing }},
 		{"zero lanes", func(mo *MultiOrdered) { mo.Lanes = nil; mo.Sources = nil }},
 		{"lane length mismatch", func(mo *MultiOrdered) { mo.Lanes[1] = mo.Lanes[1][:3] }},

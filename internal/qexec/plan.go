@@ -90,14 +90,10 @@ func (pl *Plan) batchKey() string {
 }
 
 // batchable reports whether pl may join a multi-source batch: the algorithm
-// must have a lane-parallel entry point, the schedule must be plain lazy
-// bucketing (the only strategy the k-lane engine supports), and the serial
-// retry policy is excluded (a deterministic serial re-run is undefined for
-// a shared frontier).
+// must have a lane-parallel entry point and the schedule must be lazy
+// bucketing, the only strategy the k-lane engine supports.
 func (pl *Plan) batchable() bool {
-	return pl.Spec.RunMulti != nil &&
-		pl.Params.Strategy == "lazy" &&
-		pl.Params.OnFault != "retry_serial"
+	return pl.Spec.RunMulti != nil && pl.Params.Strategy == "lazy"
 }
 
 // plan validates req against the registry and the loaded graphs and

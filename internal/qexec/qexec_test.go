@@ -4,6 +4,7 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,7 +274,7 @@ func TestCoalesceSharesOneRun(t *testing.T) {
 }
 
 // TestCoalesceFaultPropagatesFallback is the torn-result drill: the shared
-// run's primary faults (injected panics) and its transparent fallback
+// run's primary faults (a one-shot injected panic) and its fallback rerun
 // produces the answer while followers wait. Every waiter must receive the
 // complete fallback outcome — fault kind, fallback marker, and
 // reference-equal values — never a torn intermediate.
@@ -284,15 +285,15 @@ func TestCoalesceFaultPropagatesFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	// Panic on every relax chunk of rounds <= 3 (the primary faults on
-	// every parallel attempt; the serial-retry fallback absorbs them and
-	// converges) and hold round 6 — reached only by the fallback — until
-	// the followers have piled in.
+	// Panic once, in the primary's round-2 relax chunk, and hold round 3 —
+	// which only the fallback rerun reaches after that — until the
+	// followers have piled in.
+	var faulted atomic.Bool
 	hook := func(phase string, round int64, _ int) {
-		if phase == core.PhaseRelaxChunk && round <= 3 {
+		if phase == core.PhaseRelaxChunk && round == 2 && faulted.CompareAndSwap(false, true) {
 			panic("hostile edge function")
 		}
-		if phase == core.PhaseRelax && round == 6 {
+		if phase == core.PhaseRelax && round == 3 && faulted.Load() {
 			<-gate
 		}
 	}

@@ -69,9 +69,12 @@ type Outcome struct {
 	// every Code but CodeOK.
 	Code Code
 	Err  error
-	// FaultKind is the primary run's contained fault ("panic" or
-	// "stuck"), when one occurred — set even when the fallback then
-	// answered successfully.
+	// FaultKind is the kind ("panic" or "stuck") of the request's latest
+	// contained fault: the primary run's when only the primary faulted —
+	// the fallback then answered, ran out of budget, or was skipped because
+	// the caller's context had ended — and the fallback run's when the
+	// fallback faulted, whether after the primary or alone behind an open
+	// breaker (CodeFault). Empty when no run faulted.
 	FaultKind string
 	// Breaker is the (algo, strategy) breaker's state after this request.
 	Breaker string
@@ -99,14 +102,14 @@ type Outcome struct {
 
 // fallbackSchedule is the known-safe schedule a faulted or broken (algo,
 // strategy) key is re-routed to: lazy bucketing (valid for every algorithm
-// and order), serial execution, SparsePush, with the serial-retry machinery
-// absorbing any further contained faults deterministically. The watchdogs
-// stay armed — fallback runs are still untrusted.
+// and order), serial execution, SparsePush. A fallback run starts from
+// scratch and is the request's last attempt: a contained fault in it ends
+// the request with CodeFault. The watchdogs stay armed — fallback runs are
+// still untrusted.
 func fallbackSchedule(params cliutil.ScheduleParams) (graphit.Schedule, error) {
 	params.Strategy = "lazy"
 	params.Direction = "SparsePush"
 	params.Workers = 1
-	params.OnFault = "retry_serial"
 	return params.Schedule()
 }
 
@@ -155,8 +158,9 @@ func runLanes(ctx context.Context, lanes []*lane, sched graphit.Schedule, shared
 // route executes the group's lanes under the breaker policy for their
 // shared (algo, strategy) key and fills every lane's code, fault, breaker,
 // and result fields: one breaker verdict covers the run, a primary fault
-// triggers one transparent fallback attempt, and the error taxonomy is
-// applied uniformly — the lanes of a group succeed or fail together. The
+// triggers one fallback rerun from scratch (the request's last attempt: the
+// engine itself never retries), and the error taxonomy is applied
+// uniformly — the lanes of a group succeed or fail together. The
 // fallback for every k is per-lane Spec.Run under fallbackSchedule: with one
 // k-lane engine, re-running it would re-run the kernel that just faulted.
 func (p *Pipeline) route(ctx context.Context, lanes []*lane, outs []*Outcome) {

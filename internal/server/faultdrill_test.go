@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,12 +17,15 @@ import (
 	"graphit/internal/testutil"
 )
 
-// TestFaultDrill is the PR's acceptance drill, run under -race in CI: a
-// sustained barrage of concurrent mixed queries while every engine run has
-// panics injected into its early relax rounds. The service must never crash,
-// must answer every query correctly via its fallback path, must trip
-// breakers, and — once the injection stops — must half-open, probe, recover,
-// and shut down without leaking a goroutine.
+// TestFaultDrill is the serving layer's fault drill, run under -race in CI:
+// a sustained barrage of concurrent mixed queries while most engine runs
+// have faults injected. A transient fault (a one-shot trigger per request)
+// ends the primary run and the fallback rerun answers; a persistent one
+// (Repeat) faults the rerun too. The service must never crash: every 200
+// must equal the sequential reference, every other response must be a 500
+// naming its fallback and fault kind, breakers must trip, and — once the
+// injection stops — they must half-open, probe, recover, and shut down
+// without leaking a goroutine.
 func TestFaultDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault drill is a long test")
@@ -41,34 +45,44 @@ func TestFaultDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// While injecting is set, every query's context gets a fresh injector.
-	// Most queries get panics in every relax chunk of rounds <= 3 — early
-	// rounds always make progress, so the serial-retry fallback converges,
-	// and Repeat keeps the parallel primary faulting on every attempt. Every
-	// 8th query instead gets a one-shot round stall long enough to trip the
-	// 2s round watchdog, so the drill exercises both fault kinds. (A stall
-	// only bites when the query's primary actually runs and reaches round 2
-	// — open breakers skip it, and setcover's own round loop has no engine
-	// watchdog or relax-chunk hook to stall — so the rate is set well above
-	// the one-in-a-drill minimum the assertion needs.)
-	var injecting, stallOnly atomic.Bool
+	// While injecting is set, every query's context gets a fresh injector,
+	// shared by its primary run and its fallback rerun. Most queries get a
+	// one-shot panic in the first relax chunk of rounds <= 3; every 8th gets
+	// a one-shot round stall long enough to trip the 2s round watchdog, so
+	// the drill exercises both fault kinds; every 10th (offset 5) gets a
+	// persistent panic that faults the rerun too. (A fault only bites when
+	// a run reaches its phase — setcover's own round loop has no engine
+	// watchdog or relax-chunk hook — and behind an open breaker the lone
+	// fallback takes the request's fault itself.) forced, when non-zero,
+	// overrides the mix for the deterministic checks after the barrage.
+	const (
+		mixed = iota
+		forceStall
+		forceRepeat
+	)
+	var injecting atomic.Bool
+	var forced atomic.Int32
 	var reqCounter atomic.Int64
 	injecting.Store(true)
+	panicAt := faults.Trigger{
+		Phase:      core.PhaseRelaxChunk,
+		Match:      func(r int64) bool { return r <= 3 },
+		PanicValue: "drill: hostile edge function",
+	}
 	base := func(ctx context.Context) context.Context {
 		if !injecting.Load() {
 			return ctx
 		}
-		if stallOnly.Load() || reqCounter.Add(1)%8 == 0 {
-			in := faults.New(faults.DelayAt(core.PhaseRelax, 2, 4*time.Second))
-			return in.Context(ctx)
+		i, mode := reqCounter.Add(1), forced.Load()
+		switch {
+		case mode == forceStall || mode == mixed && i%8 == 0:
+			return faults.New(faults.DelayAt(core.PhaseRelax, 2, 4*time.Second)).Context(ctx)
+		case mode == forceRepeat || mode == mixed && i%10 == 5:
+			persistent := panicAt
+			persistent.Repeat = true
+			return faults.New(persistent).Context(ctx)
 		}
-		in := faults.New(faults.Trigger{
-			Phase:      core.PhaseRelaxChunk,
-			Match:      func(r int64) bool { return r <= 3 },
-			Repeat:     true,
-			PanicValue: "drill: hostile edge function",
-		})
-		return in.Context(ctx)
+		return faults.New(panicAt).Context(ctx)
 	}
 
 	srv, ts := startServer(t, server.Config{
@@ -119,24 +133,28 @@ func TestFaultDrill(t *testing.T) {
 	}
 	wg.Wait()
 
-	faulted, fellBack, panics, stalls := 0, 0, 0, 0
+	answered, failed := 0, 0
+	panics, stalls := 0, 0 // 200s that followed a primary fault, by kind
 	for _, r := range results {
 		if r.status != 200 {
-			t.Fatalf("query %d (%s): status %d, error %q", r.i, r.resp.Algo, r.status, r.resp.Error)
+			// The rerun faulted too (or ran alone behind an open breaker
+			// and took the fault): a typed 500 naming both.
+			if r.status != 500 || !r.resp.Fallback || r.resp.FaultKind == "" || r.resp.Error == "" {
+				t.Fatalf("query %d (%s): status %d fallback=%v fault_kind=%q error %q, want 200 or a typed 500",
+					r.i, r.resp.Algo, r.status, r.resp.Fallback, r.resp.FaultKind, r.resp.Error)
+			}
+			failed++
+			continue
 		}
+		answered++
 		switch r.resp.FaultKind {
 		case graphit.FaultKindPanic:
-			faulted++
 			panics++
 		case graphit.FaultKindStuck:
-			faulted++
 			stalls++
 		}
-		if r.resp.Fallback {
-			fellBack++
-		}
-		// Every checked query's answer must equal the sequential reference,
-		// no matter which path produced it.
+		// Every answer must equal the sequential reference, no matter which
+		// path produced it.
 		switch r.i % 5 {
 		case 0:
 			wantValues(t, r.resp, ids, refDist)
@@ -149,22 +167,33 @@ func TestFaultDrill(t *testing.T) {
 			wantValues(t, r.resp, ids, refCore)
 		}
 	}
-	if panics == 0 || fellBack == 0 {
-		t.Fatalf("drill saw %d panics, %d fallbacks — injection did not bite", panics, fellBack)
+	if panics == 0 {
+		t.Fatalf("no 200 followed a primary panic (%d answered, %d failed) — injection did not bite", answered, failed)
 	}
 	// Deterministic stall check: a fresh (algo, strategy) key whose breaker
 	// is closed, so the primary must run, hit the stall, trip the watchdog,
-	// and still answer correctly via the fallback.
-	stallOnly.Store(true)
+	// and still answer correctly via the fallback rerun.
+	forced.Store(forceStall)
 	st, resp := postQuery(t, ts, server.Query{
 		Algo: "sssp", Graph: "road", Src: 0, Strategy: "eager_no_fusion", Vertices: ids,
 	})
-	stallOnly.Store(false)
 	if st != 200 || resp.FaultKind != graphit.FaultKindStuck || !resp.Fallback {
 		t.Fatalf("stalled query: status %d resp %+v, want 200 with a stuck fault and fallback", st, resp)
 	}
 	wantValues(t, resp, ids, refDist)
 	stalls++
+	// Deterministic persistent-fault check: another fresh key; the panic
+	// fires in the primary and again in the rerun, so the request ends in a
+	// typed 500 with the rerun's partial stats.
+	forced.Store(forceRepeat)
+	st, resp = postQuery(t, ts, server.Query{
+		Algo: "ppsp", Graph: "road", Src: 0, Dst: uint32(g.NumVertices() - 1), Strategy: "lazy",
+	})
+	forced.Store(mixed)
+	if st != 500 || !resp.Fallback || resp.FaultKind != graphit.FaultKindPanic ||
+		!strings.Contains(resp.Error, "panic") || resp.Stats == nil {
+		t.Fatalf("persistent fault: status %d resp %+v, want a typed 500 with fallback, fault kind and stats", st, resp)
+	}
 	trips := int64(0)
 	for _, br := range statusOf(t, ts).Breakers {
 		trips += br.Trips
@@ -172,8 +201,8 @@ func TestFaultDrill(t *testing.T) {
 	if trips == 0 {
 		t.Fatal("no breaker tripped under sustained injection")
 	}
-	t.Logf("drill: %d queries, %d primary faults (%d panics, %d stalls), %d fallbacks, %d breaker trips",
-		n, faulted, panics, stalls, fellBack, trips)
+	t.Logf("drill: %d queries, %d answered (%d after a panic, %d after a stall, checks included), %d typed 500s, %d breaker trips",
+		n, answered, panics, stalls, failed, trips)
 
 	// Phase 2: stop the injection; breakers must half-open after the
 	// cooldown, probe successfully, and return to primary service.

@@ -73,8 +73,9 @@ type Response struct {
 	BatchLanes int  `json:"batch_lanes,omitempty"`
 	// Breaker is the (algo, strategy) breaker's state after this request.
 	Breaker string `json:"breaker"`
-	// FaultKind is the primary run's contained fault ("panic" or "stuck"),
-	// when one occurred.
+	// FaultKind is the kind ("panic" or "stuck") of the request's latest
+	// contained fault, as qexec.Outcome.FaultKind defines it: the primary
+	// run's when the fallback answered, the fallback's when it faulted.
 	FaultKind string         `json:"fault_kind,omitempty"`
 	Stats     *graphit.Stats `json:"stats,omitempty"`
 	ElapsedMS int64          `json:"elapsed_ms"`

@@ -145,23 +145,6 @@ type PanicError = core.PanicError
 // with recent per-round trace events attached for diagnosis.
 type StuckError = core.StuckError
 
-// FaultPolicy selects how the engine reacts to a contained fault; see
-// FaultFail and FaultRetrySerial.
-type FaultPolicy = core.FaultPolicy
-
-const (
-	// FaultFail stops the run on a contained fault and returns the typed
-	// error with partial Stats (the default).
-	FaultFail = core.FaultFail
-	// FaultRetrySerial re-executes a faulted round serially and
-	// deterministically, rebuilds the bucket state from the priority
-	// vector, and resumes in parallel.
-	FaultRetrySerial = core.FaultRetrySerial
-)
-
-// ParseFaultPolicy parses a fault policy name: "fail" or "retry_serial".
-var ParseFaultPolicy = core.ParseFaultPolicy
-
 // Fault kinds returned by ClassifyFault — the serving layer's taxonomy of
 // run outcomes (see graphit/internal/server for the consumer).
 const (

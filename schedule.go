@@ -113,9 +113,9 @@ func (s Schedule) ConfigNumWorkers(w int) Schedule {
 }
 
 // ConfigRoundTimeout arms the engine's round watchdog: any round in flight
-// longer than d is aborted with a StuckError (or retried, under
-// ConfigOnFault("retry_serial")). The abort is cooperative, checked at
-// chunk boundaries inside traversal phases; 0 disables the watchdog.
+// longer than d is aborted with a StuckError. The abort is cooperative,
+// checked at chunk boundaries inside traversal phases; 0 disables the
+// watchdog.
 func (s Schedule) ConfigRoundTimeout(d time.Duration) Schedule {
 	if d < 0 {
 		return s.fail(fmt.Errorf("schedule: round timeout must be >= 0, got %v", d))
@@ -132,19 +132,6 @@ func (s Schedule) ConfigStuckRounds(k int) Schedule {
 		return s.fail(fmt.Errorf("schedule: stuck-round count must be >= 0, got %d", k))
 	}
 	s.cfg.StuckRounds = k
-	return s
-}
-
-// ConfigOnFault selects the engine's reaction to a contained fault — a
-// recovered panic or a watchdog-aborted round: "fail" (return the typed
-// error with partial Stats, the default) or "retry_serial" (re-execute the
-// faulted round serially and resume).
-func (s Schedule) ConfigOnFault(policy string) Schedule {
-	p, err := core.ParseFaultPolicy(policy)
-	if err != nil {
-		return s.fail(err)
-	}
-	s.cfg.OnFault = p
 	return s
 }
 
