@@ -140,7 +140,7 @@ func TestUnorderedKCoreMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := UnorderedKCore(g)
+		got, err := UnorderedKCore(g, graphit.DefaultSchedule())
 		if err != nil {
 			t.Fatalf("%s: UnorderedKCore: %v", gname, err)
 		}
@@ -161,7 +161,7 @@ func TestKCoreOrderedDoesLessWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unord, err := UnorderedKCore(g)
+	unord, err := UnorderedKCore(g, graphit.DefaultSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,10 +80,33 @@ func TestRegistryRunMatchesRef(t *testing.T) {
 					}
 				}
 			}
-			if res.Stats.Rounds == 0 && name != "kcore-unordered" && name != "bellmanford" {
+			if res.Stats.Rounds == 0 {
 				t.Fatalf("%s: no engine rounds recorded", name)
 			}
 		})
+	}
+}
+
+// TestRegistryRunHonoursSchedule: every entry reads the schedule it is
+// given, so an invalid one (a negative worker count) is an error, never
+// silently ignored. The graph satisfies every entry's requirements, so the
+// error can only come from the schedule.
+func TestRegistryRunHonoursSchedule(t *testing.T) {
+	g := registryGraph(t)
+	src, dst := graphit.VertexID(0), graphit.VertexID(g.NumVertices()-1)
+	sched := graphit.DefaultSchedule().ConfigNumWorkers(-1)
+	for _, name := range algo.Names() {
+		sp, err := algo.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.CheckGraph(g); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err = sp.Run(context.Background(), g, src, dst, sched)
+		if err == nil || !strings.Contains(err.Error(), "worker count") {
+			t.Errorf("%s: Run with ConfigNumWorkers(-1) returned %v, want the schedule's worker-count error", name, err)
+		}
 	}
 }
 

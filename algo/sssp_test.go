@@ -105,7 +105,7 @@ func TestBellmanFordMatchesDijkstra(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Dijkstra: %v", gname, err)
 		}
-		got, err := BellmanFord(g, src)
+		got, err := BellmanFord(g, src, graphit.DefaultSchedule())
 		if err != nil {
 			t.Fatalf("%s: BellmanFord: %v", gname, err)
 		}

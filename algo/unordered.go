@@ -15,15 +15,23 @@ import (
 // baseline of the paper's Figure 1 and Table 4: every round relaxes all
 // out-edges of the entire active frontier regardless of priority,
 // performing redundant work that ∆-stepping avoids.
-func BellmanFord(g *graphit.Graph, src graphit.VertexID) (*SSSPResult, error) {
-	return BellmanFordContext(context.Background(), g, src)
+//
+// The rounds run on an executor of the schedule's ConfigNumWorkers workers,
+// checked out for this run alone. The schedule's other options configure
+// buckets, which this baseline does not have.
+func BellmanFord(g *graphit.Graph, src graphit.VertexID, sched graphit.Schedule) (*SSSPResult, error) {
+	return BellmanFordContext(context.Background(), g, src, sched)
 }
 
 // BellmanFordContext is BellmanFord under a context: cancellation is checked
 // at every round barrier and returns the partial distance vector together
 // with ctx.Err().
-func BellmanFordContext(ctx context.Context, g *graphit.Graph, src graphit.VertexID) (*SSSPResult, error) {
+func BellmanFordContext(ctx context.Context, g *graphit.Graph, src graphit.VertexID, sched graphit.Schedule) (*SSSPResult, error) {
 	if err := checkWeighted(g); err != nil {
+		return nil, err
+	}
+	cfg, err := sched.Config()
+	if err != nil {
 		return nil, err
 	}
 	n := g.NumVertices()
@@ -32,8 +40,9 @@ func BellmanFordContext(ctx context.Context, g *graphit.Graph, src graphit.Verte
 	frontier := []uint32{src}
 	var st graphit.Stats
 	var runErr error
-	w := parallel.Workers()
-	outs := make([][]uint32, w)
+	ex := parallel.Acquire(cfg.Workers)
+	defer parallel.Release(ex)
+	outs := make([][]uint32, ex.Workers())
 
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -43,7 +52,7 @@ func BellmanFordContext(ctx context.Context, g *graphit.Graph, src graphit.Verte
 		st.Rounds++
 		st.GlobalSyncs++
 		var relax int64
-		parallel.ForChunks(len(frontier), 0, func(lo, hi, worker int) {
+		ex.ForChunks(len(frontier), 0, func(lo, hi, worker int) {
 			var local int64
 			for _, s := range frontier[lo:hi] {
 				ds := atomicutil.Load(&dist[s])
@@ -75,16 +84,23 @@ func BellmanFordContext(ctx context.Context, g *graphit.Graph, src graphit.Verte
 // (Figure 1): for each successive k it repeatedly scans all remaining
 // vertices for those with induced degree <= k, without any bucketing, so
 // every peel level pays a full-vertex-set scan.
-func UnorderedKCore(g *graphit.Graph) (*KCoreResult, error) {
-	return UnorderedKCoreContext(context.Background(), g)
+//
+// As with BellmanFord, only the schedule's ConfigNumWorkers applies: the
+// scans and peels run on an executor of that many workers.
+func UnorderedKCore(g *graphit.Graph, sched graphit.Schedule) (*KCoreResult, error) {
+	return UnorderedKCoreContext(context.Background(), g, sched)
 }
 
 // UnorderedKCoreContext is UnorderedKCore under a context: cancellation is
 // checked at every peel round and returns the partially peeled coreness
 // vector together with ctx.Err().
-func UnorderedKCoreContext(ctx context.Context, g *graphit.Graph) (*KCoreResult, error) {
+func UnorderedKCoreContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedule) (*KCoreResult, error) {
 	if !g.Symmetric() {
 		return nil, fmt.Errorf("algo: k-core requires a symmetrized graph")
+	}
+	cfg, err := sched.Config()
+	if err != nil {
+		return nil, err
 	}
 	n := g.NumVertices()
 	deg := make([]int64, n)
@@ -101,7 +117,13 @@ func UnorderedKCoreContext(ctx context.Context, g *graphit.Graph) (*KCoreResult,
 	var st graphit.Stats
 	remaining := n
 	var runErr error
+	ex := parallel.Acquire(cfg.Workers)
+	defer parallel.Release(ex)
+	// The peel list and the pack's buffers are reused across rounds.
+	var peel []uint32
+	var pack parallel.PackScratch
 	for k := int64(0); k <= maxDeg && remaining > 0 && runErr == nil; k++ {
+		keep := func(i int) bool { return alive[i] && deg[i] <= k }
 		for {
 			if err := ctx.Err(); err != nil {
 				runErr = err
@@ -110,11 +132,8 @@ func UnorderedKCoreContext(ctx context.Context, g *graphit.Graph) (*KCoreResult,
 			st.Rounds++
 			st.GlobalSyncs++
 			// Full scan: collect alive vertices with degree <= k.
-			ids := parallel.IotaU32(n)
 			st.Relaxations += int64(n) // scan cost: one check per vertex
-			peel := parallel.PackU32(ids, func(i int) bool {
-				return alive[i] && deg[i] <= k
-			})
+			peel = ex.PackIndicesInto(peel, n, &pack, keep)
 			if len(peel) == 0 {
 				break
 			}
@@ -122,7 +141,7 @@ func UnorderedKCoreContext(ctx context.Context, g *graphit.Graph) (*KCoreResult,
 				alive[v] = false
 				core[v] = k
 			}
-			parallel.ForChunks(len(peel), 0, func(lo, hi, _ int) {
+			ex.ForChunks(len(peel), 0, func(lo, hi, _ int) {
 				for _, v := range peel[lo:hi] {
 					for _, d := range g.OutNeigh(v) {
 						if alive[d] {

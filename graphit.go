@@ -30,7 +30,6 @@ import (
 	"graphit/internal/core"
 	"graphit/internal/gen"
 	"graphit/internal/graph"
-	"graphit/internal/parallel"
 )
 
 // VertexID identifies a vertex.
@@ -114,16 +113,3 @@ func AtomicAdd(p *int64, v int64) int64 { return atomic.AddInt64(p, v) }
 // NullMax is the null priority of higher_first queues (the analogue of
 // Unreached for max-ordered priority queues).
 const NullMax = core.NullMax
-
-// SetWorkers overrides the global worker count (0 restores GOMAXPROCS) and
-// returns the previous override. The scalability experiments (paper
-// Figure 11) sweep this.
-//
-// Deprecated for ordered engine runs: each run sizes its own executor from
-// the schedule's ConfigNumWorkers, so this override only affects the
-// unordered baselines and package-level parallel helpers. Concurrent
-// ordered runs with different ConfigNumWorkers are safe and isolated.
-func SetWorkers(n int) int { return parallel.SetWorkers(n) }
-
-// Workers returns the current worker count.
-func Workers() int { return parallel.Workers() }

@@ -177,11 +177,3 @@ func TestAtomicHelpers(t *testing.T) {
 		t.Error("AtomicAdd broken")
 	}
 }
-
-func TestWorkersOverride(t *testing.T) {
-	prev := graphit.SetWorkers(2)
-	if graphit.Workers() != 2 {
-		t.Error("SetWorkers not applied")
-	}
-	graphit.SetWorkers(prev)
-}

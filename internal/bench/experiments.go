@@ -10,7 +10,6 @@ import (
 	"graphit/algo"
 	"graphit/internal/autotune"
 	"graphit/internal/core"
-	"graphit/internal/parallel"
 )
 
 // sources returns deterministic start vertices spread over the graph,
@@ -374,10 +373,9 @@ func Fig11(ctx context.Context, s Scale, workers []int) (*Table, error) {
 	for _, d := range ds {
 		src := sources(d, 1)[0]
 		for _, fw := range []Framework{FwGraphIt, FwGAPBS, FwJulienne} {
+			sched, _ := ssspSchedule(fw, d)
 			for _, w := range workers {
-				prev := parallel.SetWorkers(w)
-				r := SSSP(ctx, fw, d, src)
-				parallel.SetWorkers(prev)
+				r := ssspRun(ctx, d, src, sched.ConfigNumWorkers(w))
 				t.AddRow(d.Name, string(fw), fmt.Sprintf("%d", w), fmtResult(r),
 					fmt.Sprintf("%d", r.Stats.Rounds))
 			}

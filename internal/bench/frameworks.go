@@ -74,7 +74,7 @@ func SSSP(ctx context.Context, fw Framework, d *Dataset, src graphit.VertexID) R
 	switch fw {
 	case FwUnordered:
 		return timed(func() (graphit.Stats, error) {
-			r, err := algo.BellmanFordContext(ctx, d.Graph, src)
+			r, err := algo.BellmanFordContext(ctx, d.Graph, src, graphit.DefaultSchedule())
 			if err != nil {
 				return graphit.Stats{}, err
 			}
@@ -94,14 +94,19 @@ func SSSP(ctx context.Context, fw Framework, d *Dataset, src graphit.VertexID) R
 		if !ok {
 			return unsupported()
 		}
-		return timed(func() (graphit.Stats, error) {
-			r, err := algo.SSSPContext(ctx, d.Graph, src, sched)
-			if err != nil {
-				return graphit.Stats{}, err
-			}
-			return r.Stats, nil
-		})
+		return ssspRun(ctx, d, src, sched)
 	}
+}
+
+// ssspRun times one ∆-stepping run of d from src under sched.
+func ssspRun(ctx context.Context, d *Dataset, src graphit.VertexID, sched graphit.Schedule) RunResult {
+	return timed(func() (graphit.Stats, error) {
+		r, err := algo.SSSPContext(ctx, d.Graph, src, sched)
+		if err != nil {
+			return graphit.Stats{}, err
+		}
+		return r.Stats, nil
+	})
 }
 
 // PPSP runs point-to-point shortest path under fw's strategy.
@@ -147,7 +152,7 @@ func WBFS(ctx context.Context, fw Framework, d *Dataset, src graphit.VertexID) R
 		return unsupported()
 	case FwUnordered:
 		return timed(func() (graphit.Stats, error) {
-			r, err := algo.BellmanFordContext(ctx, g, src)
+			r, err := algo.BellmanFordContext(ctx, g, src, graphit.DefaultSchedule())
 			if err != nil {
 				return graphit.Stats{}, err
 			}
@@ -217,7 +222,7 @@ func KCore(ctx context.Context, fw Framework, d *Dataset) RunResult {
 		return unsupported()
 	case FwUnordered:
 		return timed(func() (graphit.Stats, error) {
-			r, err := algo.UnorderedKCoreContext(ctx, g)
+			r, err := algo.UnorderedKCoreContext(ctx, g, graphit.DefaultSchedule())
 			if err != nil {
 				return graphit.Stats{}, err
 			}

@@ -148,7 +148,7 @@ type Config struct {
 	// the default is 128.
 	NumBuckets int
 	Direction  Direction
-	// Workers overrides the worker count (0 = parallel.Workers()).
+	// Workers is the size of the run's executor (0 = GOMAXPROCS).
 	Workers int
 	// Grain is the dynamic-scheduling chunk size (0 = parallel.DefaultGrain).
 	Grain int

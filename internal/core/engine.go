@@ -98,10 +98,9 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 	}
 
 	// The run's private executor: a persistent worker pool with a count
-	// fixed at Cfg.Workers (default Workers()) for the whole run, so
-	// concurrent runs with different counts are isolated — no global
-	// SetWorkers override — and per-round parallel phases reuse parked
-	// workers instead of spawning goroutines.
+	// fixed at Cfg.Workers (default GOMAXPROCS) for the whole run, so
+	// concurrent runs with different counts are isolated and per-round
+	// parallel phases reuse parked workers instead of spawning goroutines.
 	ex := parallel.Acquire(o.Cfg.Workers)
 	ctl := newRunCtl(ctx)
 	var stopWatch func()

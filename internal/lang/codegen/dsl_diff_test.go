@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -12,7 +13,6 @@ import (
 	"graphit/algo"
 	"graphit/internal/gen"
 	"graphit/internal/lang/codegen"
-	"graphit/internal/parallel"
 )
 
 // legalSchedule is one point of the space a program's analyses allow.
@@ -114,9 +114,11 @@ func TestDSLMatchesAlgoUnderEveryLegalSchedule(t *testing.T) {
 			return r.Coreness, r.Stats, err
 		}},
 	}
-	defer parallel.SetWorkers(parallel.Workers())
+	// The DSL has no worker option: every run sizes its executor from
+	// GOMAXPROCS, so the sweep sets that.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2} {
-		parallel.SetWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		for _, c := range cases {
 			b, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "dsl", c.file))
 			if err != nil {

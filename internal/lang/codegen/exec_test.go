@@ -1,13 +1,13 @@
 package codegen
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"graphit/internal/core"
 	"graphit/internal/graph"
-	"graphit/internal/parallel"
 )
 
 // tiny returns a 4-vertex weighted path graph 0-1-2-3.
@@ -327,7 +327,7 @@ func TestDSLApplySteadyStateAllocs(t *testing.T) {
 	if ir.loop.apply == nil {
 		t.Fatal("astar.gt's UDF was not compiled")
 	}
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := planGraph(t)
 	heuristic := func(...int64) int64 { return 0 }
 	m := newMachine(ir, g, ExecOptions{Argv: []string{"astar", "-", "1", "2"},

@@ -15,6 +15,9 @@ import (
 //     the host function must be safe for concurrent use).
 //   - applyExternReduce(f): f(v) returns the vertex's new priority; changed
 //     vertices are re-bucketed (INT_MIN / INT_MAX mark removal).
+//
+// The loop runs on an executor checked out for it alone, sized by the
+// label's schedule.
 func (m *machine) runExternLoop(lp *irLoop) core.Stats {
 	prio := m.vecs[lp.prio]
 	order, null := bucket.Increasing, lp.null.v
@@ -30,7 +33,8 @@ func (m *machine) runExternLoop(lp *irLoop) core.Stats {
 	lz := bucket.NewLazy(len(prio), order, 128, bktOf)
 
 	var st core.Stats
-	w := parallel.Workers()
+	ex := parallel.Acquire(lp.sched.Config().Workers)
+	defer parallel.Release(ex)
 	for {
 		bid, verts := lz.Next()
 		if bid == bucket.NullBkt {
@@ -39,8 +43,8 @@ func (m *machine) runExternLoop(lp *irLoop) core.Stats {
 		st.Rounds++
 		var updated []uint32
 		for i, ext := range lp.phases {
-			fn, reduce, outs := m.exts[ext], lp.reduce[i], make([][]uint32, w)
-			parallel.ForChunks(len(verts), 0, func(lo, hi, worker int) {
+			fn, reduce, outs := m.exts[ext], lp.reduce[i], make([][]uint32, ex.Workers())
+			ex.ForChunks(len(verts), 0, func(lo, hi, worker int) {
 				for _, v := range verts[lo:hi] {
 					np := fn(int64(v))
 					if !reduce || np == atomicutil.Load(&prio[v]) {

@@ -36,33 +36,6 @@ func TestExecutorWorkerIDStability(t *testing.T) {
 	}
 }
 
-// TestExecutorFixedCountIgnoresSetWorkers: an executor's count is immutable;
-// a concurrent SetWorkers override must not change how many workers its
-// invocations see. This is the global-state race the engine used to have.
-func TestExecutorFixedCountIgnoresSetWorkers(t *testing.T) {
-	e := NewExecutor(3)
-	defer e.Close()
-	prev := SetWorkers(7)
-	defer SetWorkers(prev)
-	var max atomic.Int64
-	var count atomic.Int64
-	e.Run(func(worker int) {
-		count.Add(1)
-		for {
-			cur := max.Load()
-			if int64(worker) <= cur || max.CompareAndSwap(cur, int64(worker)) {
-				return
-			}
-		}
-	})
-	if count.Load() != 3 {
-		t.Errorf("%d workers ran, want 3 despite SetWorkers(7)", count.Load())
-	}
-	if max.Load() != 2 {
-		t.Errorf("max worker id %d, want 2", max.Load())
-	}
-}
-
 // TestExecutorReuseAcrossRounds: repeated invocations reuse the parked
 // workers — the goroutine count does not grow with invocations.
 func TestExecutorReuseAcrossRounds(t *testing.T) {
@@ -184,8 +157,9 @@ func TestExecutorNestedInvocation(t *testing.T) {
 	}
 }
 
-// TestExecutorScanPack: the scan/pack methods agree with their serial
-// definitions on sizes that exercise the parallel paths.
+// TestExecutorScanPack: PrefixSum agrees with its serial definition on a
+// size that exercises the parallel path. TestPackIndicesIntoMatchesReference
+// covers packing.
 func TestExecutorScanPack(t *testing.T) {
 	e := NewExecutor(4)
 	defer e.Close()
@@ -206,22 +180,6 @@ func TestExecutorScanPack(t *testing.T) {
 	for i := range xs {
 		if xs[i] != want[i] {
 			t.Fatalf("PrefixSum[%d] = %d, want %d", i, xs[i], want[i])
-		}
-	}
-
-	ids := e.IotaU32(n)
-	for i, v := range ids {
-		if v != uint32(i) {
-			t.Fatalf("IotaU32[%d] = %d", i, v)
-		}
-	}
-	kept := e.PackU32(ids, func(i int) bool { return i%3 == 0 })
-	if len(kept) != (n+2)/3 {
-		t.Fatalf("PackU32 kept %d, want %d", len(kept), (n+2)/3)
-	}
-	for i, v := range kept {
-		if v != uint32(i*3) {
-			t.Fatalf("PackU32[%d] = %d, want %d", i, v, i*3)
 		}
 	}
 }
@@ -376,16 +334,16 @@ func TestReleaseAfterPanic(t *testing.T) {
 	Release(got)
 }
 
-// TestCloseIdle: draining the pool and default executor leaves later calls
-// working (rebuilt on demand) and does not touch checked-out executors.
+// TestCloseIdle: draining the pool leaves later Acquire calls working
+// (constructed on demand) and does not touch checked-out executors.
 func TestCloseIdle(t *testing.T) {
 	defer testutil.LeakCheck(t, CloseIdle)()
 	busy := Acquire(4)
 	idle := Acquire(4)
 	Release(idle)
-	Run(func(int) {}) // materialize the default executor
 	CloseIdle()
-	if got := Acquire(4); got == idle {
+	fresh := Acquire(4)
+	if fresh == idle {
 		t.Error("CloseIdle left an idle executor in the pool")
 	}
 	var count atomic.Int64
@@ -395,14 +353,15 @@ func TestCloseIdle(t *testing.T) {
 	}
 	Release(busy)
 	var hits atomic.Int64
-	Run(func(int) { hits.Add(1) })
-	if hits.Load() == 0 {
-		t.Error("package-level Run did not rebuild the default executor")
+	fresh.Run(func(int) { hits.Add(1) })
+	if hits.Load() != 4 {
+		t.Errorf("executor acquired after CloseIdle ran %d workers, want 4", hits.Load())
 	}
+	Release(fresh)
 }
 
 // TestAcquireReleaseReuse: the executor pool hands a released executor back
-// to the next acquirer of the same count, and sizes from Workers() when the
+// to the next acquirer of the same count, and sizes from GOMAXPROCS when the
 // requested count is non-positive.
 func TestAcquireReleaseReuse(t *testing.T) {
 	a := Acquire(3)
@@ -416,11 +375,9 @@ func TestAcquireReleaseReuse(t *testing.T) {
 	}
 	Release(b)
 
-	prev := SetWorkers(5)
-	defer SetWorkers(prev)
 	c := Acquire(0)
-	if c.Workers() != 5 {
-		t.Errorf("Acquire(0) under SetWorkers(5) sized %d workers", c.Workers())
+	if want := runtime.GOMAXPROCS(0); c.Workers() != want {
+		t.Errorf("Acquire(0) sized %d workers, want GOMAXPROCS = %d", c.Workers(), want)
 	}
 	Release(c)
 

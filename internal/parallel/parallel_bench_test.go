@@ -1,39 +1,31 @@
 package parallel
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
-// Micro-benchmarks for the parallel substrate: loop dispatch, barrier
-// crossings (the per-round synchronization cost that bucket fusion
-// eliminates), and scans.
+// Micro-benchmarks for the parallel substrate: loop dispatch and scans, on
+// an executor of GOMAXPROCS workers.
 
 func BenchmarkForChunksDispatch(b *testing.B) {
-	var sink int64
+	e := NewExecutor(0)
+	defer e.Close()
+	var sink atomic.Int64
 	for i := 0; i < b.N; i++ {
-		ForChunks(1<<12, 64, func(lo, hi, _ int) {
+		e.ForChunks(1<<12, 64, func(lo, hi, _ int) {
 			s := int64(0)
 			for j := lo; j < hi; j++ {
 				s += int64(j)
 			}
-			sink += s
+			sink.Add(s)
 		})
 	}
-	_ = sink
-}
-
-func BenchmarkBarrierCrossing(b *testing.B) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
-	w := Workers()
-	bar := NewBarrier(w)
-	b.ResetTimer()
-	Run(func(worker int) {
-		for i := 0; i < b.N; i++ {
-			bar.Wait()
-		}
-	})
 }
 
 func BenchmarkPrefixSum(b *testing.B) {
+	e := NewExecutor(0)
+	defer e.Close()
 	xs := make([]int64, 1<<16)
 	for i := range xs {
 		xs[i] = int64(i % 7)
@@ -43,14 +35,18 @@ func BenchmarkPrefixSum(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, xs)
-		PrefixSum(scratch)
+		e.PrefixSum(scratch)
 	}
 }
 
-func BenchmarkPackU32(b *testing.B) {
-	xs := IotaU32(1 << 16)
+func BenchmarkPackIndicesInto(b *testing.B) {
+	e := NewExecutor(0)
+	defer e.Close()
+	const n = 1 << 16
+	var sc PackScratch
+	var dst []uint32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PackU32(xs, func(i int) bool { return xs[i]%3 == 0 })
+		dst = e.PackIndicesInto(dst, n, &sc, func(i int) bool { return i%3 == 0 })
 	}
 }

@@ -8,9 +8,11 @@ import (
 )
 
 func TestForCoversAllIndices(t *testing.T) {
+	e := NewExecutor(4)
+	defer e.Close()
 	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096} {
 		hits := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		e.For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
@@ -20,9 +22,11 @@ func TestForCoversAllIndices(t *testing.T) {
 }
 
 func TestForChunksWorkerIDsInRange(t *testing.T) {
-	w := Workers()
+	e := NewExecutor(4)
+	defer e.Close()
+	w := e.Workers()
 	var bad atomic.Int64
-	ForChunks(10000, 16, func(lo, hi, worker int) {
+	e.ForChunks(10000, 16, func(lo, hi, worker int) {
 		if worker < 0 || worker >= w {
 			bad.Add(1)
 		}
@@ -36,9 +40,11 @@ func TestForChunksWorkerIDsInRange(t *testing.T) {
 }
 
 func TestForStaticPartitionsDisjointly(t *testing.T) {
+	e := NewExecutor(4)
+	defer e.Close()
 	n := 1001
 	hits := make([]int32, n)
-	ForStatic(n, func(lo, hi, worker int) {
+	e.ForStatic(n, func(lo, hi, worker int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
@@ -50,20 +56,12 @@ func TestForStaticPartitionsDisjointly(t *testing.T) {
 	}
 }
 
-func TestSetWorkersRoundTrip(t *testing.T) {
-	prev := SetWorkers(3)
-	if got := Workers(); got != 3 {
-		t.Errorf("Workers() = %d after SetWorkers(3)", got)
-	}
-	SetWorkers(prev)
-}
-
 func TestRunExecutesEveryWorkerOnce(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
+	e := NewExecutor(4)
+	defer e.Close()
 	var mu sync.Mutex
 	seen := map[int]int{}
-	Run(func(worker int) {
+	e.Run(func(worker int) {
 		mu.Lock()
 		seen[worker]++
 		mu.Unlock()
@@ -78,44 +76,15 @@ func TestRunExecutesEveryWorkerOnce(t *testing.T) {
 	}
 }
 
-func TestBarrierPhases(t *testing.T) {
-	const workers = 4
-	const rounds = 50
-	b := NewBarrier(workers)
-	var counter atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	fail := atomic.Bool{}
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				counter.Add(1)
-				b.Wait()
-				// After the barrier, all workers of round r incremented.
-				if c := counter.Load(); c < int64((r+1)*workers) {
-					fail.Store(true)
-				}
-				b.Wait()
-			}
-		}()
-	}
-	wg.Wait()
-	if fail.Load() {
-		t.Fatal("barrier released a worker before all arrived")
-	}
-	if counter.Load() != int64(workers*rounds) {
-		t.Fatalf("counter = %d, want %d", counter.Load(), workers*rounds)
-	}
-}
-
 func TestPrefixSumMatchesSerial(t *testing.T) {
+	e := NewExecutor(4)
+	defer e.Close()
 	f := func(xs []int64) bool {
 		a := make([]int64, len(xs))
 		copy(a, xs)
 		bSlice := make([]int64, len(xs))
 		copy(bSlice, xs)
-		gotTotal := PrefixSum(a)
+		gotTotal := e.PrefixSum(a)
 		var sum int64
 		for i, x := range bSlice {
 			bSlice[i] = sum
@@ -137,8 +106,8 @@ func TestPrefixSumMatchesSerial(t *testing.T) {
 }
 
 func TestPrefixSumLargeParallel(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
+	e := NewExecutor(4)
+	defer e.Close()
 	n := 1 << 16
 	xs := make([]int64, n)
 	for i := range xs {
@@ -150,47 +119,13 @@ func TestPrefixSumLargeParallel(t *testing.T) {
 		wantAt[i] = want
 		want += xs[i]
 	}
-	got := PrefixSum(xs)
+	got := e.PrefixSum(xs)
 	if got != want {
 		t.Fatalf("total = %d, want %d", got, want)
 	}
 	for i := range xs {
 		if xs[i] != wantAt[i] {
 			t.Fatalf("prefix[%d] = %d, want %d", i, xs[i], wantAt[i])
-		}
-	}
-}
-
-func TestPackU32KeepsOrderAndMembers(t *testing.T) {
-	f := func(xs []uint32) bool {
-		keep := func(i int) bool { return xs[i]%3 == 0 }
-		got := PackU32(xs, keep)
-		var want []uint32
-		for i, x := range xs {
-			if keep(i) {
-				want = append(want, x)
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIotaU32(t *testing.T) {
-	xs := IotaU32(1000)
-	for i, x := range xs {
-		if x != uint32(i) {
-			t.Fatalf("iota[%d] = %d", i, x)
 		}
 	}
 }

@@ -95,55 +95,14 @@ func (e *Executor) prefixSum(xs []int64, sc *PackScratch) int64 {
 	return total
 }
 
-// PrefixSum is the package-level form of Executor.PrefixSum, run on the
-// default executor.
-func PrefixSum(xs []int64) int64 { return defaultExecutor().PrefixSum(xs) }
-
-// PackU32 returns the elements of xs whose index passes keep, preserving
-// order. It parallelizes via a flag array and prefix sum, the standard
-// Ligra/Julienne "pack" used to build sparse frontiers from dense flags.
-func (e *Executor) PackU32(xs []uint32, keep func(i int) bool) []uint32 {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	flags := make([]int64, n)
-	e.For(n, func(i int) {
-		if keep(i) {
-			flags[i] = 1
-		}
-	})
-	total := e.PrefixSum(flags)
-	out := make([]uint32, total)
-	e.For(n, func(i int) {
-		// After the exclusive scan, index i was kept iff its slot differs
-		// from the next prefix value.
-		var next int64
-		if i+1 < n {
-			next = flags[i+1]
-		} else {
-			next = total
-		}
-		if next != flags[i] {
-			out[flags[i]] = xs[i]
-		}
-	})
-	return out
-}
-
-// PackU32 is the package-level form of Executor.PackU32, run on the default
-// executor.
-func PackU32(xs []uint32, keep func(i int) bool) []uint32 {
-	return defaultExecutor().PackU32(xs, keep)
-}
-
 // PackIndicesInto appends to dst[:0] the indices i in [0, n) that pass keep,
-// in ascending order, and returns the result. It is PackU32 over an implicit
-// iota — no O(n) index slice is materialized. dst is reused when its capacity
-// suffices and sc backs the parallel branch's flag/sum buffers, so a caller
-// that retains both allocates nothing in steady state. Serial below the scan
-// cutoff (or with one worker), where a plain append loop beats the
-// flag+scan+scatter pack.
+// in ascending order, and returns the result. It is the Ligra/Julienne
+// "pack" that builds a sparse frontier from dense flags (a flag array, a
+// prefix sum, a scatter), over an implicit iota — no O(n) index slice is
+// materialized. dst is reused when its capacity suffices and sc backs the
+// parallel branch's flag/sum buffers, so a caller that retains both
+// allocates nothing in steady state. Serial below the scan cutoff (or with
+// one worker), where a plain append loop beats the flag+scan+scatter pack.
 func (e *Executor) PackIndicesInto(dst []uint32, n int, sc *PackScratch, keep func(i int) bool) []uint32 {
 	dst = dst[:0]
 	if n == 0 {
@@ -184,14 +143,3 @@ func (e *Executor) PackIndicesInto(dst []uint32, n int, sc *PackScratch, keep fu
 	})
 	return dst
 }
-
-// IotaU32 returns [0, 1, ..., n-1] as uint32, filled in parallel.
-func (e *Executor) IotaU32(n int) []uint32 {
-	out := make([]uint32, n)
-	e.For(n, func(i int) { out[i] = uint32(i) })
-	return out
-}
-
-// IotaU32 is the package-level form of Executor.IotaU32, run on the default
-// executor.
-func IotaU32(n int) []uint32 { return defaultExecutor().IotaU32(n) }

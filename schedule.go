@@ -102,8 +102,8 @@ func (s Schedule) ConfigApplyParallelization(grain int) Schedule {
 	return s
 }
 
-// ConfigNumWorkers pins the number of workers for this operator (0 uses the
-// global setting).
+// ConfigNumWorkers pins the number of workers for this operator: its run
+// checks out an executor of that many workers (0 uses GOMAXPROCS).
 func (s Schedule) ConfigNumWorkers(w int) Schedule {
 	if w < 0 {
 		return s.fail(fmt.Errorf("schedule: worker count must be >= 0, got %d", w))
