@@ -1,7 +1,5 @@
 package bucket
 
-import "graphit/internal/parallel"
-
 // Lazy is a Julienne-style bucket structure. Only NumOpen buckets are
 // materialized at a time; vertices whose bucket lies outside the current
 // window are kept in a single overflow bucket and re-bucketed when the
@@ -11,8 +9,7 @@ import "graphit/internal/parallel"
 // Lazy is not safe for concurrent use; the lazy engine performs its parallel
 // work in the edge-map phase and calls UpdateBuckets from a single
 // goroutine, exactly as the generated code in paper Figure 9(a) does after
-// its parallel_for. SetParallel lets UpdateBuckets itself fan out internally
-// for large update sets, but the call remains single-goroutine at the seam.
+// its parallel_for. UpdateBuckets itself is a serial placement loop.
 type Lazy struct {
 	order   Order
 	numOpen int
@@ -50,15 +47,6 @@ type Lazy struct {
 	// call (the returned slice stays valid until then).
 	free    [][]uint32
 	lastRet []uint32
-
-	// Parallel UpdateBuckets state (see SetParallel). ex == nil means
-	// always serial.
-	ex        *parallel.Executor
-	parCutoff int
-	parSlots  []int32 // per-id destination (window slot, numOpen=overflow, -1=skip)
-	parCounts []int64 // per-(dest, worker) counts, dest-major
-	parBase   []int64 // per-dest scatter base offset
-	parInv    []int64 // per-worker inversion counts
 
 	// Stats.
 	Inserts    int64 // total bucket insertions (incl. overflow)
@@ -101,40 +89,18 @@ func (l *Lazy) grabFit(need int) []uint32 {
 }
 
 // appendSlab appends v to s, drawing backing storage from the free list and
-// recycling arrays displaced by growth.
+// recycling the array displaced by growth.
 func (l *Lazy) appendSlab(s []uint32, v uint32) []uint32 {
-	if len(s) == cap(s) {
-		s = l.growSlab(s, 1)
-		s[len(s)-1] = v
-		return s
+	if len(s) < cap(s) {
+		return append(s, v)
 	}
-	return append(s, v)
-}
-
-// growSlab extends s by cnt writable slots (contents unspecified), reusing
-// free-list capacity and recycling the displaced array on reallocation.
-func (l *Lazy) growSlab(s []uint32, cnt int) []uint32 {
-	need := len(s) + cnt
-	if cap(s) >= need {
-		return s[:need]
+	g := l.grabFit(len(s) + 1)
+	if g == nil {
+		g = make([]uint32, 0, max(2*cap(s), 8))
 	}
-	if g := l.grabFit(need); g != nil {
-		g = g[:need]
-		copy(g, s)
-		l.recycle(s)
-		return g
-	}
-	newCap := need
-	if c := 2 * cap(s); c > newCap {
-		newCap = c
-	}
-	if newCap < 8 {
-		newCap = 8
-	}
-	ns := make([]uint32, need, newCap)
-	copy(ns, s)
+	g = append(g[:0], s...)
 	l.recycle(s)
-	return ns
+	return append(g, v)
 }
 
 // NewLazy creates a lazy bucket structure over vertices [0, n) with the
@@ -293,20 +259,6 @@ func (l *Lazy) ensureEpoch() {
 	}
 }
 
-// SetParallel lets UpdateBuckets fan out internally on ex for update sets of
-// at least cutoff ids (cutoff <= 0 selects a default). The call itself must
-// still come from a single goroutine, and bktOf must be safe for concurrent
-// read-only calls (the engine's priority maps qualify: they are read with
-// atomic loads). The parallel path places every id at exactly the position
-// the serial loop would, so results and stats are bit-identical across
-// worker counts.
-func (l *Lazy) SetParallel(ex *parallel.Executor, cutoff int) {
-	if cutoff <= 0 {
-		cutoff = 8192
-	}
-	l.ex, l.parCutoff = ex, cutoff
-}
-
 // DedupeIDs compacts ids in place, keeping the first occurrence of each
 // vertex, and returns the compacted slice. It consumes one dedup epoch;
 // Next and window advances take fresh epochs, so interleaving is safe.
@@ -326,131 +278,11 @@ func (l *Lazy) DedupeIDs(ids []uint32) []uint32 {
 // UpdateBuckets re-buckets each vertex in ids according to bktOf. Callers
 // must have deduplicated ids (at most one occurrence per vertex); stale
 // copies from earlier rounds are tolerated and filtered on extraction.
-//
-// With SetParallel configured and a large enough update set, the placement
-// runs as a two-pass counting sort over (window slot | overflow): a parallel
-// classify pass counts per-(destination, worker) occupancy, a prefix sum
-// turns the counts into scatter offsets, and a parallel scatter writes each
-// id into pre-grown buckets. Workers own contiguous ascending id ranges
-// (ForStatic), so the per-destination concatenation preserves the exact
-// serial insertion order.
 func (l *Lazy) UpdateBuckets(ids []uint32) {
-	if l.ex == nil || l.ex.Workers() <= 1 || len(ids) < l.parCutoff || l.base == NullBkt {
-		for _, v := range ids {
-			if b := l.bktOf(v); b != NullBkt {
-				l.place(v, b)
-			}
+	for _, v := range ids {
+		if b := l.bktOf(v); b != NullBkt {
+			l.place(v, b)
 		}
-		return
-	}
-	l.updateBucketsParallel(ids)
-}
-
-// updateBucketsParallel is the fan-out path of UpdateBuckets. It requires an
-// open window (l.base != NullBkt): the serial loop's open-window-on-first-
-// placement transition is inherently sequential, so UpdateBuckets falls back
-// to it when the window is closed.
-func (l *Lazy) updateBucketsParallel(ids []uint32) {
-	n := len(ids)
-	w := l.ex.Workers()
-	numDest := l.numOpen + 1 // window slots, then overflow
-	if cap(l.parSlots) < n {
-		l.parSlots = make([]int32, n)
-	}
-	slots := l.parSlots[:n]
-	if cap(l.parCounts) < numDest*w {
-		l.parCounts = make([]int64, numDest*w)
-	}
-	counts := l.parCounts[:numDest*w]
-	for i := range counts {
-		counts[i] = 0
-	}
-	if cap(l.parInv) < w {
-		l.parInv = make([]int64, w)
-	}
-	inv := l.parInv[:w]
-	for i := range inv {
-		inv[i] = 0
-	}
-	curID := l.currentID()
-
-	// Pass 1: classify every id to its destination and count per-(dest,
-	// worker) occupancy. counts is dest-major so the prefix sum below walks
-	// destinations in placement order.
-	l.ex.ForStatic(n, func(lo, hi, worker int) {
-		for i := lo; i < hi; i++ {
-			v := ids[i]
-			b := l.bktOf(v)
-			if b == NullBkt {
-				slots[i] = -1
-				continue
-			}
-			d := l.numOpen
-			if s := l.slot(b); s >= 0 && (!l.started || s >= l.cur) {
-				d = s
-			} else if l.started && l.before(b, curID) {
-				inv[worker]++
-			}
-			slots[i] = int32(d)
-			counts[d*w+worker]++
-		}
-	})
-
-	// Exclusive scan: counts[d*w+worker] becomes that cell's start offset in
-	// the global placement order (ascending dest, then worker).
-	total := l.ex.PrefixSum(counts)
-	if total == 0 {
-		return
-	}
-
-	// Pre-grow each destination and record where its region starts.
-	if cap(l.parBase) < numDest {
-		l.parBase = make([]int64, numDest)
-	}
-	base := l.parBase[:numDest]
-	for d := 0; d < numDest; d++ {
-		dStart := counts[d*w]
-		dEnd := total
-		if d+1 < numDest {
-			dEnd = counts[(d+1)*w]
-		}
-		cnt := int(dEnd - dStart)
-		if cnt == 0 {
-			continue
-		}
-		if d == l.numOpen {
-			base[d] = int64(len(l.over)) - dStart
-			l.over = l.growSlab(l.over, cnt)
-		} else {
-			base[d] = int64(len(l.open[d])) - dStart
-			l.open[d] = l.growSlab(l.open[d], cnt)
-		}
-	}
-
-	// Pass 2: scatter. Each (dest, worker) cell is advanced only by its
-	// owning worker, and slab regions are disjoint, so no synchronization is
-	// needed. Within a destination, worker slabs concatenate in ascending id
-	// order — the serial order.
-	l.ex.ForStatic(n, func(lo, hi, worker int) {
-		for i := lo; i < hi; i++ {
-			d := slots[i]
-			if d < 0 {
-				continue
-			}
-			cell := int(d)*w + worker
-			pos := base[d] + counts[cell]
-			counts[cell]++
-			if int(d) == l.numOpen {
-				l.over[pos] = ids[i]
-			} else {
-				l.open[d][pos] = ids[i]
-			}
-		}
-	})
-
-	l.Inserts += total
-	for _, x := range inv {
-		l.Inversions += x
 	}
 }
 

@@ -1,11 +1,6 @@
 package bucket
 
-import (
-	"math/rand"
-	"testing"
-
-	"graphit/internal/parallel"
-)
+import "testing"
 
 // TestLazySteadyStateAllocs: once the slab free-list is warm, a full
 // update → extract cycle (including window advances through the overflow
@@ -91,70 +86,5 @@ func TestDedupeIDs(t *testing.T) {
 	// A following extraction's epoch filter must be unaffected.
 	if bid, verts := l.Next(); bid != 0 || len(verts) != 1 || verts[0] != 0 {
 		t.Fatalf("Next after DedupeIDs = %d %v", bid, verts)
-	}
-}
-
-// TestUpdateBucketsParallelMatchesSerial: the parallel counting-sort path
-// must place every id at exactly the position the serial loop would —
-// identical extraction order and identical stats — across interleaved
-// updates, inversions, and window advances.
-func TestUpdateBucketsParallelMatchesSerial(t *testing.T) {
-	ex := parallel.NewExecutor(4)
-	defer ex.Close()
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 200 + rng.Intn(800)
-		prio := make([]int64, n)
-		for i := range prio {
-			prio[i] = int64(rng.Intn(60))
-		}
-		bktOf := func(v uint32) int64 { return prio[v] }
-		ser := NewLazy(n, Increasing, 8, bktOf)
-		par := NewLazy(n, Increasing, 8, bktOf)
-		par.SetParallel(ex, 1) // force the parallel path for every update
-
-		for round := 0; round < 10; round++ {
-			sbid, sverts := ser.Next()
-			pbid, pverts := par.Next()
-			if sbid != pbid {
-				t.Fatalf("seed %d round %d: bucket %d (serial) vs %d (parallel)", seed, round, sbid, pbid)
-			}
-			if len(sverts) != len(pverts) {
-				t.Fatalf("seed %d round %d: frontier %v (serial) vs %v (parallel)", seed, round, sverts, pverts)
-			}
-			for i := range sverts {
-				if sverts[i] != pverts[i] {
-					t.Fatalf("seed %d round %d index %d: %d (serial) vs %d (parallel) — order must match exactly",
-						seed, round, i, sverts[i], pverts[i])
-				}
-			}
-			if sbid == NullBkt {
-				break
-			}
-			// Re-prioritize the popped frontier plus a random sample —
-			// lowering some priorities below the cursor provokes inversions
-			// and overflow traffic on both sides.
-			seen := make(map[uint32]bool)
-			var upd []uint32
-			touch := func(v uint32, p int64) {
-				prio[v] = p
-				if !seen[v] {
-					seen[v] = true
-					upd = append(upd, v)
-				}
-			}
-			for _, v := range sverts {
-				touch(v, int64(rng.Intn(60)))
-			}
-			for k := 0; k < n/4; k++ {
-				touch(uint32(rng.Intn(n)), int64(rng.Intn(80)))
-			}
-			ser.UpdateBuckets(upd)
-			par.UpdateBuckets(upd)
-		}
-		if ser.Inserts != par.Inserts || ser.Rebuckets != par.Rebuckets || ser.Inversions != par.Inversions {
-			t.Fatalf("seed %d: stats diverge: serial {Inserts %d Rebuckets %d Inversions %d} vs parallel {%d %d %d}",
-				seed, ser.Inserts, ser.Rebuckets, ser.Inversions, par.Inserts, par.Rebuckets, par.Inversions)
-		}
 	}
 }

@@ -159,7 +159,7 @@ func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint3
 	trav, ups, bins := o.compose(sc, ex, ctl)
 	e := &engine{o: o, trav: trav, ups: ups, ex: ex, ctl: ctl}
 	if bins == nil {
-		e.src = o.newLazySource(ex, active)
+		e.src = o.newLazySource(active)
 		return e
 	}
 	for i, v := range active {
@@ -190,8 +190,7 @@ func (o *Ordered) compose(sc *scratch, ex *parallel.Executor, ctl *runCtl) (trav
 			u.bins = bins[i]
 		}
 		if o.Cfg.Direction == DensePull {
-			inFron, _ := sc.getDense(n)
-			return &eagerPull{o: o, ex: ex, ups: ups, inFron: inFron, grain: grain, ctl: ctl}, ups, bins
+			return &eagerPull{o: o, ex: ex, ups: ups, inFron: sc.getDense(n), grain: grain, ctl: ctl}, ups, bins
 		}
 		for _, u := range ups {
 			u.atomics = true
@@ -212,7 +211,7 @@ func (o *Ordered) compose(sc *scratch, ex *parallel.Executor, ctl *runCtl) (trav
 			t.dedup = sc.getDedup(n)
 		}
 		if o.Cfg.Direction != SparsePush {
-			t.inFron, t.nextMap = sc.getDense(n)
+			t.inFron = sc.getDense(n)
 		}
 		return t, ups, nil
 	}

@@ -19,11 +19,9 @@ type lazySource struct {
 
 // newLazySource builds the Julienne buckets over the initial active set.
 // The bucket function consults the authoritative priority vector, so stale
-// entries are filtered on extraction (§5.1's optimized interface). Bulk
-// bucket updates fan out on ex for large update sets (the bucket function
-// reads priorities with atomic loads, satisfying SetParallel's contract);
-// the update call itself stays single-goroutine at this seam.
-func (o *Ordered) newLazySource(ex *parallel.Executor, active []uint32) *lazySource {
+// entries are filtered on extraction (§5.1's optimized interface). Like
+// every other reader of the priority vector, it loads priorities atomically.
+func (o *Ordered) newLazySource(active []uint32) *lazySource {
 	bktOf := func(v uint32) int64 {
 		if o.fin != nil && o.fin.IsSet(v) {
 			return bucket.NullBkt
@@ -31,7 +29,6 @@ func (o *Ordered) newLazySource(ex *parallel.Executor, active []uint32) *lazySou
 		return o.bucketOf(atomicutil.Load(&o.Prio[v]))
 	}
 	lz := bucket.NewLazyFrom(o.G.NumVertices(), o.Order, o.Cfg.NumBuckets, bktOf, active)
-	lz.SetParallel(ex, 0)
 	return &lazySource{o: o, lz: lz}
 }
 
@@ -56,9 +53,10 @@ func (s *lazySource) finish(st *Stats) {
 
 // lazyTrav is the edge-map traversal for the plain lazy strategy. It covers
 // all three directions: SparsePush (atomic updates into a CAS-deduplicated
-// per-worker buffer), DensePull (non-atomic updates into a dense changed
-// map), and the per-round Hybrid choice — Ligra/Julienne's direction
-// optimizer, pulling when the frontier's out-degree volume exceeds |E|/20.
+// per-worker buffer), DensePull (non-atomic owner updates, each changed
+// destination appended once to its owner's buffer), and the per-round
+// Hybrid choice — Ligra/Julienne's direction optimizer, pulling when the
+// frontier's out-degree volume exceeds |E|/20.
 type lazyTrav struct {
 	o             *Ordered
 	ex            *parallel.Executor
@@ -66,7 +64,6 @@ type lazyTrav struct {
 	ups           []*Updater
 	dedup         *atomicutil.Flags // nil under configDeduplication off
 	inFron        []bool            // dense frontier map (pull only)
-	nextMap       []bool            // dense changed map (pull only)
 	grain         int
 	pullThreshold int64
 	ctl           *runCtl
@@ -76,7 +73,6 @@ type lazyTrav struct {
 	// into the executor), which alone breaks the zero-alloc steady state.
 	pushBody func(lo, hi, worker int)
 	pullBody func(lo, hi, worker int)
-	keepNext func(i int) bool
 	curVerts []uint32 // pushBody's frontier for the current sweep
 }
 
@@ -98,9 +94,9 @@ func (t *lazyTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool,
 	}
 	for _, u := range t.ups {
 		if pull {
-			u.atomics, u.next, u.dedup = false, t.nextMap, nil
+			u.atomics, u.owned, u.dedup = false, true, nil
 		} else {
-			u.atomics, u.next, u.dedup = true, nil, t.dedup
+			u.atomics, u.owned, u.dedup = true, false, t.dedup
 		}
 	}
 	if pull {
@@ -131,12 +127,7 @@ func (t *lazyTrav) pushRound(verts []uint32) []uint32 {
 	t.curVerts = verts
 	t.ex.ForChunks(len(verts), t.grain, t.pushBody)
 	t.curVerts = nil
-	updated := t.sc.updated[:0]
-	for _, u := range t.ups {
-		updated = append(updated, u.out...)
-		u.out = u.out[:0]
-	}
-	t.sc.updated = updated
+	updated := t.collect()
 	if t.dedup != nil {
 		t.dedup.ResetList(updated)
 	}
@@ -145,11 +136,10 @@ func (t *lazyTrav) pushRound(verts []uint32) []uint32 {
 
 // pullRound applies the operator over the in-edges of all vertices against a
 // dense frontier; destination updates need no atomics (paper Figure 9(b)).
-// The changed set is packed straight out of nextMap into the run's reusable
-// update buffer — no O(n) iota slice, no per-round flag array — so a
-// steady-state pull round performs zero heap allocation.
+// Each destination belongs to the one worker whose chunk holds it, so that
+// worker's buffer already lists every changed destination once, and the
+// round's changed set is their concatenation — as in pushRound.
 func (t *lazyTrav) pullRound(verts []uint32) []uint32 {
-	n := t.o.G.NumVertices()
 	for _, v := range verts {
 		t.inFron[v] = true
 	}
@@ -163,23 +153,23 @@ func (t *lazyTrav) pullRound(verts []uint32) []uint32 {
 				t.o.processPull(uint32(v), t.inFron, u)
 			}
 		}
-		t.keepNext = func(i int) bool { return t.nextMap[i] }
 	}
-	t.ex.ForChunks(n, t.grain, t.pullBody)
-	if t.ctl.aborted() != abortNone {
-		// The engine discards updated on an aborted round and never pools
-		// the (now dirty) scratch, so the O(n) pack and the map clears are
-		// pure wasted latency on the abort path — skip them.
-		return nil
-	}
-	updated := t.ex.PackIndicesInto(t.sc.updated[:0], n, &t.sc.pack, t.keepNext)
-	t.sc.updated = updated
+	t.ex.ForChunks(t.o.G.NumVertices(), t.grain, t.pullBody)
 	for _, v := range verts {
 		t.inFron[v] = false
 	}
-	for _, v := range updated {
-		t.nextMap[v] = false
+	return t.collect()
+}
+
+// collect concatenates the per-worker update buffers into the run's reusable
+// update buffer and empties them.
+func (t *lazyTrav) collect() []uint32 {
+	updated := t.sc.updated[:0]
+	for _, u := range t.ups {
+		updated = append(updated, u.out...)
+		u.out = u.out[:0]
 	}
+	t.sc.updated = updated
 	return updated
 }
 

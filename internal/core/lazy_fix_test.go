@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphit/internal/graph"
+	"graphit/internal/parallel"
 )
 
 // runSSSP executes one lazy SSSP and returns (dist, stats).
@@ -59,8 +60,8 @@ func TestNoDedupMatchesDedup(t *testing.T) {
 	}
 }
 
-// TestLazyEqualityAcrossWorkersAndPooling: slab recycling and the internal
-// UpdateBuckets fan-out must be invisible — identical results AND identical
+// TestLazyEqualityAcrossWorkersAndPooling: slab recycling and the per-worker
+// update buffers must be invisible — identical results AND identical
 // stats across worker counts, each run taking the pooled scratch the
 // previous one (sized for a different worker count) returned. Delta=1 SSSP
 // is used because unit-width buckets settle every dequeued vertex (weights
@@ -116,10 +117,10 @@ func TestLazyEqualityAcrossWorkersAndPooling(t *testing.T) {
 	})
 }
 
-// TestParallelUpdateBucketsThroughEngine: a 20000-leaf star crosses the
-// parallel UpdateBuckets cutoff in its first round (every leaf is updated at
-// once), so a multi-worker run exercises the counting-sort placement path
-// end-to-end; it must match the single-worker run exactly, stats included.
+// TestParallelUpdateBucketsThroughEngine: a 20000-leaf star updates every
+// leaf in its first round, from four workers' buffers at once; bucket
+// placement of that one large update set must leave the multi-worker run
+// equal to the single-worker run, stats included.
 func TestParallelUpdateBucketsThroughEngine(t *testing.T) {
 	const leaves = 20000
 	edges := make([]graph.Edge, leaves)
@@ -145,5 +146,79 @@ func TestParallelUpdateBucketsThroughEngine(t *testing.T) {
 	}
 	if st != wantSt {
 		t.Fatalf("stats with 4 workers %+v, want %+v", st, wantSt)
+	}
+}
+
+// TestPullRecordsEachDestinationOnce: a pull round lists every destination
+// whose priority changed exactly once, even when several in-neighbours in
+// the frontier improve it one after another. Each destination is swept by
+// one worker, all its in-edges in a row, so a repeat win always follows the
+// first in that worker's buffer; this pins the invariant the owner-append
+// dedup rests on, for DensePull and for a Hybrid round that pulls.
+func TestPullRecordsEachDestinationOnce(t *testing.T) {
+	const (
+		n   = 400
+		hub = 300 // improved by every frontier vertex, each win beating the last
+	)
+	frontier := []uint32{0, 1, 2, 3, 4}
+	var edges []graph.Edge
+	for i, f := range frontier {
+		edges = append(edges, graph.Edge{Src: f, Dst: hub, W: int32(50 - 10*i)})
+	}
+	// Vertices 10..299 each gain two improving in-edges; every third is
+	// already closer than either offer, so it must not be listed.
+	for v := uint32(10); v < hub; v++ {
+		edges = append(edges,
+			graph.Edge{Src: 0, Dst: v, W: 9},
+			graph.Edge{Src: 1, Dst: v, W: 5})
+	}
+	edges = append(edges, graph.Edge{Src: 350, Dst: 351, W: 1}) // source outside the frontier
+	g, err := graph.Build(edges, graph.BuildOptions{Weighted: true, InEdges: true, NumVertices: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []Direction{DensePull, Hybrid} {
+		for _, workers := range []int{1, 2} {
+			cfg := DefaultConfig()
+			cfg.Strategy = Lazy
+			cfg.Direction = dir
+			cfg.Workers = workers
+			cfg.Grain = 16 // many chunks, so two workers share the sweep
+			op, prio := ssspOp(g, 0, cfg)
+			op.Sources = frontier
+			for _, f := range frontier {
+				prio[f] = 0
+			}
+			for v := 12; v < hub; v += 3 {
+				prio[v] = 1
+			}
+			op.Cfg.normalize()
+			if err := op.validate(); err != nil {
+				t.Fatal(err)
+			}
+			ex := parallel.NewExecutor(workers)
+			e := op.buildEngine(new(scratch), ex, frontier, &runCtl{})
+			before := append([]int64(nil), prio...)
+			updated, pull, aborted := e.trav.relax(0, 0, frontier)
+			ex.Close()
+			if !pull || aborted {
+				t.Fatalf("%v w=%d: pull=%v aborted=%v, want a completed pull round", dir, workers, pull, aborted)
+			}
+			listed := make(map[uint32]int)
+			for _, v := range updated {
+				listed[v]++
+				if listed[v] > 1 {
+					t.Fatalf("%v w=%d: vertex %d listed %d times", dir, workers, v, listed[v])
+				}
+			}
+			for v := range prio {
+				if changed := prio[v] != before[v]; changed != (listed[uint32(v)] == 1) {
+					t.Errorf("%v w=%d: vertex %d: priority %d -> %d, listed %d times", dir, workers, v, before[v], prio[v], listed[uint32(v)])
+				}
+			}
+			if prio[hub] != 10 || listed[hub] != 1 {
+				t.Errorf("%v w=%d: hub priority %d listed %d times, want 10 once", dir, workers, prio[hub], listed[hub])
+			}
+		}
 	}
 }

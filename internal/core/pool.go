@@ -6,30 +6,27 @@ import (
 	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
 	"graphit/internal/histogram"
-	"graphit/internal/parallel"
 )
 
 // scratch is the per-run working state of the engine: frontier and update
-// buffers, per-worker updaters and bins, dedup flags, dense maps, and the
-// constant-sum histogram. Runs return it to a pool so repeated runs (PPSP
-// query batches, autotune trials) stop re-allocating O(V) state.
+// buffers, per-worker updaters and bins, dedup flags, the dense frontier
+// map, and the constant-sum histogram. Runs return it to a pool so repeated
+// runs (PPSP query batches, autotune trials) stop re-allocating O(V) state.
 //
 // Invariant: all state is clean at round barriers — every traversal clears
-// its dedup flags and dense maps before returning, and the engine only
-// stops between rounds — so a scratch released after a completed, stopped,
-// or cancelled run is safe to hand to the next run as-is.
+// its dedup flags and dense frontier map before returning, and the engine
+// only stops between rounds — so a scratch released after a completed,
+// stopped, or cancelled run is safe to hand to the next run as-is.
 type scratch struct {
 	bins     []*bucket.LocalBins
 	ups      []*Updater
 	dedup    *atomicutil.Flags
 	inFron   []bool
-	nextMap  []bool
 	laneSt   []byte
 	laneCasc []uint32
 	lanePart []uint32
 	frontier []uint32
 	updated  []uint32
-	pack     parallel.PackScratch
 	hist     *histogram.Counter
 	histN    int
 	histW    int
@@ -91,16 +88,14 @@ func (sc *scratch) getDedup(n int) *atomicutil.Flags {
 	return sc.dedup
 }
 
-// getDense returns the two clean dense maps (frontier membership, changed
-// set) used by pull traversal.
-func (sc *scratch) getDense(n int) (inFron, nextMap []bool) {
+// getDense returns the clean dense frontier-membership map used by pull
+// traversal.
+func (sc *scratch) getDense(n int) []bool {
 	if cap(sc.inFron) < n {
 		sc.inFron = make([]bool, n)
-		sc.nextMap = make([]bool, n)
 	}
 	sc.inFron = sc.inFron[:n]
-	sc.nextMap = sc.nextMap[:n]
-	return sc.inFron, sc.nextMap
+	return sc.inFron
 }
 
 // getHist returns a drained histogram counter for n vertices and w workers.

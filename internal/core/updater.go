@@ -23,11 +23,12 @@ type Updater struct {
 	sink func(v graph.VertexID, newPrio int64)
 	// Eager sink: the owning worker's local bins.
 	bins *bucket.LocalBins
-	// Lazy SparsePush sink: per-worker output buffer + global dedup flags.
+	// Lazy sink: the per-worker output buffer. SparsePush deduplicates
+	// through the global flags; DensePull sets owned instead, because the
+	// worker owns every destination it writes (see record).
 	out   []uint32
 	dedup *atomicutil.Flags
-	// Lazy DensePull sink: dense changed map.
-	next []bool
+	owned bool
 
 	// Per-worker counters, folded into Stats after each parallel phase.
 	relaxations int64
@@ -67,8 +68,12 @@ func (u *Updater) record(v graph.VertexID, newPrio int64) {
 			u.inversions++
 		}
 		u.bins.Insert(b, v)
-	case u.next != nil: // lazy DensePull
-		u.next[v] = true
+	case u.owned: // lazy DensePull
+		// One worker handles all of v's in-edges in a row, so a repeat win
+		// for v always follows its first: checking the last entry dedups.
+		if n := len(u.out); n == 0 || u.out[n-1] != v {
+			u.out = append(u.out, v)
+		}
 	default: // lazy SparsePush; dedup is nil when configDeduplication is off
 		if u.dedup == nil || u.dedup.TrySet(v) {
 			u.out = append(u.out, v)

@@ -8,9 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// Panic describes a panic recovered from a parallel loop body. Every loop
-// primitive (Run, ForChunks, ForStatic, and the loops built on them)
-// contains panics on its workers: all workers are joined, the executor is
+// Panic describes a panic recovered from a parallel loop body. Both loop
+// primitives (Run and ForChunks) contain panics on its workers: all workers are joined, the executor is
 // returned to a reusable parked state, and the first panic is re-raised on
 // the calling goroutine wrapped in a *Panic that preserves the panicking
 // worker's stack. Callers that need an error instead of a panic (the
@@ -74,15 +73,14 @@ func protect(fn func(worker int), cell *panicCell) func(worker int) {
 }
 
 // Executor is a persistent pool of parked worker goroutines with a fixed,
-// immutable worker count. It provides the loop primitives (Run, For,
-// ForChunks, ForStatic, and the scan/pack helpers) bound to its own
-// workers: the count never changes after construction, so callers may size
+// immutable worker count. It provides the two loop primitives, Run and
+// ForChunks, bound to its own workers: the count never changes after construction, so callers may size
 // per-worker state from Workers(), and repeated invocations reuse the same
 // parked goroutines instead of spawning a fresh set per call — the
 // persistent-thread-pool execution model of the OpenMP/Cilk runtimes the
 // paper's generated code runs on.
 //
-// One invocation (Run/ForChunks/...) executes at a time on an executor's
+// One invocation (Run or ForChunks) executes at a time on an executor's
 // pooled workers; the calling goroutine participates as worker 0 and the
 // remaining w-1 workers park on their dispatch channels between calls. If
 // an invocation arrives while another is in flight (a loop body
@@ -272,47 +270,6 @@ func (e *Executor) ForChunks(n, grain int, body func(lo, hi, worker int)) {
 				hi = n
 			}
 			body(lo, hi, worker)
-		}
-	})
-}
-
-// ForStatic divides [0, n) into Workers() contiguous slabs, one per worker.
-func (e *Executor) ForStatic(n int, body func(lo, hi, worker int)) {
-	if n <= 0 {
-		return
-	}
-	w := e.w
-	if w <= 1 {
-		body(0, n, 0)
-		return
-	}
-	per := (n + w - 1) / w
-	e.Run(func(worker int) {
-		lo := worker * per
-		hi := lo + per
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		if lo < hi {
-			body(lo, hi, worker)
-		}
-	})
-}
-
-// For runs body(i) for every i in [0, n) with dynamic scheduling and
-// DefaultGrain.
-func (e *Executor) For(n int, body func(i int)) {
-	e.ForGrain(n, DefaultGrain, body)
-}
-
-// ForGrain is For with an explicit grain size.
-func (e *Executor) ForGrain(n, grain int, body func(i int)) {
-	e.ForChunks(n, grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			body(i)
 		}
 	})
 }

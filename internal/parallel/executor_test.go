@@ -75,31 +75,6 @@ func TestExecutorForChunksCoverage(t *testing.T) {
 	}
 }
 
-// TestExecutorForStaticSlabs: static scheduling covers [0, n) in disjoint
-// per-worker slabs.
-func TestExecutorForStaticSlabs(t *testing.T) {
-	const n = 1001
-	e := NewExecutor(4)
-	defer e.Close()
-	owner := make([]atomic.Int32, n)
-	e.ForStatic(n, func(lo, hi, worker int) {
-		for i := lo; i < hi; i++ {
-			owner[i].Add(int32(worker) + 1)
-		}
-	})
-	seen := map[int32]bool{}
-	for i := range owner {
-		v := owner[i].Load()
-		if v < 1 || v > 4 {
-			t.Fatalf("index %d claimed by %d (want exactly one worker)", i, v-1)
-		}
-		seen[v-1] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("%d workers received slabs, want 4", len(seen))
-	}
-}
-
 // TestExecutorCloseSemantics: Close is idempotent, and invocations after
 // Close still complete correctly by falling back to transient goroutines.
 func TestExecutorCloseSemantics(t *testing.T) {
@@ -154,33 +129,6 @@ func TestExecutorNestedInvocation(t *testing.T) {
 	})
 	if inner.Load() != 9 {
 		t.Errorf("nested Run bodies ran %d times, want 9", inner.Load())
-	}
-}
-
-// TestExecutorScanPack: PrefixSum agrees with its serial definition on a
-// size that exercises the parallel path. TestPackIndicesIntoMatchesReference
-// covers packing.
-func TestExecutorScanPack(t *testing.T) {
-	e := NewExecutor(4)
-	defer e.Close()
-	n := 1 << 15 // above PrefixSum's serial cutoff
-	xs := make([]int64, n)
-	var total int64
-	for i := range xs {
-		xs[i] = int64(i%5) - 1
-	}
-	want := make([]int64, n)
-	for i := range xs {
-		want[i] = total
-		total += xs[i]
-	}
-	if got := e.PrefixSum(xs); got != total {
-		t.Fatalf("PrefixSum total = %d, want %d", got, total)
-	}
-	for i := range xs {
-		if xs[i] != want[i] {
-			t.Fatalf("PrefixSum[%d] = %d, want %d", i, xs[i], want[i])
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package parallel provides the shared-memory parallel substrate used by the
-// ordered-graph engines: chunked parallel-for loops (static and dynamic),
-// parallel prefix sums, and packing primitives.
+// ordered-graph engines: a parallel region (Run) and a dynamically scheduled
+// chunked parallel-for (ForChunks). It has no scan or pack: the engines
+// collect what their workers find in per-worker lists and concatenate them.
 //
 // The design mirrors the execution model of the Cilk/OpenMP runtimes used by
 // the paper's C++ frameworks: a fixed pool of workers, each of which may keep
