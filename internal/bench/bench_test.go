@@ -2,8 +2,10 @@ package bench
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"graphit/internal/graph"
 )
@@ -41,13 +43,40 @@ func TestFig1OrderedBeatsUnordered(t *testing.T) {
 				r.Dataset, r.Algorithm, wr, r.Ordered.Stats.Relaxations, r.Unordered.Stats.Relaxations)
 		}
 	}
-	// k-core's ordered win shows in wall clock even at small scale.
-	for _, r := range rows {
-		if r.Algorithm == "k-core" && r.Unordered.Time < r.Ordered.Time {
-			t.Errorf("%s: ordered k-core should already win in time at small scale", r.Dataset)
+	// k-core's ordered win shows in wall clock even at small scale. Each
+	// side is timed as the minimum of kcoreTimingRuns alternating runs, so
+	// one run slowed by a loaded machine does not decide the comparison.
+	ds, err := All(ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ds {
+		ord, unord := minKCoreTimes(t, d)
+		t.Logf("%s: k-core unordered/ordered time %.2f (%v / %v, min of %d alternating runs)",
+			d.Name, unord.Seconds()/ord.Seconds(), unord, ord, kcoreTimingRuns)
+		if unord < ord {
+			t.Errorf("%s: ordered k-core should already win in time at small scale", d.Name)
 		}
 	}
 	t.Logf("\n%s", out)
+}
+
+const kcoreTimingRuns = 5
+
+// minKCoreTimes times ordered and unordered k-core on d, alternating, and
+// returns each side's fastest run.
+func minKCoreTimes(t *testing.T, d *Dataset) (ord, unord time.Duration) {
+	t.Helper()
+	ord, unord = time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < kcoreTimingRuns; i++ {
+		o := KCore(context.Background(), FwGraphIt, d)
+		u := KCore(context.Background(), FwUnordered, d)
+		if o.Err != nil || u.Err != nil {
+			t.Fatalf("%s: k-core: ordered %v, unordered %v", d.Name, o.Err, u.Err)
+		}
+		ord, unord = min(ord, o.Time), min(unord, u.Time)
+	}
+	return ord, unord
 }
 
 func TestTable6FusionReducesRounds(t *testing.T) {

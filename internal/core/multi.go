@@ -223,6 +223,10 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 	return ms, runErr
 }
 
+// lanePoll is how many ids a lane drain consumes between abort polls; a
+// power of two, so the test is a mask.
+const lanePoll = 1024
+
 // laneSource is the lazy bucket source minus the bulk update: the lane kernel
 // files every bucket move inline, so a round hands the engine nothing to
 // re-bucket.
@@ -349,6 +353,12 @@ func (t *laneTrav) stop(cur int64) bool {
 // queued before it, giving in-flight improvements time to land — a LIFO
 // stack here triples the relaxation count by expanding non-final
 // priorities depth-first.
+//
+// A drain can be one whole run (any ∆ above the graph's distances), so it
+// keeps the engine's cancellation contract itself: besides the hooked
+// checkpoint at each segment start, it polls the abort flag every lanePoll
+// consumed ids — a plain load, no hook — and a watchdog or cancellation
+// abort ends the round mid-drain, its partial counters folded.
 func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool, bool) {
 	g := t.mo.G
 	state := t.state
@@ -385,6 +395,7 @@ func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool, bool
 	}
 
 	casc := t.casc
+	aborted := false
 	for l := 0; l < k; l++ {
 		seg := part[cnt[l]:cnt[l+1]]
 		if len(seg) == 0 {
@@ -397,7 +408,8 @@ func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool, bool
 			continue
 		}
 		if t.ctl.checkpoint(PhaseRelaxChunk, 0) {
-			return nil, false, true
+			aborted = true
+			break
 		}
 		dist := t.mo.Lanes[l]
 		lBase := uint32(l) << nLog
@@ -417,6 +429,10 @@ func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool, bool
 			}
 			if state[id] == 0 {
 				continue // stale or duplicate copy
+			}
+			if proc&(lanePoll-1) == lanePoll-1 && t.ctl.aborted() != abortNone {
+				aborted = true
+				break
 			}
 			state[id] = 0 // consume
 			v := id & vMask
@@ -450,7 +466,10 @@ func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool, bool
 		t.u.relaxations += rlx
 		t.stats[l].Processed += proc
 		t.stats[l].Relaxations += rlx
+		if aborted {
+			break
+		}
 	}
 	t.casc = casc[:0] // keep the grown queue for the next round
-	return nil, false, false
+	return nil, false, aborted
 }

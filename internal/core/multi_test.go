@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
+	"graphit/internal/gen"
 	"graphit/internal/graph"
 )
 
@@ -251,6 +254,42 @@ func TestMultiCancellation(t *testing.T) {
 	cancel()
 	if _, err := mo.RunContext(ctx); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestMultiAbortsMidDrain: a lane drain keeps the engine's cancellation
+// contract inside a round. With ∆ above every distance of a road grid, the
+// whole one-lane run is one round — one drain of ~800k consumed ids, tens of
+// milliseconds. A 1 ms RoundTimeout fires while it drains, and the kernel's
+// abort poll must end the run with a *StuckError and a fraction of the clean
+// run's work; checking only at segment starts, it would drain the round and
+// return nil.
+func TestMultiAbortsMidDrain(t *testing.T) {
+	g, err := gen.Road(gen.RoadOptions{Rows: 300, Cols: 300, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Strategy = Lazy
+	cfg.Delta = 1 << 40
+	mo, _ := multiOp(g, []uint32{0}, cfg)
+	clean, err := mo.Run()
+	if err != nil || clean.Rounds != 1 {
+		t.Fatalf("clean run: %d rounds, err %v; want one round", clean.Rounds, err)
+	}
+
+	cfg.RoundTimeout = time.Millisecond
+	mo, _ = multiOp(g, []uint32{0}, cfg)
+	ms, err := mo.Run()
+	var se *StuckError
+	if !errors.As(err, &se) || se.Reason != StuckRoundTimeout {
+		t.Fatalf("err %v, want a round-timeout *StuckError", err)
+	}
+	if ms.Processed >= clean.Processed/2 {
+		t.Errorf("aborted run processed %d of the clean run's %d ids; want it cut short", ms.Processed, clean.Processed)
+	}
+	if ms.Lanes[0].Processed != ms.Processed {
+		t.Errorf("lane processed %d, run processed %d: partial counters not folded", ms.Lanes[0].Processed, ms.Processed)
 	}
 }
 

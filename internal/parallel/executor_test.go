@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"graphit/internal/testutil"
 )
@@ -213,10 +214,21 @@ func TestExecutorForChunksPanicAborts(t *testing.T) {
 	defer e.Close()
 	const n = 1 << 20
 	var processed atomic.Int64
+	// Once chunk 0 has begun panicking, every sibling chunk sleeps 1 ms:
+	// finishing the loop would then take the siblings about a minute, so the
+	// check below does not depend on how long the panicking worker is
+	// descheduled on a loaded machine.
+	panicking := make(chan struct{})
 	p := mustPanic(t, func() {
 		e.ForChunks(n, 16, func(lo, hi, worker int) {
 			if lo == 0 {
+				defer close(panicking)
 				panic("chunk fault")
+			}
+			select {
+			case <-panicking:
+				time.Sleep(time.Millisecond)
+			default:
 			}
 			processed.Add(int64(hi - lo))
 		})

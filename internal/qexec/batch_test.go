@@ -15,6 +15,7 @@ import (
 	"graphit/internal/core"
 	"graphit/internal/faults"
 	"graphit/internal/livegraph"
+	"graphit/internal/obs"
 	"graphit/internal/parallel"
 	"graphit/internal/testutil"
 )
@@ -94,9 +95,8 @@ func TestBatchFanOut(t *testing.T) {
 }
 
 // TestBatchSoloWindow proves the degenerate window: a batchable request with
-// no companions pays the window, then runs as an ordinary single-source
-// execution — marked Batched with BatchLanes zero — and the stage records a
-// solo close.
+// no companions pays the window, then runs as a one-lane run — marked
+// Batched with BatchLanes zero — and the stage records a solo close.
 func TestBatchSoloWindow(t *testing.T) {
 	defer testutil.LeakCheck(t, parallel.CloseIdle)()
 	p := newTestPipeline(t, Config{BatchWindow: 5 * time.Millisecond, BatchMaxLanes: 8})
@@ -112,6 +112,122 @@ func TestBatchSoloWindow(t *testing.T) {
 	st := p.Status().Batch
 	if st.Windows != 1 || st.Solo != 1 || st.MultiRuns != 0 {
 		t.Errorf("batch status = %+v, want 1 window closed solo", st)
+	}
+}
+
+// TestSoloLazyRunsLaneKernel pins the routing of solo lazy queries: the
+// primary run of a batchable plan is a one-lane lane-kernel run whether its
+// window closed solo or no window was open (BatchWindow=0). The kernel is
+// serial, so each answer's Stats equal a direct one-lane Spec.RunMulti's
+// exactly; the answer equals the sequential reference; nothing was shared
+// (BatchLanes 0) and the solo counters moved. A non-batchable request on the
+// same pipeline still runs Spec.Run on the engine.
+func TestSoloLazyRunsLaneKernel(t *testing.T) {
+	defer testutil.LeakCheck(t, parallel.CloseIdle)()
+	opt := graphit.DefaultRMAT(10, 8, 3)
+	g, err := graphit.RMAT(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pair query's destination: the reachable vertex farthest from 0.
+	far, err := algo.Dijkstra(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst uint32
+	for v, d := range far {
+		if d != graphit.Unreached && d > far[dst] {
+			dst = uint32(v)
+		}
+	}
+	reqs := []Request{
+		{Algo: "sssp", Graph: "social", Src: 0, Strategy: "lazy", Delta: 64},
+		{Algo: "wbfs", Graph: "social", Src: 0, Strategy: "lazy"},
+		{Algo: "ppsp", Graph: "social", Src: 0, Dst: dst, Strategy: "lazy", Delta: 64},
+	}
+	for _, window := range []time.Duration{time.Millisecond, 0} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			p := newTestPipeline(t, Config{
+				Graphs:        map[string]*graphit.Graph{"social": g},
+				Workers:       1,
+				BatchWindow:   window,
+				BatchMaxLanes: 8,
+				Metrics:       reg,
+			})
+			defer mustClose(t, p)
+			solo := reg.Counter("qexec_batch_solo_total", "")
+			for i, req := range reqs {
+				pl, err := p.plan(&req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				direct, err := pl.Spec.RunMulti(context.Background(), g,
+					[]graphit.VertexID{pl.Src}, []graphit.VertexID{pl.Dst}, pl.Sched)
+				pl.Snap.Release()
+				if err != nil {
+					t.Fatalf("%s: direct one-lane run: %v", req.Algo, err)
+				}
+				ref, err := pl.Spec.Ref(g, pl.Src, pl.Dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				req.Vertices = allVertices(g)
+				out := p.Do(context.Background(), req)
+				if out.Code != CodeOK || out.Fallback {
+					t.Fatalf("%s: %s (%v) Fallback=%v", req.Algo, out.Code, out.Err, out.Fallback)
+				}
+				if pl.Spec.Kind == algo.KindPair {
+					want := algo.Summarize(pl.Spec, ref, pl.Dst, nil).PairDist
+					if got := out.Summary.PairDist; got == nil || want == nil || *got != *want {
+						t.Errorf("%s: pair distance %v, want %v", req.Algo, got, want)
+					}
+				} else {
+					wantSummaryValues(t, out, req.Vertices, ref.Values)
+				}
+				if out.Stats == nil || *out.Stats != direct[0].Stats {
+					t.Errorf("%s: stats %+v, want the one-lane kernel run's %+v", req.Algo, out.Stats, direct[0].Stats)
+				}
+				if out.Batched != (window > 0) || out.BatchLanes != 0 {
+					t.Errorf("%s: Batched=%v BatchLanes=%d, want %v/0", req.Algo, out.Batched, out.BatchLanes, window > 0)
+				}
+				if window > 0 {
+					if got := p.Status().Batch.Solo; got != int64(i+1) {
+						t.Errorf("%s: Status.Batch.Solo = %d, want %d", req.Algo, got, i+1)
+					}
+					if got := solo.Value(); got != int64(i+1) {
+						t.Errorf("%s: qexec_batch_solo_total = %d, want %d", req.Algo, got, i+1)
+					}
+				}
+			}
+			if st := p.Status().Batch; st.MultiRuns != 0 || st.Lanes != 0 {
+				t.Errorf("batch status = %+v, want no multi-lane runs", st)
+			}
+			if got := reg.Counter("qexec_batch_runs_total", "").Value(); got != 0 {
+				t.Errorf("qexec_batch_runs_total = %d, want 0", got)
+			}
+
+			// A non-batchable plan keeps Spec.Run: at Workers=1 its stats
+			// repeat exactly.
+			req := Request{Algo: "sssp", Graph: "social", Src: 0, Strategy: "eager_with_fusion", Delta: 64}
+			pl, err := p.plan(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := pl.Spec.Run(context.Background(), g, pl.Src, pl.Dst, pl.Sched)
+			pl.Snap.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := p.Do(context.Background(), req)
+			if out.Code != CodeOK || out.Batched {
+				t.Fatalf("eager: %s (%v) Batched=%v", out.Code, out.Err, out.Batched)
+			}
+			if out.Stats == nil || *out.Stats != want.Stats {
+				t.Errorf("eager: stats %+v, want Spec.Run's %+v", out.Stats, want.Stats)
+			}
+		})
 	}
 }
 

@@ -95,7 +95,7 @@ func newPipeMetrics(reg *obs.Registry, p *Pipeline) *pipeMetrics {
 	m.batchWindows = reg.Counter("qexec_batch_windows_total", "Batch admission windows opened.")
 	m.batchRuns = reg.Counter("qexec_batch_runs_total", "Multi-source engine runs executed by the batch stage (windows that closed with ≥2 lanes).")
 	m.batchLanes = reg.Counter("qexec_batch_lanes_total", "Query lanes carried by batched multi-source runs.")
-	m.batchSolo = reg.Counter("qexec_batch_solo_total", "Batch windows that closed with a single occupant and ran single-source.")
+	m.batchSolo = reg.Counter("qexec_batch_solo_total", "Batch windows that closed with a single occupant and ran as a one-lane run.")
 	m.breakerDropped = reg.Counter("qexec_breaker_gauges_dropped_total",
 		"Breaker keys whose state gauge was not exported because the per-key cardinality cap was reached.")
 	reg.GaugeFunc("qexec_inflight", "Queries currently executing (post-admission).",

@@ -20,9 +20,11 @@
 //	          pool, one slot per group; overflow is shed fast (CodeShed).
 //	Route  -> the per-(algo, strategy) circuit breaker decides primary
 //	          vs. known-safe fallback schedule.
-//	Run    -> shielded engine execution (one single-source run, or one
-//	          k-lane run for a group of k), fault classification,
-//	          fallback re-routing, and per-lane result summarization.
+//	Run    -> shielded execution — a batchable plan's primary run is
+//	          one k-lane lane-kernel run for its group of k ≥ 1, any
+//	          other plan's one single-source engine run — then fault
+//	          classification, fallback re-routing (per-lane engine
+//	          runs), and per-lane result summarization.
 //
 // The pipeline owns drain semantics too: Close stops admission, waits
 // (event-driven, no polling) for in-flight runs, and cancels them at their

@@ -45,15 +45,19 @@ func TestFallbackRerunAnswersFaultedRequest(t *testing.T) {
 		kind                 string
 	}
 	var cases []rerunCase
-	for _, pr := range []struct{ algo, strategy string }{
-		{"sssp", "eager_with_fusion"},
-		{"sssp", "eager_no_fusion"},
-		{"sssp", "lazy"},
-		{"kcore", "lazy_constant_sum"},
+	// The lazy sssp, wbfs and ppsp primaries run on the lane kernel; their
+	// fallback runs on the engine.
+	for _, pr := range []struct{ name, algo, strategy string }{
+		{"eager_with_fusion", "sssp", "eager_with_fusion"},
+		{"eager_no_fusion", "sssp", "eager_no_fusion"},
+		{"lazy", "sssp", "lazy"},
+		{"wbfs_lazy", "wbfs", "lazy"},
+		{"ppsp_lazy", "ppsp", "lazy"},
+		{"lazy_constant_sum", "kcore", "lazy_constant_sum"},
 	} {
 		cases = append(cases,
-			rerunCase{pr.strategy + "/panic", pr.algo, pr.strategy, []faults.Trigger{panicAt}, CodeOK, graphit.FaultKindPanic},
-			rerunCase{pr.strategy + "/stall", pr.algo, pr.strategy, []faults.Trigger{stallAt}, CodeOK, graphit.FaultKindStuck})
+			rerunCase{pr.name + "/panic", pr.algo, pr.strategy, []faults.Trigger{panicAt}, CodeOK, graphit.FaultKindPanic},
+			rerunCase{pr.name + "/stall", pr.algo, pr.strategy, []faults.Trigger{stallAt}, CodeOK, graphit.FaultKindStuck})
 	}
 	cases = append(cases,
 		rerunCase{"persistent/panic", "sssp", "lazy", []faults.Trigger{repeat(panicAt)}, CodeFault, graphit.FaultKindPanic},
@@ -70,7 +74,11 @@ func TestFallbackRerunAnswersFaultedRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := sp.Ref(g, 0, 0)
+			var dst uint32 // a pair query's far corner keeps it running past round 2
+			if sp.NeedsDst {
+				dst = uint32(g.NumVertices() - 1)
+			}
+			ref, err := sp.Ref(g, 0, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,13 +92,22 @@ func TestFallbackRerunAnswersFaultedRequest(t *testing.T) {
 			})
 			defer mustClose(t, p)
 
-			out := p.Do(context.Background(), Request{Algo: tc.algo, Graph: "road", Src: 0, Strategy: tc.strategy, Vertices: ids})
+			out := p.Do(context.Background(), Request{Algo: tc.algo, Graph: "road", Src: 0, Dst: dst, Strategy: tc.strategy, Vertices: ids})
 			if out.Code != tc.code || !out.Fallback || out.FaultKind != tc.kind {
 				t.Fatalf("code %s (%v) Fallback=%v FaultKind=%q, want %s after a fallback rerun, FaultKind %q",
 					out.Code, out.Err, out.Fallback, out.FaultKind, tc.code, tc.kind)
 			}
 			if st := p.Status().Breakers; len(st) != 1 || st[0].Faults != 1 || st[0].Fallbacks != 1 {
 				t.Fatalf("breakers = %+v, want one key fed one fault and one fallback", st)
+			}
+			if tc.code == CodeOK && sp.Kind == algo.KindPair {
+				// Only the pair distance is exact: an early-terminated run
+				// leaves the rest of its vector partly settled.
+				want := algo.Summarize(sp, ref, dst, nil).PairDist
+				if got := out.Summary.PairDist; got == nil || want == nil || *got != *want {
+					t.Fatalf("pair distance %v, want %v", got, want)
+				}
+				return
 			}
 			if tc.code == CodeOK {
 				wantSummaryValues(t, out, ids, ref.Values)

@@ -88,8 +88,9 @@ type Outcome struct {
 	Coalesced bool
 	// Batched reports that the request went through the batch-coalescing
 	// stage; BatchLanes is the lane count of the shared multi-source run
-	// that answered it (0 when the window closed solo or the stage only
-	// classified a failure).
+	// that answered it (0 when nothing was shared: the window closed solo —
+	// the answer then came from a one-lane lane-kernel run — or the stage
+	// only classified a failure).
 	Batched    bool
 	BatchLanes int
 	// Summary is the canonical result summary (CodeOK only).
@@ -126,11 +127,14 @@ func (pl *Plan) outcome(code Code, err error) *Outcome {
 // *graphit.PanicError so every layer above sees one fault taxonomy and the
 // process never dies for a query.
 //
-// shared runs k > 1 lanes as one k-lane engine run (Spec.RunMulti); without
-// it — and always for k = 1 — each lane is its own Spec.Run, back to back,
-// stopping at the first error. Results come back per lane; a failed run may
-// still carry partial results (and so partial stats).
-func runLanes(ctx context.Context, lanes []*lane, sched graphit.Schedule, shared bool) (res []*algo.QueryResult, err error) {
+// The primary run of a batchable plan goes to the lane kernel as one k-lane
+// Spec.RunMulti for every k ≥ 1: a window that closed solo, or a plan under
+// BatchWindow=0, is a one-lane kernel run. Otherwise — a non-batchable plan,
+// which always has one lane, or a fallback run — each lane is its own
+// Spec.Run, back to back, stopping at the first error. Results come back
+// per lane; a failed run may still carry partial results (and so partial
+// stats).
+func runLanes(ctx context.Context, lanes []*lane, sched graphit.Schedule, primary bool) (res []*algo.QueryResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
@@ -138,7 +142,7 @@ func runLanes(ctx context.Context, lanes []*lane, sched graphit.Schedule, shared
 		}
 	}()
 	lead := lanes[0].pl
-	if shared && len(lanes) > 1 {
+	if primary && lead.batchable() {
 		srcs := make([]graphit.VertexID, len(lanes))
 		dsts := make([]graphit.VertexID, len(lanes))
 		for i, ln := range lanes {
@@ -160,9 +164,11 @@ func runLanes(ctx context.Context, lanes []*lane, sched graphit.Schedule, shared
 // and result fields: one breaker verdict covers the run, a primary fault
 // triggers one fallback rerun from scratch (the request's last attempt: the
 // engine itself never retries), and the error taxonomy is applied
-// uniformly — the lanes of a group succeed or fail together. The
-// fallback for every k is per-lane Spec.Run under fallbackSchedule: with one
-// k-lane engine, re-running it would re-run the kernel that just faulted.
+// uniformly — the lanes of a group succeed or fail together. The primary
+// run of a batchable plan is a lane-kernel run for every k, one lane
+// included; the fallback for every k is per-lane Spec.Run under
+// fallbackSchedule, on the engine: re-running the lane kernel would re-run
+// the code that just faulted.
 func (p *Pipeline) route(ctx context.Context, lanes []*lane, outs []*Outcome) {
 	lead := lanes[0].pl
 	key := lead.BreakerKey()

@@ -205,7 +205,7 @@ type BatchStatus struct {
 	// Windows counts admission windows opened; MultiRuns the windows that
 	// closed with ≥2 lanes and executed as one multi-source run; Lanes the
 	// total lanes those runs carried; Solo the windows that closed with a
-	// single occupant and ran as ordinary single-source executions.
+	// single occupant and ran as one-lane lane-kernel runs (nothing shared).
 	Windows   int64 `json:"windows"`
 	MultiRuns int64 `json:"multi_runs"`
 	Lanes     int64 `json:"lanes"`
