@@ -47,20 +47,22 @@ import (
 	"graphit"
 	"graphit/algo"
 	"graphit/internal/cliutil"
+	"graphit/internal/core"
 	"graphit/internal/graph"
 )
 
 func main() {
+	def := core.DefaultConfig()
 	var (
 		algoName   = flag.String("algo", "sssp", strings.Join(algo.Names(), " | "))
 		graphPath  = flag.String("graph", "", "graph file (.el/.wel/.gr/.bin)")
 		src        = flag.Uint("src", 0, "source vertex")
 		dst        = flag.Uint("dst", 0, "destination vertex (ppsp/astar)")
-		strategy   = flag.String("strategy", "eager_with_fusion", "eager_with_fusion | eager_no_fusion | lazy | lazy_constant_sum")
-		delta      = flag.Int64("delta", 1, "priority-coarsening factor")
-		threshold  = flag.Int("fusion-threshold", 1000, "bucket fusion threshold")
-		numBuckets = flag.Int("num-buckets", 128, "materialized lazy buckets")
-		direction  = flag.String("direction", "SparsePush", "SparsePush | DensePull")
+		strategy   = flag.String("strategy", def.Strategy.String(), strings.Join(core.StrategyNames(), " | "))
+		delta      = flag.Int64("delta", def.Delta, "priority-coarsening factor")
+		threshold  = flag.Int("fusion-threshold", def.FusionThreshold, "bucket fusion threshold")
+		numBuckets = flag.Int("num-buckets", def.NumBuckets, "materialized lazy buckets")
+		direction  = flag.String("direction", def.Direction.String(), strings.Join(core.DirectionNames(), " | "))
 		workers    = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		symmetrize = flag.Bool("symmetrize", false, "symmetrize the graph after loading")
 		verify     = flag.Bool("verify", false, "verify against the sequential reference")

@@ -19,6 +19,7 @@ import (
 	"graphit/algo"
 	"graphit/internal/autotune"
 	"graphit/internal/core"
+	"graphit/internal/lang/sched"
 )
 
 func main() {
@@ -46,13 +47,8 @@ func main() {
 	// The autotuner's ensemble search (random restarts + greedy mutation),
 	// 40 trials as in the paper.
 	measure := func(ctx context.Context, cfg core.Config) (time.Duration, error) {
-		sched := graphit.DefaultSchedule().
-			ConfigApplyPriorityUpdate(cfg.Strategy.String()).
-			ConfigApplyPriorityUpdateDelta(cfg.Delta).
-			ConfigBucketFusionThreshold(cfg.FusionThreshold).
-			ConfigNumBuckets(cfg.NumBuckets)
 		t0 := time.Now()
-		if _, err := algo.SSSPContext(ctx, g, src, sched); err != nil {
+		if _, err := algo.SSSPContext(ctx, g, src, graphit.ScheduleFromConfig(cfg)); err != nil {
 			return 0, err
 		}
 		return time.Since(t0), nil
@@ -68,13 +64,13 @@ func main() {
 	fmt.Printf("ratio autotuned/hand-tuned: %.2f (paper: within 5%% after 30-40 trials)\n\n", res.Cost.Seconds()/handTime.Seconds())
 
 	fmt.Println("scheduling-language form (paste into a .gt schedule block):")
-	fmt.Println(res.Best.ScheduleText("s1"))
+	fmt.Println(sched.Format("s1", res.Best))
 
 	fmt.Println("\ntop 3 trials:")
 	for i, tr := range res.Trials {
 		if i == 3 || tr.Err != nil {
 			break
 		}
-		fmt.Printf("  %d. %-60v %.1fms\n", i+1, tr.Candidate, float64(tr.Cost.Microseconds())/1000)
+		fmt.Printf("  %d. %-60v %.1fms\n", i+1, tr.Config, float64(tr.Cost.Microseconds())/1000)
 	}
 }

@@ -3,9 +3,11 @@ package graphit_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"graphit"
 	"graphit/algo"
+	"graphit/internal/core"
 )
 
 func smallGraph(t *testing.T) *graphit.Graph {
@@ -68,6 +70,45 @@ func TestScheduleErrorAccumulation(t *testing.T) {
 	g := smallGraph(t)
 	if _, err := algo.SSSP(g, 0, graphit.DefaultSchedule().ConfigApplyPriorityUpdateDelta(-4)); err == nil {
 		t.Error("RunOrdered accepted an invalid schedule")
+	}
+}
+
+// TestScheduleFromConfigRoundTrip: ScheduleFromConfig is the inverse of
+// Schedule.Config for configs that set every field, and a field outside
+// core.Config.Validate's bounds is reported by Err.
+func TestScheduleFromConfigRoundTrip(t *testing.T) {
+	full := core.Config{
+		Strategy: core.Lazy, Delta: 1 << 9, FusionThreshold: 77, NumBuckets: 33,
+		Direction: core.Hybrid, Workers: 3, Grain: 64, NoDedup: true,
+		RoundTimeout: 250 * time.Millisecond, StuckRounds: 9,
+	}
+	valid := []core.Config{core.DefaultConfig(), full}
+	for _, st := range []core.Strategy{core.EagerWithFusion, core.EagerNoFusion, core.LazyConstantSum} {
+		c := full
+		c.Strategy, c.Direction = st, core.SparsePush
+		valid = append(valid, c)
+	}
+	for _, c := range valid {
+		got, err := graphit.ScheduleFromConfig(c).Config()
+		if err != nil || got != c {
+			t.Errorf("ScheduleFromConfig(%+v).Config() = %+v, %v", c, got, err)
+		}
+	}
+	invalid := map[string]func(*core.Config){
+		"delta":        func(c *core.Config) { c.Delta = 0 },
+		"threshold":    func(c *core.Config) { c.FusionThreshold = 0 },
+		"buckets":      func(c *core.Config) { c.NumBuckets = -1 },
+		"grain":        func(c *core.Config) { c.Grain = -1 },
+		"workers":      func(c *core.Config) { c.Workers = -1 },
+		"roundTimeout": func(c *core.Config) { c.RoundTimeout = -time.Second },
+		"stuckRounds":  func(c *core.Config) { c.StuckRounds = -1 },
+	}
+	for name, breakIt := range invalid {
+		c := full
+		breakIt(&c)
+		if err := graphit.ScheduleFromConfig(c).Err(); err == nil {
+			t.Errorf("%s out of range: ScheduleFromConfig reported no error", name)
+		}
 	}
 }
 

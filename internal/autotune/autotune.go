@@ -11,6 +11,7 @@ package autotune
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -19,53 +20,6 @@ import (
 
 	"graphit/internal/core"
 )
-
-// Candidate is one point in the schedule space.
-type Candidate struct {
-	Strategy        core.Strategy
-	DeltaExp        int // ∆ = 2^DeltaExp
-	FusionThreshold int
-	NumBuckets      int
-	Direction       core.Direction
-	Grain           int
-}
-
-// Config converts the candidate to a runtime configuration.
-func (c Candidate) Config() core.Config {
-	return core.Config{
-		Strategy:        c.Strategy,
-		Delta:           1 << c.DeltaExp,
-		FusionThreshold: c.FusionThreshold,
-		NumBuckets:      c.NumBuckets,
-		Direction:       c.Direction,
-		Grain:           c.Grain,
-	}
-}
-
-func (c Candidate) String() string {
-	return fmt.Sprintf("%v ∆=2^%d fuse<%d buckets=%d %v grain=%d",
-		c.Strategy, c.DeltaExp, c.FusionThreshold, c.NumBuckets, c.Direction, c.Grain)
-}
-
-// ScheduleText renders the candidate in the scheduling language (paper
-// Figure 8), ready to paste into a program's schedule block or feed to
-// graphitc -schedule.
-func (c Candidate) ScheduleText(label string) string {
-	text := fmt.Sprintf(`program->configApplyPriorityUpdate(%q, %q)
-->configApplyPriorityUpdateDelta(%q, "%d")
-->configBucketFusionThreshold(%q, "%d")
-->configNumBuckets(%q, "%d")
-->configApplyDirection(%q, %q)`,
-		label, c.Strategy.String(),
-		label, int64(1)<<c.DeltaExp,
-		label, c.FusionThreshold,
-		label, c.NumBuckets,
-		label, c.Direction.String())
-	if c.Grain > 0 {
-		text += fmt.Sprintf("\n->configApplyParallelization(%q, \"dynamic-vertex-parallel,%d\")", label, c.Grain)
-	}
-	return text + ";"
-}
 
 // Space bounds the search.
 type Space struct {
@@ -126,16 +80,18 @@ type Options struct {
 	Parallel int
 }
 
-// Trial records one evaluated candidate.
+// Trial records one evaluated point of the schedule space: a core.Config
+// whose ∆ is a power of two and whose other fields are drawn from the
+// search grids below.
 type Trial struct {
-	Candidate Candidate
-	Cost      time.Duration
-	Err       error
+	Config core.Config
+	Cost   time.Duration
+	Err    error
 }
 
 // Result is the autotuner's outcome.
 type Result struct {
-	Best   Candidate
+	Best   core.Config
 	Cost   time.Duration
 	Trials []Trial
 }
@@ -168,7 +124,7 @@ func Tune(ctx context.Context, space Space, measure Measure, opt Options) (*Resu
 	}
 	start := time.Now()
 	res := &Result{Cost: 1<<63 - 1}
-	seen := map[Candidate]bool{}
+	seen := map[core.Config]bool{}
 
 	// safeMeasure contains panics escaping a Measure (a faulty candidate
 	// path, or a user measure function running outside the engine's own
@@ -191,19 +147,19 @@ func Tune(ctx context.Context, space Space, measure Measure, opt Options) (*Resu
 	// opt.Parallel > 1, which is safe because every engine run executes on
 	// its own fixed-size executor — and folds the outcomes into res in
 	// batch order, keeping results deterministic for a given seed.
-	evalBatch := func(cands []Candidate) {
+	evalBatch := func(cands []core.Config) {
 		costs := make([]time.Duration, len(cands))
 		errs := make([]error, len(cands))
 		var wg sync.WaitGroup
 		for i := range cands {
 			wg.Add(1)
-			go func(i int, c Candidate) {
+			go func(i int, c core.Config) {
 				defer wg.Done()
 				best := time.Duration(1<<63 - 1)
 				var err error
 				for r := 0; r < opt.Repeats; r++ {
 					var d time.Duration
-					d, err = safeMeasure(ctx, c.Config())
+					d, err = safeMeasure(ctx, c)
 					if err != nil {
 						break
 					}
@@ -216,7 +172,7 @@ func Tune(ctx context.Context, space Space, measure Measure, opt Options) (*Resu
 		}
 		wg.Wait()
 		for i, c := range cands {
-			res.Trials = append(res.Trials, Trial{Candidate: c, Cost: costs[i], Err: errs[i]})
+			res.Trials = append(res.Trials, Trial{Config: c, Cost: costs[i], Err: errs[i]})
 			if errs[i] == nil && costs[i] < res.Cost {
 				res.Cost = costs[i]
 				res.Best = c
@@ -224,37 +180,24 @@ func Tune(ctx context.Context, space Space, measure Measure, opt Options) (*Resu
 		}
 	}
 
-	evaluate := func(c Candidate) {
-		if ctx.Err() != nil || seen[c] {
-			return
-		}
-		seen[c] = true
-		evalBatch([]Candidate{c})
-	}
-
-	random := func() Candidate {
-		return Candidate{
+	random := func() core.Config {
+		return core.Config{
 			Strategy:        space.Strategies[rng.Intn(len(space.Strategies))],
-			DeltaExp:        rng.Intn(space.MaxDeltaExp + 1),
+			Delta:           1 << rng.Intn(space.MaxDeltaExp+1),
 			FusionThreshold: fusionThresholds[rng.Intn(len(fusionThresholds))],
 			NumBuckets:      bucketCounts[rng.Intn(len(bucketCounts))],
 			Direction:       space.Directions[rng.Intn(len(space.Directions))],
 			Grain:           grains[rng.Intn(len(grains))],
 		}
 	}
-	mutate := func(c Candidate) Candidate {
+	mutate := func(c core.Config) core.Config {
 		switch rng.Intn(6) {
 		case 0:
 			c.Strategy = space.Strategies[rng.Intn(len(space.Strategies))]
 		case 1:
-			// Local move on the delta exponent.
-			c.DeltaExp += rng.Intn(5) - 2
-			if c.DeltaExp < 0 {
-				c.DeltaExp = 0
-			}
-			if c.DeltaExp > space.MaxDeltaExp {
-				c.DeltaExp = space.MaxDeltaExp
-			}
+			// Local move on the exponent of ∆.
+			exp := bits.Len64(uint64(c.Delta)) - 1 + rng.Intn(5) - 2
+			c.Delta = 1 << min(max(exp, 0), space.MaxDeltaExp)
 		case 2:
 			c.FusionThreshold = fusionThresholds[rng.Intn(len(fusionThresholds))]
 		case 3:
@@ -268,11 +211,10 @@ func Tune(ctx context.Context, space Space, measure Measure, opt Options) (*Resu
 	}
 
 	// Seed with the scheduling-language defaults plus pure random points.
-	evaluate(Candidate{
-		Strategy: core.EagerWithFusion, DeltaExp: 0,
-		FusionThreshold: 1000, NumBuckets: 128,
-		Direction: core.SparsePush,
-	})
+	if def := core.DefaultConfig(); ctx.Err() == nil {
+		seen[def] = true
+		evalBatch([]core.Config{def})
+	}
 	for len(res.Trials) < opt.MaxTrials {
 		if ctx.Err() != nil {
 			break
@@ -289,9 +231,9 @@ func Tune(ctx context.Context, space Space, measure Measure, opt Options) (*Resu
 		if rem := opt.MaxTrials - len(res.Trials); want > rem {
 			want = rem
 		}
-		var wave []Candidate
+		var wave []core.Config
 		for misses := 0; len(wave) < want && misses < 200; {
-			var c Candidate
+			var c core.Config
 			if res.Cost == 1<<63-1 || rng.Float64() < 0.4 {
 				c = random()
 			} else {

@@ -40,8 +40,8 @@ func TestTuneFindsBasin(t *testing.T) {
 	if res.Best.Strategy != core.EagerWithFusion {
 		t.Errorf("best strategy = %v", res.Best.Strategy)
 	}
-	if res.Best.DeltaExp < 5 || res.Best.DeltaExp > 11 {
-		t.Errorf("best delta exp = %d, want near 8", res.Best.DeltaExp)
+	if res.Best.Delta < 1<<5 || res.Best.Delta > 1<<11 {
+		t.Errorf("best delta = %d, want near 2^8", res.Best.Delta)
 	}
 	if len(res.Trials) == 0 || len(res.Trials) > 40 {
 		t.Errorf("trials = %d", len(res.Trials))

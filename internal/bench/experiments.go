@@ -434,13 +434,8 @@ func Autotune(ctx context.Context, s Scale) (*Table, float64, error) {
 		src := sources(d, 1)[0]
 		hand := average([]RunResult{SSSP(ctx, FwGraphIt, d, src), SSSP(ctx, FwGraphIt, d, src)})
 		measure := func(ctx context.Context, cfg core.Config) (time.Duration, error) {
-			sched := graphit.DefaultSchedule().
-				ConfigApplyPriorityUpdate(cfg.Strategy.String()).
-				ConfigApplyPriorityUpdateDelta(cfg.Delta).
-				ConfigBucketFusionThreshold(cfg.FusionThreshold).
-				ConfigNumBuckets(cfg.NumBuckets)
 			start := time.Now()
-			if _, err := algo.SSSPContext(ctx, d.Graph, src, sched); err != nil {
+			if _, err := algo.SSSPContext(ctx, d.Graph, src, graphit.ScheduleFromConfig(cfg)); err != nil {
 				return 0, err
 			}
 			return time.Since(start), nil

@@ -228,19 +228,11 @@ func KCore(ctx context.Context, fw Framework, d *Dataset) RunResult {
 			}
 			return r.Stats, nil
 		})
-	case FwGraphIt:
-		// Best schedule: lazy with the constant-sum histogram (Table 7).
+	default:
+		// GraphIt's best schedule is lazy with the constant-sum histogram
+		// (Table 7); Julienne runs the same, with its default 128 buckets.
 		return timed(func() (graphit.Stats, error) {
 			r, err := algo.KCoreContext(ctx, g, graphit.DefaultSchedule().ConfigApplyPriorityUpdate("lazy_constant_sum"))
-			if err != nil {
-				return graphit.Stats{}, err
-			}
-			return r.Stats, nil
-		})
-	default: // Julienne: lazy bucketing with histogram, via its own interface
-		return timed(func() (graphit.Stats, error) {
-			r, err := algo.KCoreContext(ctx, g, graphit.DefaultSchedule().
-				ConfigApplyPriorityUpdate("lazy_constant_sum").ConfigNumBuckets(128))
 			if err != nil {
 				return graphit.Stats{}, err
 			}
@@ -258,12 +250,12 @@ func SetCover(ctx context.Context, fw Framework, d *Dataset) RunResult {
 	}
 	switch fw {
 	case FwGraphIt, FwJulienne:
-		nb := 128
+		sched := graphit.DefaultSchedule()
 		if fw == FwJulienne {
-			nb = 64
+			sched = sched.ConfigNumBuckets(64)
 		}
 		return timed(func() (graphit.Stats, error) {
-			r, err := algo.SetCoverContext(ctx, g, graphit.DefaultSchedule().ConfigNumBuckets(nb))
+			r, err := algo.SetCoverContext(ctx, g, sched)
 			if err != nil {
 				return graphit.Stats{}, err
 			}

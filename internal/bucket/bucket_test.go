@@ -245,18 +245,19 @@ func TestLocalBinsTakeOutOfRange(t *testing.T) {
 }
 
 func TestLazyEmptyQueue(t *testing.T) {
-	l := NewLazy(5, Increasing, 4, func(uint32) int64 { return NullBkt })
-	if bid, _ := l.Next(); bid != NullBkt {
-		t.Fatal("empty queue should be finished")
-	}
-	// Late insertion after an empty start must still work.
-	prio := int64(3)
-	l.SetBktFunc(func(v uint32) int64 {
+	// Vertex 2 has no bucket until its priority is set after the start.
+	prio := NullBkt
+	l := NewLazy(5, Increasing, 4, func(v uint32) int64 {
 		if v == 2 {
 			return prio
 		}
 		return NullBkt
 	})
+	if bid, _ := l.Next(); bid != NullBkt {
+		t.Fatal("empty queue should be finished")
+	}
+	// Late insertion after an empty start must still work.
+	prio = 3
 	l.UpdateBuckets([]uint32{2})
 	bid, verts := l.Next()
 	if bid != 3 || len(verts) != 1 || verts[0] != 2 {

@@ -103,51 +103,32 @@ func (l *Lazy) appendSlab(s []uint32, v uint32) []uint32 {
 	return append(g, v)
 }
 
+// DefaultNumOpen is Julienne's default number of materialized buckets, the
+// configNumBuckets default of paper Table 2.
+const DefaultNumOpen = 128
+
 // NewLazy creates a lazy bucket structure over vertices [0, n) with the
 // given extraction order and number of materialized buckets. Every vertex
 // whose bktOf is non-null is placed in a bucket. numOpen <= 0 selects
-// Julienne's default of 128 open buckets.
+// DefaultNumOpen.
 func NewLazy(n int, order Order, numOpen int, bktOf BktFunc) *Lazy {
-	if numOpen <= 0 {
-		numOpen = 128
-	}
-	l := &Lazy{
-		order:   order,
-		numOpen: numOpen,
-		bktOf:   bktOf,
-		open:    make([][]uint32, numOpen),
-		n:       n,
-	}
-	// Find the initial window base: the extreme bucket value present.
-	base := NullBkt
-	for v := 0; v < n; v++ {
-		b := bktOf(uint32(v))
-		if b == NullBkt {
-			continue
-		}
-		if base == NullBkt || l.before(b, base) {
-			base = b
-		}
-	}
-	l.base = base
-	for v := 0; v < n; v++ {
-		b := bktOf(uint32(v))
-		if b == NullBkt {
-			continue
-		}
-		l.place(uint32(v), b)
-	}
-	return l
+	return newLazy(n, order, numOpen, bktOf, nil, n)
 }
 
 // NewLazyFrom is NewLazy restricted to an initial active set: the window
 // base is computed over active instead of a full [0, n) scan, and only the
 // active vertices are placed. bktOf is the unrestricted bucket function,
-// consulted by all later updates and extractions (so no SetBktFunc swap is
-// needed when the initial frontier is a source subset).
+// consulted by all later updates and extractions.
 func NewLazyFrom(n int, order Order, numOpen int, bktOf BktFunc, active []uint32) *Lazy {
+	return newLazy(n, order, numOpen, bktOf, active, len(active))
+}
+
+// newLazy places the m initial vertices whose bucket is non-null — active[0:m],
+// or [0, m) when active is nil — opening the window at the extreme bucket
+// among them.
+func newLazy(n int, order Order, numOpen int, bktOf BktFunc, active []uint32, m int) *Lazy {
 	if numOpen <= 0 {
-		numOpen = 128
+		numOpen = DefaultNumOpen
 	}
 	l := &Lazy{
 		order:   order,
@@ -156,9 +137,15 @@ func NewLazyFrom(n int, order Order, numOpen int, bktOf BktFunc, active []uint32
 		open:    make([][]uint32, numOpen),
 		n:       n,
 	}
+	at := func(i int) uint32 {
+		if active != nil {
+			return active[i]
+		}
+		return uint32(i)
+	}
 	base := NullBkt
-	for _, v := range active {
-		b := bktOf(v)
+	for i := 0; i < m; i++ {
+		b := bktOf(at(i))
 		if b == NullBkt {
 			continue
 		}
@@ -167,7 +154,8 @@ func NewLazyFrom(n int, order Order, numOpen int, bktOf BktFunc, active []uint32
 		}
 	}
 	l.base = base
-	for _, v := range active {
+	for i := 0; i < m; i++ {
+		v := at(i)
 		if b := bktOf(v); b != NullBkt {
 			l.place(v, b)
 		}
@@ -230,11 +218,6 @@ func (l *Lazy) currentID() int64 {
 	}
 	return l.base - int64(l.cur)
 }
-
-// SetBktFunc replaces the bucket function consulted by UpdateBuckets, Next,
-// and window advances. Engines that restrict initial bucketing to a source
-// set install the unrestricted function after construction.
-func (l *Lazy) SetBktFunc(f BktFunc) { l.bktOf = f }
 
 // Insert places v into the bucket for id b directly, bypassing the bulk
 // UpdateBuckets seam. Single-goroutine engines that discover bucket moves

@@ -72,42 +72,28 @@ func (p ScheduleParams) Schedule() (graphit.Schedule, error) {
 	return s, s.Err()
 }
 
-// Normalize resolves p to its canonical, fully-defaulted form: by-name
-// fields come back with the engine's canonical spelling (an empty Strategy
-// becomes "eager_with_fusion", …) and the numeric fields the engine would
-// default-fill at run time (∆, the fusion threshold, the bucket count) are
-// materialized. Any two params describing
-// the same effective schedule therefore normalize to identical values — the
-// property stable cache keys are built on. Operational fields (Workers,
-// Grain, RoundTimeout, StuckRounds) pass through unchanged: they select
-// resources and watchdogs, not results.
-func (p ScheduleParams) Normalize() (ScheduleParams, error) {
+// Normalize resolves p to its canonical, fully-defaulted form and returns it
+// with the schedule it built: by-name fields come back with the engine's
+// canonical spelling (an empty Strategy becomes "eager_with_fusion", …) and
+// ∆, the fusion threshold and the bucket count are read back from the
+// schedule, so the defaults graphit.DefaultSchedule filled in are
+// materialized. Any two params describing the same effective schedule
+// therefore normalize to identical values — the property stable cache keys
+// are built on. Operational fields (Workers, Grain, RoundTimeout,
+// StuckRounds) pass through unchanged: they select resources and watchdogs,
+// not results.
+func (p ScheduleParams) Normalize() (ScheduleParams, graphit.Schedule, error) {
 	s, err := p.Schedule()
 	if err != nil {
-		return p, err
+		return p, s, err
 	}
-	cfg, err := s.Config()
-	if err != nil {
-		return p, err
-	}
+	cfg, _ := s.Config() // its error is s.Err(), nil here
 	p.Strategy = cfg.Strategy.String()
 	p.Direction = cfg.Direction.String()
-	// The engine clamps these at run time (core.Config.normalize); mirror
-	// its rules so the normalized params name the schedule that actually
-	// executes.
 	p.Delta = cfg.Delta
-	if p.Delta < 1 {
-		p.Delta = 1
-	}
 	p.FusionThreshold = cfg.FusionThreshold
-	if p.FusionThreshold <= 0 {
-		p.FusionThreshold = 1000
-	}
 	p.NumBuckets = cfg.NumBuckets
-	if p.NumBuckets <= 0 {
-		p.NumBuckets = 128
-	}
-	return p, nil
+	return p, s, nil
 }
 
 // CanonicalKey renders a normalized params value as one stable string — the

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"graphit/internal/core"
 )
 
 // TestUnknownNamesListValidOptions pins the shared error contract: every
@@ -101,5 +103,32 @@ func TestScheduleBuildsConfiguredValues(t *testing.T) {
 func TestScheduleNumericRangeBackstop(t *testing.T) {
 	if _, err := (ScheduleParams{Delta: -5}).Schedule(); err == nil {
 		t.Fatal("negative delta accepted")
+	}
+}
+
+// TestNormalizeReturnsItsSchedule: Normalize materializes the defaults from
+// the schedule it builds, and that schedule is the one the normalized params
+// describe.
+func TestNormalizeReturnsItsSchedule(t *testing.T) {
+	norm, s, err := ScheduleParams{Strategy: "lazy", Workers: 2, StuckRounds: 5}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := core.DefaultConfig()
+	if norm.Delta != def.Delta || norm.FusionThreshold != def.FusionThreshold ||
+		norm.NumBuckets != def.NumBuckets || norm.Direction != def.Direction.String() {
+		t.Fatalf("normalized = %+v, want the defaults materialized", norm)
+	}
+	again, err := norm.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := s.Config()
+	want, _ := again.Config()
+	if got != want {
+		t.Fatalf("Normalize built %+v, the normalized params describe %+v", got, want)
+	}
+	if _, _, err := (ScheduleParams{NumBuckets: -1}).Normalize(); err == nil {
+		t.Fatal("negative bucket count normalized")
 	}
 }

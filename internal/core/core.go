@@ -134,7 +134,10 @@ func ParseDirection(s string) (Direction, error) {
 }
 
 // Config is a complete schedule for one ordered operator, the runtime
-// counterpart of the paper's Table 2 scheduling functions.
+// counterpart of the paper's Table 2 scheduling functions. It is the one
+// schedule record: graphit.Schedule, cliutil.ScheduleParams, the DSL's
+// schedule blocks and the autotuner's trial points are spellings of it.
+// DefaultConfig holds its defaults and Validate its bounds.
 type Config struct {
 	Strategy Strategy
 	// Delta is the priority-coarsening factor ∆ (configApplyPriorityUpdateDelta);
@@ -142,10 +145,8 @@ type Config struct {
 	Delta int64
 	// FusionThreshold is the local-bucket size limit below which a worker
 	// fuses the next round without synchronizing (configBucketFusionThreshold).
-	// The GAPBS-derived default is 1000.
 	FusionThreshold int
-	// NumBuckets is the number of materialized lazy buckets (configNumBuckets);
-	// the default is 128.
+	// NumBuckets is the number of materialized lazy buckets (configNumBuckets).
 	NumBuckets int
 	Direction  Direction
 	// Workers is the size of the run's executor (0 = GOMAXPROCS).
@@ -179,36 +180,72 @@ type Config struct {
 }
 
 // DefaultConfig mirrors the scheduling language's defaults (bold options in
-// paper Table 2): eager with fusion, ∆=1, threshold 1000, 128 lazy buckets,
-// SparsePush.
+// paper Table 2): eager with fusion, ∆=1, the GAPBS-derived fusion
+// threshold 1000, Julienne's bucket.DefaultNumOpen lazy buckets, SparsePush.
 func DefaultConfig() Config {
 	return Config{
 		Strategy:        EagerWithFusion,
 		Delta:           1,
 		FusionThreshold: 1000,
-		NumBuckets:      128,
+		NumBuckets:      bucket.DefaultNumOpen,
 		Direction:       SparsePush,
 	}
 }
 
-func (c Config) String() string {
-	return fmt.Sprintf("{%s ∆=%d fuse<%d buckets=%d %s}",
-		c.Strategy, c.Delta, c.FusionThreshold, c.NumBuckets, c.Direction)
+// Validate reports the first field outside its bounds: ∆, the fusion
+// threshold and the bucket count must be >= 1; the grain, the worker count,
+// the round timeout and the stuck-round count must be >= 0 (0 = default or
+// off).
+func (c Config) Validate() error {
+	switch {
+	case c.Delta < 1:
+		return fmt.Errorf("schedule: delta must be >= 1, got %d", c.Delta)
+	case c.FusionThreshold < 1:
+		return fmt.Errorf("schedule: fusion threshold must be >= 1, got %d", c.FusionThreshold)
+	case c.NumBuckets < 1:
+		return fmt.Errorf("schedule: bucket count must be >= 1, got %d", c.NumBuckets)
+	case c.Grain < 0:
+		return fmt.Errorf("schedule: grain must be >= 0, got %d", c.Grain)
+	case c.Workers < 0:
+		return fmt.Errorf("schedule: worker count must be >= 0, got %d", c.Workers)
+	case c.RoundTimeout < 0:
+		return fmt.Errorf("schedule: round timeout must be >= 0, got %v", c.RoundTimeout)
+	case c.StuckRounds < 0:
+		return fmt.Errorf("schedule: stuck-round count must be >= 0, got %d", c.StuckRounds)
+	}
+	return nil
 }
 
+// String renders the schedule's result-shaping fields; the grain and
+// deduplication appear only when they are not the defaults.
+func (c Config) String() string {
+	s := fmt.Sprintf("{%s ∆=%d fuse<%d buckets=%d %s",
+		c.Strategy, c.Delta, c.FusionThreshold, c.NumBuckets, c.Direction)
+	if c.Grain != 0 {
+		s += fmt.Sprintf(" grain=%d", c.Grain)
+	}
+	if c.NoDedup {
+		s += " nodedup"
+	}
+	return s + "}"
+}
+
+// normalize fills the fields a hand-built Config may leave zero with their
+// defaults and caches ∆'s shift.
 func (c *Config) normalize() {
+	d := DefaultConfig()
 	if c.Delta < 1 {
-		c.Delta = 1
+		c.Delta = d.Delta
 	}
 	c.deltaShift = -1
 	if c.Delta&(c.Delta-1) == 0 {
 		c.deltaShift = int8(bits.TrailingZeros64(uint64(c.Delta)))
 	}
 	if c.FusionThreshold <= 0 {
-		c.FusionThreshold = 1000
+		c.FusionThreshold = d.FusionThreshold
 	}
 	if c.NumBuckets <= 0 {
-		c.NumBuckets = 128
+		c.NumBuckets = d.NumBuckets
 	}
 }
 

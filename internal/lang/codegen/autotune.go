@@ -57,40 +57,26 @@ func (p *Plan) Autotune(ctx context.Context, opt ExecOptions, tune autotune.Opti
 		space.Directions = append(space.Directions, core.DensePull)
 	}
 
-	prev, hadPrev := p.Schedules[label]
 	measure := func(ctx context.Context, cfg core.Config) (time.Duration, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		p.Schedules[label] = labelScheduleFromConfig(label, cfg)
+		// Each trial executes a copy of the plan whose only schedule is its
+		// own, so concurrent trials (Options.Parallel) share no map and p
+		// keeps its schedules until the search is done.
+		trial := *p
+		trial.Schedules = sched.Schedules{label: &cfg}
 		start := time.Now()
-		if _, err := p.Execute(opt); err != nil {
+		if _, err := trial.Execute(opt); err != nil {
 			return 0, err
 		}
 		return time.Since(start), nil
 	}
 	res, err := autotune.Tune(ctx, space, measure, tune)
-	if hadPrev {
-		p.Schedules[label] = prev
-	} else {
-		delete(p.Schedules, label)
-	}
 	if err != nil {
 		return nil, "", err
 	}
-	p.Schedules[label] = labelScheduleFromConfig(label, res.Best.Config())
-	return res, res.Best.ScheduleText(display), nil
-}
-
-func labelScheduleFromConfig(label string, cfg core.Config) *sched.LabelSchedule {
-	return &sched.LabelSchedule{
-		Label:           label,
-		Strategy:        cfg.Strategy,
-		Delta:           cfg.Delta,
-		FusionThreshold: cfg.FusionThreshold,
-		NumBuckets:      cfg.NumBuckets,
-		Direction:       cfg.Direction,
-		Grain:           cfg.Grain,
-		NoDedup:         cfg.NoDedup,
-	}
+	best := res.Best
+	p.Schedules[label] = &best
+	return res, sched.Format(display, best), nil
 }

@@ -18,7 +18,7 @@ func TestPlanAutotuneSSSP(t *testing.T) {
 	res, text, err := plan.Autotune(context.Background(), ExecOptions{
 		Graph: g,
 		Argv:  []string{"sssp", "-", "1"},
-	}, autotune.Options{MaxTrials: 12, Seed: 3})
+	}, autotune.Options{MaxTrials: 12, Seed: 3, Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestPlanAutotuneKCoreNoCoarsening(t *testing.T) {
 	}
 	// The queue forbids coarsening, so the tuner must never leave ∆=1.
 	for _, tr := range res.Trials {
-		if tr.Err == nil && tr.Candidate.DeltaExp != 0 {
-			t.Errorf("coarsened candidate %v evaluated for a no-coarsening queue", tr.Candidate)
+		if tr.Err == nil && tr.Config.Delta != 1 {
+			t.Errorf("coarsened candidate %v evaluated for a no-coarsening queue", tr.Config)
 		}
 	}
 	if !strings.Contains(text, `configApplyPriorityUpdateDelta("s1", "1")`) {
@@ -76,7 +76,7 @@ func TestPlanAutotuneKCoreNoCoarsening(t *testing.T) {
 	// Constant-sum must be in the space (the kcore UDF qualifies).
 	sawCS := false
 	for _, tr := range res.Trials {
-		if tr.Candidate.Strategy == core.LazyConstantSum {
+		if tr.Config.Strategy == core.LazyConstantSum {
 			sawCS = true
 		}
 	}

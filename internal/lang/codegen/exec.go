@@ -132,7 +132,7 @@ func (m *machine) run() (res *ExecResult, err error) {
 func (m *machine) ordered(lp *irLoop, main *frame) *core.Ordered {
 	prio := m.vecs[lp.prio]
 	op := &core.Ordered{G: m.g, Prio: prio, Order: bucket.Increasing, FinalizeOnPop: lp.finalize,
-		Cfg: lp.sched.Config(), Relax: lp.relax}
+		Cfg: *lp.sched, Relax: lp.relax}
 	if lp.apply != nil {
 		op.Apply = m.edgeFunc(lp.apply)
 	}

@@ -16,8 +16,8 @@ import (
 //   - applyExternReduce(f): f(v) returns the vertex's new priority; changed
 //     vertices are re-bucketed (INT_MIN / INT_MAX mark removal).
 //
-// The loop runs on an executor checked out for it alone, sized by the
-// label's schedule.
+// The loop runs on an executor checked out for it alone; the label's
+// schedule gives its size, the chunk grain and the lazy bucket count.
 func (m *machine) runExternLoop(lp *irLoop) core.Stats {
 	prio := m.vecs[lp.prio]
 	order, null := bucket.Increasing, lp.null.v
@@ -30,10 +30,11 @@ func (m *machine) runExternLoop(lp *irLoop) core.Stats {
 		}
 		return bucket.NullBkt
 	}
-	lz := bucket.NewLazy(len(prio), order, 128, bktOf)
+	cfg := lp.sched
+	lz := bucket.NewLazy(len(prio), order, cfg.NumBuckets, bktOf)
 
 	var st core.Stats
-	ex := parallel.Acquire(lp.sched.Config().Workers)
+	ex := parallel.Acquire(cfg.Workers)
 	defer parallel.Release(ex)
 	for {
 		bid, verts := lz.Next()
@@ -44,7 +45,7 @@ func (m *machine) runExternLoop(lp *irLoop) core.Stats {
 		var updated []uint32
 		for i, ext := range lp.phases {
 			fn, reduce, outs := m.exts[ext], lp.reduce[i], make([][]uint32, ex.Workers())
-			ex.ForChunks(len(verts), 0, func(lo, hi, worker int) {
+			ex.ForChunks(len(verts), cfg.Grain, func(lo, hi, worker int) {
 				for _, v := range verts[lo:hi] {
 					np := fn(int64(v))
 					if !reduce || np == atomicutil.Load(&prio[v]) {

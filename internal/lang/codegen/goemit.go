@@ -23,7 +23,7 @@ import (
 //     by one worker (Figure 9(b)); every other access stays atomic;
 //   - a UDF the min-plus analysis recognises is emitted as
 //     Relax: graphit.MinPlus, with no Apply closure;
-//   - the schedule chain itself (strategy, ∆, fusion threshold, direction)
+//   - the schedule chain itself (every field of the label's core.Config)
 //     is materialized in the generated main.
 //
 // Extern functions are emitted as function variables the host must set.
@@ -97,7 +97,7 @@ func atoi(s string) int64 {
 	return v
 }
 
-`, label, s.Config(), fmtImport)
+`, label, s, fmtImport)
 	for _, x := range ir.externs {
 		e.pf("// %s is an extern function; the host must assign it before main runs.", x.name)
 		e.pf("var %s %s\n", ident(x.name), signature("", x.params, x.ret))
@@ -184,17 +184,49 @@ func atoi(s string) int64 {
 
 	// Schedule chain (paper Figure 8 rendered as the fluent Go API).
 	e.pf("sched := graphit.DefaultSchedule().")
-	e.pf("\tConfigApplyPriorityUpdate(%q).", s.Strategy)
-	e.pf("\tConfigApplyPriorityUpdateDelta(%d).", s.Delta)
-	e.pf("\tConfigBucketFusionThreshold(%d).", s.FusionThreshold)
-	e.pf("\tConfigNumBuckets(%d).", s.NumBuckets)
-	e.pf("\tConfigApplyDirection(%q)", s.Direction)
+	chain := scheduleChain(s)
+	for i, c := range chain {
+		if i < len(chain)-1 {
+			c += "."
+		}
+		e.pf("\t%s", c)
+	}
 	e.pf("stats, err := graphit.RunOrdered(op, sched)")
 	e.pf("if err != nil { panic(err) }")
 	e.pf("_ = stats")
 	e.stmts(ir.post)
 	e.ind--
 	e.pf("}")
+}
+
+// scheduleChain renders every field of cfg as the graphit.Schedule setter
+// calls that rebuild it from DefaultSchedule. The result-shaping fields are
+// always spelled out; the grain, deduplication, workers and watchdogs only
+// when set, since ConfigApplyParallelization rejects the default grain 0.
+func scheduleChain(cfg *core.Config) []string {
+	chain := []string{
+		fmt.Sprintf("ConfigApplyPriorityUpdate(%q)", cfg.Strategy),
+		fmt.Sprintf("ConfigApplyPriorityUpdateDelta(%d)", cfg.Delta),
+		fmt.Sprintf("ConfigBucketFusionThreshold(%d)", cfg.FusionThreshold),
+		fmt.Sprintf("ConfigNumBuckets(%d)", cfg.NumBuckets),
+		fmt.Sprintf("ConfigApplyDirection(%q)", cfg.Direction),
+	}
+	if cfg.NoDedup {
+		chain = append(chain, "ConfigDeduplication(false)")
+	}
+	if cfg.Grain != 0 {
+		chain = append(chain, fmt.Sprintf("ConfigApplyParallelization(%d)", cfg.Grain))
+	}
+	if cfg.Workers != 0 {
+		chain = append(chain, fmt.Sprintf("ConfigNumWorkers(%d)", cfg.Workers))
+	}
+	if cfg.RoundTimeout != 0 {
+		chain = append(chain, fmt.Sprintf("ConfigRoundTimeout(%d)", int64(cfg.RoundTimeout)))
+	}
+	if cfg.StuckRounds != 0 {
+		chain = append(chain, fmt.Sprintf("ConfigStuckRounds(%d)", cfg.StuckRounds))
+	}
+	return chain
 }
 
 // signature renders a Go func type; lead is an optional first parameter.

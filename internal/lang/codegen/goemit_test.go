@@ -217,6 +217,26 @@ func TestEmitGoScheduleDifferences(t *testing.T) {
 	}
 }
 
+// TestEmitGoCarriesGrainAndDedup: a schedule that disables deduplication
+// and sets a grain runs both under Execute, so the emitted chain and its
+// header comment must carry both.
+func TestEmitGoCarriesGrainAndDedup(t *testing.T) {
+	src := emit(t, "sssp.gt", `program->configApplyPriorityUpdate("s1", "lazy")
+->configDeduplication("s1", "disabled")
+->configApplyParallelization("s1", "dynamic-vertex-parallel,64");`)
+	for _, want := range []string{"ConfigDeduplication(false)", "ConfigApplyParallelization(64)"} {
+		if !strings.Contains(src, want) {
+			t.Errorf("emitted chain lacks %s:\n%s", want, src)
+		}
+	}
+	header, _, _ := strings.Cut(src, "package main")
+	for _, want := range []string{"grain=64", "nodedup"} {
+		if !strings.Contains(header, want) {
+			t.Errorf("header comment does not name %s:\n%s", want, header)
+		}
+	}
+}
+
 // TestEmitGoConstantSum: the Figure 10 transformation's extracted constants
 // appear in the generated operator.
 func TestEmitGoConstantSum(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"graphit/internal/core"
 	"graphit/internal/lang"
 	"graphit/internal/lang/analysis"
-	"graphit/internal/lang/sched"
 )
 
 // The IR both back ends consume. Lowering makes every decision once — name
@@ -151,7 +150,7 @@ type irExtern struct {
 
 // irLoop is the ordered while loop after the paper's §5.2 replacement.
 type irLoop struct {
-	sched             *sched.LabelSchedule
+	sched             *core.Config
 	prio              int
 	lowerFirst        bool
 	finalize          bool // allow_priority_coarsening=false: dequeued vertices are final

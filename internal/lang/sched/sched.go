@@ -1,187 +1,109 @@
 // Package sched resolves the scheduling language of paper Table 2 /
 // Figure 8: chains of `program->configX(label, value)` calls are turned
-// into per-label schedules that the back ends apply to the labeled
-// applyUpdatePriority operators.
+// into per-label core.Config schedules that the back ends apply to the
+// labeled applyUpdatePriority operators, and Format prints a core.Config
+// back as such a chain.
 package sched
 
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"graphit/internal/core"
 	"graphit/internal/lang"
 )
 
-// LabelSchedule is the resolved schedule for one labeled operator. Defaults
-// match the bold options of paper Table 2.
-type LabelSchedule struct {
-	Label           string
-	Strategy        core.Strategy
-	Delta           int64
-	FusionThreshold int
-	NumBuckets      int
-	Direction       core.Direction
-	Grain           int
-	NoDedup         bool
-}
-
-// Default returns the default schedule for a label.
-func Default(label string) *LabelSchedule {
-	return &LabelSchedule{
-		Label:           label,
-		Strategy:        core.EagerWithFusion,
-		Delta:           1,
-		FusionThreshold: 1000,
-		NumBuckets:      128,
-		Direction:       core.SparsePush,
-	}
-}
-
-// Config converts the schedule to a runtime configuration.
-func (s *LabelSchedule) Config() core.Config {
-	return core.Config{
-		Strategy:        s.Strategy,
-		Delta:           s.Delta,
-		FusionThreshold: s.FusionThreshold,
-		NumBuckets:      s.NumBuckets,
-		Direction:       s.Direction,
-		Grain:           s.Grain,
-		NoDedup:         s.NoDedup,
-	}
-}
-
-// Schedules maps labels to resolved schedules. Get returns the default for
-// unscheduled labels.
-type Schedules map[string]*LabelSchedule
+// Schedules maps labels to their resolved schedules, each a core.Config
+// seeded from core.DefaultConfig (the bold options of paper Table 2).
+type Schedules map[string]*core.Config
 
 // Get returns the schedule for label, creating a default if absent.
-func (m Schedules) Get(label string) *LabelSchedule {
+func (m Schedules) Get(label string) *core.Config {
 	if s, ok := m[label]; ok {
 		return s
 	}
-	s := Default(label)
-	m[label] = s
-	return s
+	s := core.DefaultConfig()
+	m[label] = &s
+	return &s
 }
 
-// Resolve interprets a parsed scheduling chain.
+// Resolve interprets a parsed scheduling chain. Each call sets one field of
+// its label's record, which must then pass core.Config.Validate.
 func Resolve(calls []lang.SchedCall) (Schedules, error) {
 	out := Schedules{}
 	for _, c := range calls {
-		if len(c.Args) < 1 {
-			return nil, fmt.Errorf("%s: %s needs a label argument", c.Pos, c.Name)
+		if len(c.Args) != 2 {
+			return nil, fmt.Errorf("%s: %s takes (label, value)", c.Pos, c.Name)
 		}
-		s := out.Get(c.Args[0])
-		arg := func() (string, error) {
-			if len(c.Args) != 2 {
-				return "", fmt.Errorf("%s: %s takes (label, value)", c.Pos, c.Name)
-			}
-			return c.Args[1], nil
-		}
-		intArg := func() (int64, error) {
-			a, err := arg()
-			if err != nil {
-				return 0, err
-			}
-			v, err := strconv.ParseInt(a, 10, 64)
-			if err != nil {
-				return 0, fmt.Errorf("%s: %s: bad integer %q", c.Pos, c.Name, a)
-			}
-			return v, nil
-		}
+		s, a := out.Get(c.Args[0]), c.Args[1]
+		var err error
 		switch c.Name {
 		case "configApplyPriorityUpdate":
-			a, err := arg()
-			if err != nil {
-				return nil, err
-			}
-			st, err := core.ParseStrategy(a)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", c.Pos, err)
-			}
-			s.Strategy = st
+			s.Strategy, err = core.ParseStrategy(a)
 		case "configApplyPriorityUpdateDelta", "configApplyUpdateDelta":
-			v, err := intArg()
-			if err != nil {
-				return nil, err
-			}
-			if v < 1 {
-				return nil, fmt.Errorf("%s: delta must be >= 1, got %d", c.Pos, v)
-			}
-			s.Delta = v
+			s.Delta, err = strconv.ParseInt(a, 10, 64)
 		case "configBucketFusionThreshold":
-			v, err := intArg()
-			if err != nil {
-				return nil, err
-			}
-			if v < 1 {
-				return nil, fmt.Errorf("%s: fusion threshold must be >= 1, got %d", c.Pos, v)
-			}
-			s.FusionThreshold = int(v)
+			s.FusionThreshold, err = strconv.Atoi(a)
 		case "configNumBuckets":
-			v, err := intArg()
-			if err != nil {
-				return nil, err
-			}
-			if v < 1 {
-				return nil, fmt.Errorf("%s: bucket count must be >= 1, got %d", c.Pos, v)
-			}
-			s.NumBuckets = int(v)
+			s.NumBuckets, err = strconv.Atoi(a)
 		case "configApplyDirection":
-			a, err := arg()
-			if err != nil {
-				return nil, err
-			}
-			d, err := core.ParseDirection(a)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", c.Pos, err)
-			}
-			s.Direction = d
+			s.Direction, err = core.ParseDirection(a)
 		case "configDeduplication":
-			a, err := arg()
-			if err != nil {
-				return nil, err
+			if a != "enabled" && a != "disabled" {
+				err = fmt.Errorf("takes \"enabled\" or \"disabled\", got %q", a)
 			}
-			switch a {
-			case "enabled":
-				s.NoDedup = false
-			case "disabled":
-				s.NoDedup = true
-			default:
-				return nil, fmt.Errorf("%s: configDeduplication takes \"enabled\" or \"disabled\", got %q", c.Pos, a)
-			}
+			s.NoDedup = a == "disabled"
 		case "configApplyParallelization":
 			// "dynamic-vertex-parallel" (optionally with a grain, e.g.
-			// "dynamic-vertex-parallel,64") is the only supported mode.
-			a, err := arg()
-			if err != nil {
-				return nil, err
-			}
-			mode, grain, found := cutComma(a)
-			if mode != "dynamic-vertex-parallel" && mode != "serial" {
-				return nil, fmt.Errorf("%s: unsupported parallelization %q", c.Pos, mode)
-			}
-			if found {
-				g, err := strconv.Atoi(grain)
-				if err != nil || g < 1 {
-					return nil, fmt.Errorf("%s: bad grain %q", c.Pos, grain)
+			// "dynamic-vertex-parallel,64") is the only supported mode. An
+			// explicit grain must be >= 1: the default is selected by
+			// giving none.
+			mode, grain, found := strings.Cut(a, ",")
+			switch {
+			case mode != "dynamic-vertex-parallel" && mode != "serial":
+				err = fmt.Errorf("unsupported parallelization %q", mode)
+			case found:
+				if s.Grain, err = strconv.Atoi(grain); err == nil && s.Grain < 1 {
+					err = fmt.Errorf("bad grain %q", grain)
 				}
-				s.Grain = g
 			}
 		default:
-			return nil, fmt.Errorf("%s: unknown scheduling function %q", c.Pos, c.Name)
+			err = fmt.Errorf("unknown scheduling function %q", c.Name)
+		}
+		if err == nil {
+			err = s.Validate()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %s: %v", c.Pos, c.Name, err)
 		}
 	}
 	return out, nil
 }
 
-func cutComma(s string) (string, string, bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == ',' {
-			return s[:i], s[i+1:], true
-		}
+// Format renders cfg as label's scheduling chain (paper Figure 8), ready to
+// paste into a program's schedule block or feed to graphitc -schedule. It
+// names every field Resolve reads, so Resolve(ParseText(Format(l, c)))
+// gives back c for label l; the fields Resolve never sets (workers and the
+// watchdogs) are left out.
+func Format(label string, cfg core.Config) string {
+	dedup := "enabled"
+	if cfg.NoDedup {
+		dedup = "disabled"
 	}
-	return s, "", false
+	par := "dynamic-vertex-parallel"
+	if cfg.Grain > 0 {
+		par += fmt.Sprintf(",%d", cfg.Grain)
+	}
+	return fmt.Sprintf(`program->configApplyPriorityUpdate(%[1]q, %[2]q)
+->configApplyPriorityUpdateDelta(%[1]q, "%[3]d")
+->configBucketFusionThreshold(%[1]q, "%[4]d")
+->configNumBuckets(%[1]q, "%[5]d")
+->configApplyDirection(%[1]q, %[6]q)
+->configDeduplication(%[1]q, %[7]q)
+->configApplyParallelization(%[1]q, %[8]q);`,
+		label, cfg.Strategy.String(), cfg.Delta, cfg.FusionThreshold, cfg.NumBuckets,
+		cfg.Direction.String(), dedup, par)
 }
 
 // ParseText parses standalone scheduling text (the contents of a schedule

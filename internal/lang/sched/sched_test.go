@@ -89,13 +89,24 @@ func TestResolveErrors(t *testing.T) {
 	}
 }
 
+// TestConfigConversion: a label's schedule is a core.Config seeded from
+// core.DefaultConfig, and a resolved chain changes only the fields it names.
 func TestConfigConversion(t *testing.T) {
-	s := Default("x")
-	s.Strategy = core.Lazy
-	s.Delta = 16
-	cfg := s.Config()
-	if cfg.Strategy != core.Lazy || cfg.Delta != 16 || cfg.NumBuckets != 128 {
-		t.Fatalf("config = %+v", cfg)
+	m := Schedules{}
+	if got := *m.Get("x"); got != core.DefaultConfig() {
+		t.Fatalf("unscheduled label = %+v, want the defaults", got)
+	}
+	calls, err := ParseText(`program->configApplyPriorityUpdate("x", "lazy")->configApplyPriorityUpdateDelta("x", "16");`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err = Resolve(calls); err != nil {
+		t.Fatal(err)
+	}
+	want := core.DefaultConfig()
+	want.Strategy, want.Delta = core.Lazy, 16
+	if got := *m.Get("x"); got != want {
+		t.Fatalf("config = %+v, want %+v", got, want)
 	}
 }
 
@@ -120,5 +131,34 @@ program->configDeduplication("s1", "disabled")
 	}
 	if _, err := Resolve([]lang.SchedCall{{Name: "configDeduplication", Args: []string{"s1", "maybe"}}}); err == nil {
 		t.Error("bad dedup value accepted")
+	}
+}
+
+// TestFormatRoundTrip: Resolve(ParseText(Format(label, c))) gives back c for
+// every strategy × direction, grain {0, 64} and deduplication on and off,
+// with non-default ∆, fusion threshold and bucket count.
+func TestFormatRoundTrip(t *testing.T) {
+	for _, st := range core.StrategyNames() {
+		for _, dir := range core.DirectionNames() {
+			for _, grain := range []int{0, 64} {
+				for _, noDedup := range []bool{false, true} {
+					c := core.Config{Delta: 1 << 11, FusionThreshold: 77, NumBuckets: 33, Grain: grain, NoDedup: noDedup}
+					c.Strategy, _ = core.ParseStrategy(st)
+					c.Direction, _ = core.ParseDirection(dir)
+					text := Format("s1", c)
+					calls, err := ParseText(text)
+					if err != nil {
+						t.Fatalf("%v\n%s", err, text)
+					}
+					m, err := Resolve(calls)
+					if err != nil {
+						t.Fatalf("%v\n%s", err, text)
+					}
+					if got := *m["s1"]; got != c || len(m) != 1 {
+						t.Errorf("round trip of %+v gave %+v (%d labels):\n%s", c, got, len(m), text)
+					}
+				}
+			}
+		}
 	}
 }

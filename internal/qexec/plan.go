@@ -160,11 +160,7 @@ func (p *Pipeline) plan(req *Request) (pl *Plan, err error) {
 		RoundTimeout: p.cfg.RoundTimeout,
 		StuckRounds:  p.cfg.StuckRounds,
 	}
-	norm, err := params.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	sched, err := norm.Schedule()
+	norm, sched, err := params.Normalize()
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,12 @@ func DefaultSchedule() Schedule {
 	return Schedule{cfg: core.DefaultConfig()}
 }
 
+// ScheduleFromConfig is the inverse of Schedule.Config: the schedule that
+// runs cfg. A field outside core.Config.Validate's bounds is reported by Err.
+func ScheduleFromConfig(cfg core.Config) Schedule {
+	return Schedule{cfg: cfg, err: cfg.Validate()}
+}
+
 // ConfigApplyPriorityUpdate selects the bucket update strategy: one of
 // "eager_with_fusion", "eager_no_fusion", "lazy", "lazy_constant_sum".
 func (s Schedule) ConfigApplyPriorityUpdate(strategy string) Schedule {
@@ -44,32 +50,23 @@ func (s Schedule) ConfigApplyPriorityUpdate(strategy string) Schedule {
 
 // ConfigApplyPriorityUpdateDelta sets the priority-coarsening factor ∆.
 func (s Schedule) ConfigApplyPriorityUpdateDelta(delta int64) Schedule {
-	if delta < 1 {
-		return s.fail(fmt.Errorf("schedule: delta must be >= 1, got %d", delta))
-	}
 	s.cfg.Delta = delta
-	return s
+	return s.validate()
 }
 
 // ConfigBucketFusionThreshold sets the local-bucket size limit below which
 // rounds are fused without synchronization.
 func (s Schedule) ConfigBucketFusionThreshold(t int) Schedule {
-	if t < 1 {
-		return s.fail(fmt.Errorf("schedule: fusion threshold must be >= 1, got %d", t))
-	}
 	s.cfg.FusionThreshold = t
-	return s
+	return s.validate()
 }
 
 // ConfigNumBuckets sets the number of materialized buckets for the lazy
 // strategies (Julienne keeps vertices beyond this window in an overflow
 // bucket).
 func (s Schedule) ConfigNumBuckets(n int) Schedule {
-	if n < 1 {
-		return s.fail(fmt.Errorf("schedule: bucket count must be >= 1, got %d", n))
-	}
 	s.cfg.NumBuckets = n
-	return s
+	return s.validate()
 }
 
 // ConfigDeduplication enables or disables per-round deduplication of the
@@ -93,7 +90,9 @@ func (s Schedule) ConfigApplyDirection(dir string) Schedule {
 }
 
 // ConfigApplyParallelization sets the dynamic-scheduling grain size
-// ("dynamic-vertex-parallel" with an explicit chunk, paper Figure 8).
+// ("dynamic-vertex-parallel" with an explicit chunk, paper Figure 8). The
+// record's grain 0 means the default, which is selected by not calling
+// this, so an explicit grain must be >= 1.
 func (s Schedule) ConfigApplyParallelization(grain int) Schedule {
 	if grain < 1 {
 		return s.fail(fmt.Errorf("schedule: grain must be >= 1, got %d", grain))
@@ -105,11 +104,8 @@ func (s Schedule) ConfigApplyParallelization(grain int) Schedule {
 // ConfigNumWorkers pins the number of workers for this operator: its run
 // checks out an executor of that many workers (0 uses GOMAXPROCS).
 func (s Schedule) ConfigNumWorkers(w int) Schedule {
-	if w < 0 {
-		return s.fail(fmt.Errorf("schedule: worker count must be >= 0, got %d", w))
-	}
 	s.cfg.Workers = w
-	return s
+	return s.validate()
 }
 
 // ConfigRoundTimeout arms the engine's round watchdog: any round in flight
@@ -117,22 +113,16 @@ func (s Schedule) ConfigNumWorkers(w int) Schedule {
 // checked at chunk boundaries inside traversal phases; 0 disables the
 // watchdog.
 func (s Schedule) ConfigRoundTimeout(d time.Duration) Schedule {
-	if d < 0 {
-		return s.fail(fmt.Errorf("schedule: round timeout must be >= 0, got %v", d))
-	}
 	s.cfg.RoundTimeout = d
-	return s
+	return s.validate()
 }
 
 // ConfigStuckRounds aborts the run with a StuckError after k consecutive
 // rounds that extract the same bucket with zero relaxations — a state a
 // correct engine cannot reach. 0 disables the detector.
 func (s Schedule) ConfigStuckRounds(k int) Schedule {
-	if k < 0 {
-		return s.fail(fmt.Errorf("schedule: stuck-round count must be >= 0, got %d", k))
-	}
 	s.cfg.StuckRounds = k
-	return s
+	return s.validate()
 }
 
 // Err returns the first configuration error, if any.
@@ -150,6 +140,14 @@ func (s Schedule) String() string {
 		return fmt.Sprintf("invalid schedule: %v", s.err)
 	}
 	return s.cfg.String()
+}
+
+// validate records the first bound the record breaks, if any.
+func (s Schedule) validate() Schedule {
+	if err := s.cfg.Validate(); err != nil {
+		return s.fail(err)
+	}
+	return s
 }
 
 func (s Schedule) fail(err error) Schedule {
