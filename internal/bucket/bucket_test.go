@@ -144,6 +144,41 @@ func TestLazyInversionClamp(t *testing.T) {
 	}
 }
 
+// TestLazyAdvanceDropsStaleOverflow: a vertex filed in the overflow and
+// later improved into the window is swept there, so the next window advance
+// must drop its overflow copy instead of reopening the window behind the
+// cursor and sweeping it again — while a real inversion filed in the same
+// window is still recovered at its true priority.
+func TestLazyAdvanceDropsStaleOverflow(t *testing.T) {
+	prio := []int64{0, 10, 20, 30}
+	bktOf := func(v uint32) int64 { return prio[v] }
+	l := NewLazy(len(prio), Increasing, 4, bktOf) // window [0, 4)
+	want := []struct {
+		bid   int64
+		verts []uint32
+	}{{0, []uint32{0}}, {2, []uint32{1}}, {1, []uint32{3}}, {20, []uint32{2}}}
+	for i, w := range want {
+		bid, verts := l.Next()
+		if bid != w.bid || len(verts) != len(w.verts) || verts[0] != w.verts[0] {
+			t.Fatalf("pop %d = (%d, %v), want (%d, %v)", i, bid, verts, w.bid, w.verts)
+		}
+		switch i {
+		case 0: // vertex 1 improves from the overflow into the window
+			prio[1] = 2
+			l.UpdateBuckets([]uint32{1})
+		case 1: // vertex 3 inverts to a bucket the cursor has passed
+			prio[3] = 1
+			l.UpdateBuckets([]uint32{3})
+		}
+	}
+	if bid, verts := l.Next(); bid != NullBkt {
+		t.Fatalf("extra pop (%d, %v)", bid, verts)
+	}
+	if l.Inversions != 1 {
+		t.Fatalf("Inversions = %d, want 1", l.Inversions)
+	}
+}
+
 // TestLazyPropertyRandomWorkload: quick-checked version of the dynamic
 // decrease test with random window sizes.
 func TestLazyPropertyRandomWorkload(t *testing.T) {

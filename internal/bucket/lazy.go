@@ -16,7 +16,8 @@ type Lazy struct {
 	bktOf   BktFunc
 
 	open [][]uint32 // open[i] holds bucket id base ± i (sign per order)
-	over []uint32   // overflow bucket
+	over []uint32   // overflow bucket: entries filed beyond the window
+	inv  []uint32   // entries filed before the window cursor (inversions)
 	base int64      // bucket id of open[0]
 	cur  int        // index into open of the next candidate bucket
 
@@ -186,14 +187,16 @@ func (l *Lazy) slot(b int64) int {
 	return int(d)
 }
 
-// place inserts v into the bucket for id b (window or overflow).
+// place inserts v into the bucket for id b (window, overflow, or the
+// inversion list).
 //
 // Updates that land before the bucket currently being processed are
 // priority inversions (only possible for workloads that violate the
 // paper's monotonicity contract, e.g. an inconsistent A* heuristic). They
-// are routed to the overflow bucket: the next window advance re-buckets
-// them at their true priority, so they are processed (possibly out of
-// order) rather than lost.
+// are filed on their own list: the next window advance re-buckets them at
+// their true priority, so they are processed (possibly out of order) rather
+// than lost. Keeping them apart from the overflow lets that advance tell
+// them from stale overflow copies (see advanceWindow).
 func (l *Lazy) place(v uint32, b int64) {
 	l.Inserts++
 	if l.base == NullBkt {
@@ -205,8 +208,12 @@ func (l *Lazy) place(v uint32, b int64) {
 		l.open[s] = l.appendSlab(l.open[s], v)
 		return
 	}
-	if l.started && l.before(b, l.currentID()) {
-		l.Inversions++
+	if l.before(b, l.currentID()) {
+		if l.started {
+			l.Inversions++
+		}
+		l.inv = l.appendSlab(l.inv, v)
+		return
 	}
 	l.over = l.appendSlab(l.over, v)
 }
@@ -316,41 +323,54 @@ func (l *Lazy) Next() (int64, []uint32) {
 	}
 }
 
-// advanceWindow re-buckets the overflow into a fresh window. It returns
-// false when the structure is exhausted.
+// advanceWindow re-buckets the overflow and the inversions into a fresh
+// window. It returns false when the structure is exhausted.
+//
+// Every overflow entry was filed beyond the window, so one whose vertex now
+// maps before the window's end is a stale copy: the vertex was improved
+// into the window and swept there (or, below the cursor, filed again as an
+// inversion). Such copies are dropped; re-bucketing them would reopen the
+// window behind the cursor and sweep the vertex again. Inversions keep
+// their true bucket.
 func (l *Lazy) advanceWindow() bool {
-	if len(l.over) == 0 {
+	if len(l.over)+len(l.inv) == 0 {
 		return false
 	}
 	l.Rebuckets++
-	// New base: the extreme live bucket id in the overflow. Duplicate
-	// copies of a vertex are dropped here — they all map to the same
-	// bucket now, so keeping one is enough. (Self-filtered consumers keep
-	// duplicates; their consume check drops the extras.)
+	// New base: the extreme live bucket id. Duplicate copies of a vertex
+	// are dropped here — they all map to the same bucket now, so keeping
+	// one is enough. (Self-filtered consumers keep duplicates; their
+	// consume check drops the extras.)
+	end := l.currentID()
 	next := NullBkt
 	if !l.selfFiltered {
 		l.ensureEpoch()
 	}
 	l.curEpoch++
+	// live compacts the overflow in place (it never passes the entry being
+	// read) and then takes the inversions, growing through the free list.
 	live := l.over[:0]
-	for _, v := range l.over {
-		b := l.bktOf(v)
-		if b == NullBkt {
-			continue
-		}
-		if !l.selfFiltered {
-			if l.epoch[v] == l.curEpoch {
+	for i, list := range [2][]uint32{l.over, l.inv} {
+		for _, v := range list {
+			b := l.bktOf(v)
+			if b == NullBkt || (i == 0 && l.before(b, end)) {
 				continue
 			}
-			l.epoch[v] = l.curEpoch
-		}
-		live = append(live, v)
-		if next == NullBkt || l.before(b, next) {
-			next = b
+			if !l.selfFiltered {
+				if l.epoch[v] == l.curEpoch {
+					continue
+				}
+				l.epoch[v] = l.curEpoch
+			}
+			live = l.appendSlab(live, v)
+			if next == NullBkt || l.before(b, next) {
+				next = b
+			}
 		}
 	}
+	l.recycle(l.inv)
 	over := live
-	l.over = nil
+	l.over, l.inv = nil, nil
 	if next == NullBkt {
 		l.recycle(over)
 		return false

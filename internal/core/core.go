@@ -149,7 +149,9 @@ type Config struct {
 	// NumBuckets is the number of materialized lazy buckets (configNumBuckets).
 	NumBuckets int
 	Direction  Direction
-	// Workers is the size of the run's executor (0 = GOMAXPROCS).
+	// Workers is the size of the run's executor (0 = GOMAXPROCS). A
+	// multi-source run uses it too: its k lanes run as min(k, Workers)
+	// lane groups, one per executor worker (see MultiOrdered).
 	Workers int
 	// Grain is the dynamic-scheduling chunk size (0 = parallel.DefaultGrain).
 	Grain int
@@ -287,6 +289,19 @@ type Stats struct {
 	// PullRounds counts rounds traversed in the pull direction (equal to
 	// Rounds under DensePull; per-round under Hybrid).
 	PullRounds int64 `json:"pull_rounds"`
+}
+
+// add sums o into s, field by field.
+func (s *Stats) add(o Stats) {
+	s.Rounds += o.Rounds
+	s.FusedRounds += o.FusedRounds
+	s.GlobalSyncs += o.GlobalSyncs
+	s.Relaxations += o.Relaxations
+	s.BucketInserts += o.BucketInserts
+	s.WindowAdvances += o.WindowAdvances
+	s.Inversions += o.Inversions
+	s.Processed += o.Processed
+	s.PullRounds += o.PullRounds
 }
 
 func (s Stats) String() string {

@@ -218,9 +218,9 @@ func (o *Ordered) compose(sc *scratch, ex *parallel.Executor, ctl *runCtl) (trav
 }
 
 // phase runs one engine phase with panic containment: the injection hook
-// fires first (worker 0's checkpoint), then fn; a panic from either — or
-// re-raised by the executor from a worker — is recovered and converted to
-// a *PanicError naming the phase and round.
+// fires first (the round loop's checkpoint, as ctl.worker), then fn; a
+// panic from either — or re-raised by the executor from a worker — is
+// recovered and converted to a *PanicError naming the phase and round.
 func (e *engine) phase(name string, fn func()) (pe *PanicError) {
 	ctl := e.ctl
 	defer func() {
@@ -228,7 +228,7 @@ func (e *engine) phase(name string, fn func()) (pe *PanicError) {
 			pe = asPanicError(name, ctl.round.Load(), r)
 		}
 	}()
-	ctl.fire(name, 0)
+	ctl.fire(name, ctl.worker)
 	fn()
 	return nil
 }

@@ -117,6 +117,9 @@ const (
 // aborting as soon as the offending chunk returns).
 type runCtl struct {
 	hook FaultHook
+	// worker is the id the round loop's own checkpoints report: 0, except
+	// in a lane group, where it is the group's executor worker.
+	worker int
 
 	reason     atomic.Int32 // abortNone/abortTimeout/abortCancel
 	round      atomic.Int64 // 1-based round in flight (0 when idle)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"graphit/internal/bucket"
 	"graphit/internal/graph"
+	"graphit/internal/parallel"
 )
 
 // MaxLanes bounds the lane count of one multi-source run.
@@ -14,21 +16,23 @@ const MaxLanes = 64
 
 // MultiOrdered executes k single-source ∆-stepping operators ("lanes") — the
 // min-plus relaxation dist[d] = min(dist[d], dist[s]+w) of paper Figure 3 —
-// as one shared round loop over one Julienne bucket structure. Each lane's
+// as shared round loops over Julienne bucket structures. Each lane's
 // priority vector converges to exactly the fixpoint an independent
 // single-source run would reach (min-updates are monotone and
 // order-independent), while round barriers and bucket maintenance are paid
-// once instead of k times.
+// once per lane group instead of once per lane.
 //
 // It always runs MinPlus, so it has no Relax or Apply field: the operator is
 // not a choice. There is one engine, the serial lane kernel (see laneTrav) —
 // a serial MinPlus body over k priority planes — for every lane count and
-// configuration. Only the lazy strategy with lower_first (increasing) order
-// is supported, and a faulted multi run fails with partial per-lane stats,
-// like any run. Cfg.Workers, Direction, Grain and
-// NoDedup are hints a multi run ignores: the kernel is single-goroutine push
-// with its own duplicate filter, acquires no executor, and needs no
-// in-edges.
+// configuration. Cfg.Workers sizes the run: with W workers (0 = GOMAXPROCS)
+// the k lanes split into min(k, W) lane groups — contiguous lane ranges, each
+// one serial kernel run with its own bucket structure on its own executor
+// worker — and one group (W = 1 or k = 1) runs on the calling goroutine.
+// Only the lazy strategy with lower_first (increasing) order is supported,
+// and a faulted multi run fails with partial per-lane stats, like any run.
+// Direction, Grain and NoDedup are hints a multi run ignores: the kernel
+// pushes, has its own duplicate filter, and needs no in-edges.
 type MultiOrdered struct {
 	G *graph.Graph
 	// Lanes[l] is lane l's priority vector (e.g. dist for SSSP) — exactly the
@@ -45,8 +49,9 @@ type MultiOrdered struct {
 	// Sources[l] is lane l's start vertex. A lane whose source priority is
 	// Unreached is inert (no work, untouched vector).
 	Sources []graph.VertexID
-	// Trace, if set, observes the shared round loop (per-round events carry
-	// totals across lanes).
+	// Trace, if set, observes the run: one RunStart and RunEnd, and every
+	// lane group's rounds (per-round events carry totals across the group's
+	// lanes).
 	Trace Tracer
 
 	Cfg Config
@@ -61,8 +66,8 @@ type LaneStats struct {
 }
 
 // MultiStats reports one multi-source run: the shared round-loop counters
-// (rounds, syncs, bucket work are paid once for all lanes) plus the per-lane
-// relaxation/processed split.
+// (rounds, syncs, bucket work are paid once per lane group, and summed over
+// the groups) plus the per-lane relaxation/processed split.
 type MultiStats struct {
 	Stats
 	Lanes []LaneStats `json:"lanes"`
@@ -146,19 +151,130 @@ func (mo *MultiOrdered) Run() (MultiStats, error) {
 // Ordered.RunContext. On a
 // contained fault or cancellation the lane vectors hold a partially-relaxed
 // (still monotone-safe) state and MultiStats carries the partial counters.
+//
+// With W = Cfg.Workers (0 = GOMAXPROCS) and g = min(k, W) > 1, the k lanes
+// run as g lane groups: contiguous lane ranges, each the serial kernel over
+// its own bucket structure on one worker of the run's executor (see
+// runGroups). g = 1 runs the kernel on the calling goroutine and acquires no
+// executor.
 func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 	mo.Cfg.normalize()
 	if err := mo.validate(); err != nil {
 		return MultiStats{}, err
 	}
 	k := len(mo.Lanes)
-	nPad := padPow2(mo.G.NumVertices())
 	ms := MultiStats{Lanes: make([]LaneStats, k)}
-
-	// face is the engine's view of the run: engine.run reads only Cfg, Stop,
-	// and (via runInfo) G from it. Prio stays nil — the lane kernel reads and
-	// writes the lane vectors directly.
 	face := &Ordered{G: mo.G, Order: mo.Order, Trace: mo.Trace, Cfg: mo.Cfg}
+	tr := face.tracer(ctx)
+	_, isNop := tr.(NopTracer)
+	trace := !isNop
+	if trace {
+		tr.RunStart(face.runInfo(mo.seeds()))
+	}
+	w := mo.Cfg.Workers
+	if w <= 0 {
+		w = parallel.Workers()
+	}
+	var err error
+	if g := min(k, w); g > 1 {
+		err = mo.runGroups(ctx, w, g, tr, trace, &ms)
+	} else {
+		err = mo.runKernel(ctx, newRunCtl(ctx), tr, trace, &ms.Stats, ms.Lanes)
+	}
+	if trace {
+		tr.RunEnd(ms.Stats, err)
+	}
+	return ms, err
+}
+
+// seeds counts the lanes that are not inert: the run's initial frontier.
+func (mo *MultiOrdered) seeds() int {
+	n := 0
+	for l, v := range mo.Sources {
+		if mo.Lanes[l][v] != Unreached {
+			n++
+		}
+	}
+	return n
+}
+
+// runGroups runs the lanes as g contiguous lane groups on a w-worker
+// executor, worker i running group i. Lane vectors are disjoint, so each
+// group is an independent serial kernel run — its own laneTrav, state plane,
+// bucket structure, scratch and runCtl (with its own watchdog) — exactly the
+// run a one-group RunMulti over those lanes would make. Per-lane stats land
+// at their lane index and the shared counters are summed over the groups.
+// The first group error is the run's error: it cancels the siblings, whose
+// partial counters are still folded. The groups' Round events reach tr one
+// at a time.
+func (mo *MultiOrdered) runGroups(ctx context.Context, w, g int, tr Tracer, trace bool, ms *MultiStats) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	ctls := make([]*runCtl, g)
+	for i := range ctls {
+		ctls[i] = newRunCtl(ctx)
+		ctls[i].worker = i
+	}
+	if trace {
+		tr = &syncTracer{Tracer: tr}
+	}
+	sts := make([]Stats, g)
+	var once sync.Once
+	var first error
+	k := len(mo.Lanes)
+	ex := parallel.Acquire(w)
+	ex.Run(func(i int) {
+		if i >= g {
+			return
+		}
+		lo, hi := i*k/g, (i+1)*k/g
+		sub := &MultiOrdered{G: mo.G, Lanes: mo.Lanes[lo:hi], Order: mo.Order, Sources: mo.Sources[lo:hi], Cfg: mo.Cfg}
+		if mo.Stops != nil {
+			sub.Stops = mo.Stops[lo:hi]
+		}
+		if err := sub.runKernel(ctx, ctls[i], tr, trace, &sts[i], ms.Lanes[lo:hi]); err != nil {
+			once.Do(func() {
+				first = err
+				// Cancel before flagging, so a sibling that sees the flag
+				// returns the context's error.
+				cancel()
+				for _, c := range ctls {
+					c.abort(abortCancel)
+				}
+			})
+		}
+	})
+	parallel.Release(ex)
+	for _, st := range sts {
+		ms.Stats.add(st)
+	}
+	return first
+}
+
+// syncTracer serializes the lane groups' Round events into one Tracer.
+type syncTracer struct {
+	mu sync.Mutex
+	Tracer
+}
+
+func (t *syncTracer) Round(ev RoundEvent) {
+	t.mu.Lock()
+	t.Tracer.Round(ev)
+	t.mu.Unlock()
+}
+
+// runKernel runs the serial lane kernel over all of mo's lanes on the
+// calling goroutine under ctx and ctl, folding the shared counters into st
+// and the per-lane ones into lanes. RunStart and RunEnd are the caller's;
+// tr sees only the rounds.
+func (mo *MultiOrdered) runKernel(ctx context.Context, ctl *runCtl, tr Tracer, trace bool, st *Stats, lanes []LaneStats) error {
+	k := len(mo.Lanes)
+	nPad := padPow2(mo.G.NumVertices())
+
+	// face is the engine's view of the run: engine.run reads only Cfg and
+	// Stop from it. Prio stays nil — the lane kernel reads and writes the
+	// lane vectors directly.
+	face := &Ordered{G: mo.G, Order: mo.Order, Cfg: mo.Cfg}
 	sc := getScratch()
 	t := &laneTrav{
 		mo: mo, k: k, nPad: nPad,
@@ -169,7 +285,7 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 		part:  sc.lanePart,
 		cnt:   make([]int, k+1),
 		pos:   make([]int, k),
-		stats: ms.Lanes,
+		stats: lanes,
 	}
 	if t.wts == nil {
 		t.wts = make([]int32, len(mo.G.Neigh))
@@ -179,22 +295,11 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 		face.Stop = t.stop
 	}
 	ids := t.seed()
-
-	tr := face.tracer(ctx)
-	_, isNop := tr.(NopTracer)
-	trace := !isNop
-	if trace {
-		tr.RunStart(face.runInfo(len(ids)))
-	}
 	if len(ids) == 0 { // every lane inert
-		if trace {
-			tr.RunEnd(Stats{}, nil)
-		}
 		putScratch(sc)
-		return ms, nil
+		return nil
 	}
 
-	ctl := newRunCtl(ctx)
 	var stopWatch func()
 	if mo.Cfg.RoundTimeout > 0 {
 		stopWatch = ctl.startWatchdog(ctx, mo.Cfg.RoundTimeout)
@@ -206,13 +311,10 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 	src := &laneSource{lazySource{o: face, lz: lz}}
 	e := &engine{o: face, src: src, trav: t, ups: ups, ctl: ctl}
 
-	runErr := e.run(ctx, tr, trace, &ms.Stats)
-	src.finish(&ms.Stats)
+	runErr := e.run(ctx, tr, trace, st)
+	src.finish(st)
 	if stopWatch != nil {
 		stopWatch()
-	}
-	if trace {
-		tr.RunEnd(ms.Stats, runErr)
 	}
 	// A faulted or aborted round leaves the cascade and partition buffers
 	// mid-use; only a clean run hands its (grown) scratch back to the pool.
@@ -220,7 +322,7 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 		sc.laneCasc, sc.lanePart = t.casc, t.part
 		putScratch(sc)
 	}
-	return ms, runErr
+	return runErr
 }
 
 // lanePoll is how many ids a lane drain consumes between abort polls; a
@@ -407,7 +509,7 @@ func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool, bool
 			}
 			continue
 		}
-		if t.ctl.checkpoint(PhaseRelaxChunk, 0) {
+		if t.ctl.checkpoint(PhaseRelaxChunk, t.ctl.worker) {
 			aborted = true
 			break
 		}

@@ -37,8 +37,8 @@ func multiOp(g *graph.Graph, srcs []uint32, cfg Config) (*MultiOrdered, [][]int6
 
 // randomLazyConfig derives a valid lazy schedule (the only strategy family
 // multi-source runs support) from raw bytes, covering all three directions
-// and several worker counts — hints the lane kernel must ignore without
-// changing any answer.
+// (hints the lane kernel ignores) and several worker counts (which split the
+// lanes into lane groups) — none of which may change any answer.
 func randomLazyConfig(b, c, d uint8) Config {
 	cfg := DefaultConfig()
 	cfg.Strategy = Lazy

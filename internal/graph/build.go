@@ -168,6 +168,7 @@ func Build(edges []Edge, opt BuildOptions) (*Graph, error) {
 		Wts:       wts,
 		symmetric: opt.Symmetrize,
 		Coord:     opt.Coords,
+		maxW:      maxWeight(wts),
 	}
 	if opt.InEdges {
 		buildInEdges(g)

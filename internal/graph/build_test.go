@@ -68,6 +68,9 @@ func refBuild(edges []Edge, opt BuildOptions) (*Graph, error) {
 		g.Neigh[i] = e.Dst
 		if opt.Weighted {
 			g.Wts[i] = e.W
+			if e.W > g.maxW {
+				g.maxW = e.W
+			}
 		}
 	}
 	for v := 0; v < n; v++ {

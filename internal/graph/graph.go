@@ -40,6 +40,8 @@ type Graph struct {
 	Coord []Point
 
 	symmetric bool
+	// maxW bounds every edge weight from above (see MaxWeight).
+	maxW Weight
 }
 
 // Point is a planar coordinate attached to a vertex (road networks).
@@ -58,6 +60,20 @@ func (g *Graph) Symmetric() bool { return g.symmetric }
 
 // Weighted reports whether edges carry weights.
 func (g *Graph) Weighted() bool { return g.Wts != nil }
+
+// MaxWeight returns an upper bound on every edge weight: the largest weight
+// when the graph was built or loaded, raised by ApplyDelta (and WithWeights)
+// for a heavier weight and never lowered. It is 0 for an unweighted graph.
+func (g *Graph) MaxWeight() Weight { return g.maxW }
+
+// maxWeight returns the largest of ws, or 0 when ws is empty.
+func maxWeight(ws []Weight) Weight {
+	var m Weight
+	for _, w := range ws {
+		m = max(m, w)
+	}
+	return m
+}
 
 // HasInEdges reports whether the pull-direction CSR is available.
 func (g *Graph) HasInEdges() bool { return g.InOff != nil }

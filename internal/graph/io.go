@@ -282,6 +282,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if g.Wts, err = readSection[Weight](br, m, "Wts"); err != nil {
 			return nil, err
 		}
+		g.maxW = maxWeight(g.Wts)
 	}
 	if flags&2 != 0 {
 		if g.InOff, err = readSection[int64](br, n+1, "InOff"); err != nil {

@@ -48,6 +48,10 @@ func (d *Delta) WeightOnly() bool { return len(d.Add) == 0 && len(d.Del) == 0 }
 // unmodified in spirit (the new graph is never half-built into the old
 // one's arrays).
 //
+// The result's MaxWeight is g's, raised to the heaviest added or rewritten
+// weight: a bound that only grows, so a removed or lightened edge never
+// lowers it.
+//
 // Symmetric graphs are rejected: a single-direction edit would silently
 // break the symmetry invariant kcore/setcover rely on.
 func ApplyDelta(g *Graph, d Delta) (*Graph, error) {
@@ -95,7 +99,7 @@ func ApplyDelta(g *Graph, d Delta) (*Graph, error) {
 			inWts = append([]Weight(nil), g.InWts...)
 		}
 		ApplyWeightPatches(wts, inWts, ps)
-		return g.WithWeights(wts, inWts), nil
+		return g.WithWeights(wts, inWts, ps), nil
 	}
 	return splice(g, d)
 }
@@ -153,10 +157,15 @@ func ApplyWeightPatches(wts, inWts []Weight, ps []WeightPatch) {
 }
 
 // WithWeights returns a graph that shares g's topology and reads the given
-// weight pair, which must have g's lengths (inWts nil without in-weights).
-func (g *Graph) WithWeights(wts, inWts []Weight) *Graph {
+// weight pair, which must have g's lengths (inWts nil without in-weights):
+// g's weights with ps written into them. Its MaxWeight is g's, raised to
+// cover ps.
+func (g *Graph) WithWeights(wts, inWts []Weight, ps []WeightPatch) *Graph {
 	ng := *g
 	ng.Wts, ng.InWts = wts, inWts
+	for _, p := range ps {
+		ng.maxW = max(ng.maxW, p.W)
+	}
 	return &ng
 }
 
@@ -218,7 +227,14 @@ func find(cs []change, nbr VertexID) int {
 // produces) the result is array-identical to buildInEdges of the new
 // out-CSR.
 func splice(g *Graph, d Delta) (*Graph, error) {
-	ng := &Graph{n: g.n, Coord: g.Coord}
+	ng := &Graph{n: g.n, Coord: g.Coord, maxW: g.maxW}
+	if g.Weighted() {
+		for _, es := range [][]Edge{d.Add, d.SetW} {
+			for _, e := range es {
+				ng.maxW = max(ng.maxW, e.W)
+			}
+		}
+	}
 	var err error
 	if ng.Off, ng.Neigh, ng.Wts, err = spliceHalf(g.n, g.Off, g.Neigh, g.Wts, keyed(d, false), false); err != nil {
 		return nil, err

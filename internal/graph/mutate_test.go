@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -421,5 +422,50 @@ func TestSpliceShapes(t *testing.T) {
 		if Fingerprint(g) != before {
 			t.Errorf("%s: ApplyDelta wrote into its input", tc.name)
 		}
+	}
+}
+
+// TestMaxWeightBound: MaxWeight is the largest weight after Build and after
+// a binary round trip, and ApplyDelta keeps it an upper bound that only
+// grows — a heavier added or rewritten weight raises it through both the
+// weight-only and the topology path; lighter weights and removals leave it.
+func TestMaxWeightBound(t *testing.T) {
+	g, err := Build([]Edge{{0, 1, 5}, {1, 2, 7}, {2, 0, 3}},
+		BuildOptions{NumVertices: 3, Weighted: true, InEdges: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.MaxWeight() != 7 {
+		t.Fatalf("built: MaxWeight %d, want 7", g.MaxWeight())
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if rg, err := ReadBinary(&buf); err != nil || rg.MaxWeight() != 7 {
+		t.Fatalf("loaded: MaxWeight %v (err %v), want 7", rg.MaxWeight(), err)
+	}
+	steps := []struct {
+		name string
+		d    Delta
+		want Weight
+	}{
+		{"heavier reweight", Delta{SetW: []Edge{{0, 1, 40}}}, 40},
+		{"lighter reweight", Delta{SetW: []Edge{{0, 1, 1}}}, 40},
+		{"heavier add", Delta{Add: []Edge{{0, 2, 90}}}, 90},
+		{"remove the heaviest", Delta{Del: []Edge{{0, 2, 0}}}, 90},
+		{"reweight beside a topology change", Delta{Add: []Edge{{1, 0, 2}}, SetW: []Edge{{1, 2, 120}}}, 120},
+	}
+	for _, s := range steps {
+		if g, err = ApplyDelta(g, s.d); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if g.MaxWeight() != s.want {
+			t.Fatalf("%s: MaxWeight %d, want %d", s.name, g.MaxWeight(), s.want)
+		}
+	}
+	u, err := Build([]Edge{{0, 1, 0}}, BuildOptions{NumVertices: 2})
+	if err != nil || u.MaxWeight() != 0 {
+		t.Fatalf("unweighted: MaxWeight %v (err %v), want 0", u.MaxWeight(), err)
 	}
 }

@@ -339,3 +339,29 @@ func TestStatusCounters(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 }
+
+// TestMaxWeightBoundFollowsBatches: a weight-only batch lands in a weight
+// plane the Live owns, not through ApplyDelta; its snapshot's MaxWeight
+// must still rise with a heavier weight and never fall.
+func TestMaxWeightBoundFollowsBatches(t *testing.T) {
+	l := newTestLive(t, Config{})
+	defer l.Close()
+	for _, step := range []struct {
+		op   Op
+		want graph.Weight
+	}{
+		{Op{Kind: OpReweight, Src: 0, Dst: 1, W: 60}, 60},
+		{Op{Kind: OpReweight, Src: 0, Dst: 1, W: 2}, 60},
+		{Op{Kind: OpAdd, Src: 3, Dst: 0, W: 80}, 80},
+		{Op{Kind: OpRemove, Src: 3, Dst: 0}, 80},
+	} {
+		if _, err := l.ApplyBatch([]Op{step.op}); err != nil {
+			t.Fatal(err)
+		}
+		s := l.Acquire()
+		if got := s.Graph().MaxWeight(); got != step.want {
+			t.Errorf("after %+v: MaxWeight %d, want %d", step.op, got, step.want)
+		}
+		s.Release()
+	}
+}

@@ -443,7 +443,7 @@ func (l *Live) materialize(old *Snapshot, delta graph.Delta) (*graph.Graph, *pla
 		l.patches = ps
 		pl := l.planes.writable(old.g)
 		graph.ApplyWeightPatches(pl.wts, pl.inWts, ps)
-		return old.g.WithWeights(pl.wts, pl.inWts), pl, nil
+		return old.g.WithWeights(pl.wts, pl.inWts, ps), pl, nil
 	}
 	ng, err := graph.ApplyDelta(old.g, delta)
 	if err != nil {

@@ -309,8 +309,8 @@ func TestBatchPairQueries(t *testing.T) {
 	}
 }
 
-// TestBatchFaultFallsBackPerLane: a one-shot panic injected into the k-lane
-// run's relaxation faults the whole group once; every lane is then answered
+// TestBatchFaultFallsBackPerLane: a one-shot panic injected into one lane
+// group of the k-lane run's relaxation faults the whole batch once; every lane is then answered
 // by its own serial fallback run — equal to the sequential reference, marked
 // Fallback, never cached — and the breaker hears of exactly one fault.
 func TestBatchFaultFallsBackPerLane(t *testing.T) {
@@ -325,6 +325,9 @@ func TestBatchFaultFallsBackPerLane(t *testing.T) {
 		CacheEntries:  64,
 		BatchWindow:   time.Minute,
 		BatchMaxLanes: 3,
+		// Two workers: the three lanes run as two lane groups, and the
+		// group whose relax chunk panics first cancels the other.
+		Workers: 2,
 		// The lane kernel's first relax chunk panics; the per-lane fallback
 		// reruns find the trigger spent.
 		BaseContext: faults.New(faults.PanicAt(core.PhaseRelaxChunk, 0, "hostile relaxation")).Context,

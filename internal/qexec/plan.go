@@ -2,6 +2,7 @@ package qexec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -13,6 +14,17 @@ import (
 	"graphit/internal/cliutil"
 	"graphit/internal/livegraph"
 )
+
+// MaxDeltaFactor bounds a request's ∆ at this multiple of max(1, the
+// snapshot's largest edge weight). Above about the heaviest edge, a larger ∆
+// only merges buckets and turns a lazy run into a label-correcting sweep:
+// on the 350×350 road grid (weights up to 1 175) ∆=2⁴⁰ does ~20× the work of
+// ∆=2048. 8× still admits every ∆ a tuned schedule picks.
+const MaxDeltaFactor = 8
+
+// ErrDeltaBound is the request error (CodeBadRequest) for a ∆ above
+// MaxDeltaFactor × max(1, the graph's largest edge weight).
+var ErrDeltaBound = errors.New("delta above the graph's bound")
 
 // Request is the transport-agnostic form of one query — the fields a JSON
 // body or a CLI invocation carries, before validation. Zero values mean
@@ -163,6 +175,10 @@ func (p *Pipeline) plan(req *Request) (pl *Plan, err error) {
 	norm, sched, err := params.Normalize()
 	if err != nil {
 		return nil, err
+	}
+	if bound := MaxDeltaFactor * max(1, int64(g.MaxWeight())); norm.Delta > bound {
+		return nil, fmt.Errorf("%w: delta %d > %d (%d × max(1, the graph's largest edge weight %d))",
+			ErrDeltaBound, norm.Delta, bound, MaxDeltaFactor, g.MaxWeight())
 	}
 	pl = &Plan{
 		Spec:      sp,

@@ -2,6 +2,7 @@ package qexec
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -390,5 +391,34 @@ func TestCacheHitSkipsEngine(t *testing.T) {
 	}
 	if runs := p.Status().Runs; runs != 2 {
 		t.Fatalf("%d runs after distinct-selection query, want 2", runs)
+	}
+}
+
+// TestPlanBoundsDelta: a request ∆ up to MaxDeltaFactor × the graph's
+// largest edge weight runs; one above it is a bad request (HTTP 400)
+// carrying ErrDeltaBound, and never reaches the engine.
+func TestPlanBoundsDelta(t *testing.T) {
+	g := testGraph(t)
+	p := newTestPipeline(t, Config{Graphs: map[string]*graphit.Graph{"road": g}})
+	defer mustClose(t, p)
+	bound := MaxDeltaFactor * int64(g.MaxWeight())
+	if bound < 2048 {
+		t.Fatalf("bound %d: the road grid's tuned ∆=2048 must stay admissible", bound)
+	}
+	for _, strategy := range []string{"lazy", "eager_with_fusion"} {
+		ok := p.Do(context.Background(), Request{Algo: "sssp", Graph: "road", Strategy: strategy, Delta: bound})
+		if ok.Code != CodeOK {
+			t.Fatalf("%s ∆=%d (the bound): %s (%v), want ok", strategy, bound, ok.Code, ok.Err)
+		}
+		runs := p.Status().Runs
+		for _, d := range []int64{bound + 1, 1 << 40} {
+			out := p.Do(context.Background(), Request{Algo: "sssp", Graph: "road", Strategy: strategy, Delta: d})
+			if out.Code != CodeBadRequest || !errors.Is(out.Err, ErrDeltaBound) {
+				t.Errorf("%s ∆=%d: %s (%v), want a bad request carrying ErrDeltaBound", strategy, d, out.Code, out.Err)
+			}
+		}
+		if got := p.Status().Runs; got != runs {
+			t.Errorf("%s: rejected requests ran the engine (%d runs, want %d)", strategy, got, runs)
+		}
 	}
 }
