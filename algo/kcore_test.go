@@ -2,9 +2,13 @@ package algo
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"graphit"
+	"graphit/internal/core"
+	"graphit/internal/lang/codegen"
 )
 
 func symGraphs(t *testing.T) map[string]*graphit.Graph {
@@ -70,15 +74,28 @@ func TestKCoreMatchesReferenceAcrossSchedules(t *testing.T) {
 }
 
 // TestKCoreConstantSumCountsIndependentOfWorkers: lazy_constant_sum k-core
-// on a hub-heavy symmetrized R-MAT gives the reference coreness and the same
-// Rounds, Relaxations, BucketInserts and Processed at every worker count.
-// The histogram's counts are exact whichever worker makes a vertex's first
-// touch, so each round drains the same totals; an interleaving bug in the
-// first-touch rule shows up here as a lost or double-applied count.
+// on a hub-heavy symmetrized R-MAT and on a road grid, through algo.KCore
+// and through kcore.gt's Plan.Execute, gives the reference coreness and the
+// same Rounds, Relaxations, BucketInserts and Processed at every worker
+// count. The per-worker count planes are summed exactly whichever workers
+// touch a vertex, so each round drains the same totals; a lost or
+// double-drained first touch, or a finalized vertex's count leaking into a
+// drain, shows up here as a wrong coreness or a changed counter.
 func TestKCoreConstantSumCountsIndependentOfWorkers(t *testing.T) {
-	opt := graphit.DefaultRMAT(12, 16, 5)
+	// Scale 14 is the smallest R-MAT here with rounds large enough to be
+	// counted by every worker (two, over 2¹⁵ edges each); the others, and
+	// every road round, run on the caller.
+	opt := graphit.DefaultRMAT(14, 16, 5)
 	opt.Symmetrize = true
-	g, err := graphit.RMAT(opt)
+	rmat, err := graphit.RMAT(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	road, err := graphit.RoadGrid(graphit.RoadOptions{Rows: 64, Cols: 64, DeleteFrac: 0.1, DiagFrac: 0.05, Seed: 303})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(filepath.Join("..", "testdata", "dsl", "kcore.gt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,32 +103,58 @@ func TestKCoreConstantSumCountsIndependentOfWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sp.Ref(g, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base graphit.Stats
-	for _, w := range []int{1, 2, 4} {
-		sched := graphit.DefaultSchedule().ConfigApplyPriorityUpdate("lazy_constant_sum").ConfigNumWorkers(w)
-		got, err := KCore(g, sched)
-		if err != nil {
-			t.Fatalf("Workers=%d: %v", w, err)
-		}
-		for v, c := range ref.Values {
-			if got.Coreness[v] != c {
-				t.Fatalf("Workers=%d: coreness[%d] = %d, want %d", w, v, got.Coreness[v], c)
+	runs := map[string]func(g *graphit.Graph, w int) ([]int64, graphit.Stats, error){
+		"algo": func(g *graphit.Graph, w int) ([]int64, graphit.Stats, error) {
+			sched := graphit.DefaultSchedule().ConfigApplyPriorityUpdate("lazy_constant_sum").ConfigNumWorkers(w)
+			got, err := KCore(g, sched)
+			if err != nil {
+				return nil, graphit.Stats{}, err
 			}
+			return got.Coreness, got.Stats, nil
+		},
+		"kcore.gt": func(g *graphit.Graph, w int) ([]int64, graphit.Stats, error) {
+			plan, err := codegen.Compile(string(src))
+			if err != nil {
+				return nil, graphit.Stats{}, err
+			}
+			cfg := plan.Schedules.Get("s1")
+			cfg.Strategy, cfg.Workers = core.LazyConstantSum, w
+			res, err := plan.Execute(codegen.ExecOptions{Graph: g, Argv: []string{"kcore", "-"}})
+			if err != nil {
+				return nil, graphit.Stats{}, err
+			}
+			return res.Vectors["D"], res.Stats, nil
+		},
+	}
+	for gname, g := range map[string]*graphit.Graph{"rmat": rmat, "road": road} {
+		ref, err := sp.Ref(g, 0, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		st := got.Stats
-		if w == 1 {
-			base = st
-			continue
-		}
-		if st.Rounds != base.Rounds || st.Relaxations != base.Relaxations ||
-			st.BucketInserts != base.BucketInserts || st.Processed != base.Processed {
-			t.Errorf("Workers=%d: rounds/relaxations/inserts/processed = %d/%d/%d/%d, want %d/%d/%d/%d as at Workers=1",
-				w, st.Rounds, st.Relaxations, st.BucketInserts, st.Processed,
-				base.Rounds, base.Relaxations, base.BucketInserts, base.Processed)
+		for rname, run := range runs {
+			var base graphit.Stats
+			for _, w := range []int{1, 2, 4} {
+				tag := fmt.Sprintf("%s/%s Workers=%d", gname, rname, w)
+				got, st, err := run(g, w)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				for v, c := range ref.Values {
+					if got[v] != c {
+						t.Fatalf("%s: coreness[%d] = %d, want %d", tag, v, got[v], c)
+					}
+				}
+				if w == 1 {
+					base = st
+					continue
+				}
+				if st.Rounds != base.Rounds || st.Relaxations != base.Relaxations ||
+					st.BucketInserts != base.BucketInserts || st.Processed != base.Processed {
+					t.Errorf("%s: rounds/relaxations/inserts/processed = %d/%d/%d/%d, want %d/%d/%d/%d as at Workers=1",
+						tag, st.Rounds, st.Relaxations, st.BucketInserts, st.Processed,
+						base.Rounds, base.Relaxations, base.BucketInserts, base.Processed)
+				}
+			}
 		}
 	}
 }

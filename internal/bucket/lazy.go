@@ -1,5 +1,7 @@
 package bucket
 
+import "math/bits"
+
 // Lazy is a Julienne-style bucket structure. Only NumOpen buckets are
 // materialized at a time; vertices whose bucket lies outside the current
 // window are kept in a single overflow bucket and re-bucketed when the
@@ -40,13 +42,16 @@ type Lazy struct {
 	epoch    []uint64
 	curEpoch uint64
 
-	// Slab free-list: backing arrays displaced by extraction, growth, and
+	// Slab free lists: backing arrays displaced by extraction, growth, and
 	// window advances are parked here (len 0, capacity intact) and handed
 	// back out instead of re-allocated, so the steady-state round loop
-	// produces no bucket garbage. lastRet is the frontier most recently
-	// returned by Next; it is recycled at the start of the following Next
-	// call (the returned slice stays valid until then).
-	free    [][]uint32
+	// produces no bucket garbage. free[k] holds the slabs whose capacity
+	// lies in [2^k, 2^(k+1)); nfree counts them all. lastRet is the
+	// frontier most recently returned by Next; it is recycled at the start
+	// of the following Next call (the returned slice stays valid until
+	// then).
+	free    [bits.UintSize][][]uint32
+	nfree   int
 	lastRet []uint32
 
 	// Stats.
@@ -59,34 +64,33 @@ type Lazy struct {
 // overflow and a few frontiers in flight.
 func (l *Lazy) maxFree() int { return l.numOpen + 8 }
 
-// recycle parks a displaced backing array on the free list.
+// recycle parks a displaced backing array on its size class's free list.
 func (l *Lazy) recycle(s []uint32) {
-	if cap(s) == 0 || len(l.free) >= l.maxFree() {
+	if cap(s) == 0 || l.nfree >= l.maxFree() {
 		return
 	}
-	l.free = append(l.free, s[:0])
+	k := bits.Len(uint(cap(s))) - 1
+	l.free[k] = append(l.free[k], s[:0])
+	l.nfree++
 }
 
-// grabFit pops the smallest recycled slab with capacity >= need, or returns
-// nil. Best-fit matters for the steady state: a first-fit policy lets tiny
-// window slots squat on the big overflow slabs, forcing the overflow to
-// re-grow (and re-allocate) every cycle.
+// grabFit pops a recycled slab from the smallest size class whose every
+// slab holds need ids, or returns nil. appendSlab grows slabs by doubling
+// from 8, so each class holds one capacity and this is best fit. Best fit
+// matters for the steady state: a first-fit policy lets tiny window slots
+// squat on the big overflow slabs, forcing the overflow to re-grow (and
+// re-allocate) every cycle.
 func (l *Lazy) grabFit(need int) []uint32 {
-	best := -1
-	for i, s := range l.free {
-		if cap(s) >= need && (best < 0 || cap(s) < cap(l.free[best])) {
-			best = i
+	for k := bits.Len(uint(need - 1)); k < len(l.free); k++ {
+		if n := len(l.free[k]); n > 0 {
+			s := l.free[k][n-1]
+			l.free[k][n-1] = nil
+			l.free[k] = l.free[k][:n-1]
+			l.nfree--
+			return s
 		}
 	}
-	if best < 0 {
-		return nil
-	}
-	s := l.free[best]
-	last := len(l.free) - 1
-	l.free[best] = l.free[last]
-	l.free[last] = nil
-	l.free = l.free[:last]
-	return s
+	return nil
 }
 
 // appendSlab appends v to s, drawing backing storage from the free list and

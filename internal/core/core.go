@@ -24,6 +24,7 @@ import (
 	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
 	"graphit/internal/graph"
+	"graphit/internal/histogram"
 )
 
 // Unreached is the null priority for lower_first (min) queues: a vertex with
@@ -413,6 +414,9 @@ func (o *Ordered) validate() error {
 	}
 	if o.Cfg.Strategy == LazyConstantSum && o.SumConst == 0 {
 		return fmt.Errorf("core: LazyConstantSum requires a non-zero SumConst")
+	}
+	if o.Cfg.Strategy == LazyConstantSum && o.G.NumEdges() > histogram.MaxUpdates {
+		return fmt.Errorf("core: lazy_constant_sum counts a round in int32 and supports at most %d edges (graph has %d)", histogram.MaxUpdates, o.G.NumEdges())
 	}
 	if o.Cfg.Direction != SparsePush && !o.G.HasInEdges() {
 		return fmt.Errorf("core: %s requires in-edges", o.Cfg.Direction)

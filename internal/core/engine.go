@@ -159,7 +159,7 @@ func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint3
 	trav, ups, bins := o.compose(sc, ex, ctl)
 	e := &engine{o: o, trav: trav, ups: ups, ex: ex, ctl: ctl}
 	if bins == nil {
-		e.src = o.newLazySource(active)
+		e.src = o.newLazySource(active, trav)
 		return e
 	}
 	for i, v := range active {

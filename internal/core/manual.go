@@ -60,7 +60,7 @@ func NewManual(o *Ordered) (*Manual, error) {
 	// the user's EdgeFunc directly), so the control block is inert.
 	ex := parallel.Acquire(o.Cfg.Workers)
 	trav, ups, _ := o.compose(&scratch{}, ex, &runCtl{})
-	return &Manual{o: o, src: o.newLazySource(active), trav: trav, ups: ups, ex: ex}, nil
+	return &Manual{o: o, src: o.newLazySource(active, trav), trav: trav, ups: ups, ex: ex}, nil
 }
 
 // Close releases the loop's executor back to the pool. The Manual remains

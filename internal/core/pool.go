@@ -28,8 +28,6 @@ type scratch struct {
 	frontier []uint32
 	updated  []uint32
 	hist     *histogram.Counter
-	histN    int
-	histW    int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -51,15 +49,15 @@ func (sc *scratch) getBins(w int) []*bucket.LocalBins {
 }
 
 // getUpdaters returns w zeroed per-worker updaters bound to o, keeping each
-// updater's output buffer capacity.
+// updater's output buffers' capacity.
 func (sc *scratch) getUpdaters(o *Ordered, w int) []*Updater {
 	for len(sc.ups) < w {
 		sc.ups = append(sc.ups, &Updater{})
 	}
 	ups := sc.ups[:w]
 	for _, u := range ups {
-		out := u.out[:0]
-		*u = Updater{o: o, out: out}
+		out, outBkt := u.out[:0], u.outBkt[:0]
+		*u = Updater{o: o, out: out, outBkt: outBkt}
 	}
 	return ups
 }
@@ -98,11 +96,26 @@ func (sc *scratch) getDense(n int) []bool {
 	return sc.inFron
 }
 
-// getHist returns a drained histogram counter for n vertices and w workers.
+// getHist returns a zeroed histogram counter with w planes over at least n
+// vertices. Like getLaneState it clears on acquire: every run leaves
+// finalized marks behind, and an aborted one stale counts and touched lists.
 func (sc *scratch) getHist(n, w int) *histogram.Counter {
-	if sc.hist == nil || sc.histN < n || sc.histW < w {
+	if sc.hist == nil || sc.hist.Len() < n || sc.hist.Workers() != w {
 		sc.hist = histogram.New(n, w)
-		sc.histN, sc.histW = n, w
+		return sc.hist
 	}
+	sc.hist.Reset()
 	return sc.hist
+}
+
+// collect concatenates the per-worker update buffers into the run's reusable
+// update buffer and empties them.
+func (sc *scratch) collect(ups []*Updater) []uint32 {
+	updated := sc.updated[:0]
+	for _, u := range ups {
+		updated = append(updated, u.out...)
+		u.out = u.out[:0]
+	}
+	sc.updated = updated
+	return updated
 }

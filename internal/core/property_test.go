@@ -207,45 +207,47 @@ func TestPropertyApproxConvergesExactly(t *testing.T) {
 // TestPropertyKCoreAllStrategies: coreness matches sequential peeling on
 // random symmetric graphs for every strategy (the constant-sum histogram,
 // plain lazy, and both eager variants).
-func TestPropertyKCoreAllStrategies(t *testing.T) {
-	peel := func(g *graph.Graph) []int64 {
-		n := g.NumVertices()
-		deg := make([]int, n)
-		maxDeg := 0
-		for v := 0; v < n; v++ {
-			deg[v] = g.OutDegree(uint32(v))
-			if deg[v] > maxDeg {
-				maxDeg = deg[v]
-			}
+// refCoreness is an independent sequential bucket-queue peeling.
+func refCoreness(g *graph.Graph) []int64 {
+	n := g.NumVertices()
+	deg := make([]int, n)
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		deg[v] = g.OutDegree(uint32(v))
+		if deg[v] > maxDeg {
+			maxDeg = deg[v]
 		}
-		buckets := make([][]uint32, maxDeg+1)
-		for v := 0; v < n; v++ {
-			buckets[deg[v]] = append(buckets[deg[v]], uint32(v))
-		}
-		core := make([]int64, n)
-		removed := make([]bool, n)
-		for k := 0; k <= maxDeg; k++ {
-			for i := 0; i < len(buckets[k]); i++ {
-				v := buckets[k][i]
-				if removed[v] || deg[v] != k {
-					continue
-				}
-				removed[v] = true
-				core[v] = int64(k)
-				for _, u := range g.OutNeigh(v) {
-					if !removed[u] && deg[u] > k {
-						deg[u]--
-						b := deg[u]
-						if b < k {
-							b = k
-						}
-						buckets[b] = append(buckets[b], u)
-					}
-				}
-			}
-		}
-		return core
 	}
+	buckets := make([][]uint32, maxDeg+1)
+	for v := 0; v < n; v++ {
+		buckets[deg[v]] = append(buckets[deg[v]], uint32(v))
+	}
+	core := make([]int64, n)
+	removed := make([]bool, n)
+	for k := 0; k <= maxDeg; k++ {
+		for i := 0; i < len(buckets[k]); i++ {
+			v := buckets[k][i]
+			if removed[v] || deg[v] != k {
+				continue
+			}
+			removed[v] = true
+			core[v] = int64(k)
+			for _, u := range g.OutNeigh(v) {
+				if !removed[u] && deg[u] > k {
+					deg[u]--
+					b := deg[u]
+					if b < k {
+						b = k
+					}
+					buckets[b] = append(buckets[b], u)
+				}
+			}
+		}
+	}
+	return core
+}
+
+func TestPropertyKCoreAllStrategies(t *testing.T) {
 	strategies := []Strategy{LazyConstantSum, Lazy, EagerNoFusion, EagerWithFusion}
 	f := func(seed int64, sSel uint8) bool {
 		dg := randomGraph(seed)
@@ -270,7 +272,7 @@ func TestPropertyKCoreAllStrategies(t *testing.T) {
 		if _, err := op.Run(); err != nil {
 			return false
 		}
-		want := peel(g)
+		want := refCoreness(g)
 		for v := range want {
 			if deg[v] != want[v] {
 				return false

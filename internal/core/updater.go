@@ -29,12 +29,16 @@ type Updater struct {
 	out   []uint32
 	dedup *atomicutil.Flags
 	owned bool
+	// outBkt[i] is out[i]'s new bucket, noted by the constant-sum drain.
+	outBkt []int64
 
 	// Per-worker counters, folded into Stats after each parallel phase.
 	relaxations int64
 	inversions  int64
 	processed   int64
 	fused       int64
+
+	_ [64]byte // keeps two workers' updaters off one cache line
 }
 
 // GetCurrentPriority returns the priority of the bucket being processed —
