@@ -10,6 +10,7 @@
 //	benchtab                       # everything at medium scale
 //	benchtab -exp table6 -scale large
 //	benchtab -exp fig1,fig4,table4
+//	benchtab -exp ablation           # the design-knob sweeps of DESIGN.md §4
 //	benchtab -workers 1,2,4,8      # the Figure 11 sweep points
 //	benchtab -timeout 5m           # bound the whole run; partial tables on expiry
 //
@@ -75,6 +76,9 @@ var experiments = []experiment{
 	}},
 	{"delta", func(ctx context.Context, s bench.Scale, _ []int) error {
 		return printTable(bench.DeltaSweep(ctx, s))
+	}},
+	{"ablation", func(ctx context.Context, s bench.Scale, _ []int) error {
+		return printTable(bench.Ablation(ctx, s))
 	}},
 	{"autotune", func(ctx context.Context, s bench.Scale, _ []int) error {
 		t, worst, err := bench.Autotune(ctx, s)

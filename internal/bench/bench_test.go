@@ -2,11 +2,16 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"graphit"
+	"graphit/algo"
 	"graphit/internal/graph"
 )
 
@@ -46,11 +51,7 @@ func TestFig1OrderedBeatsUnordered(t *testing.T) {
 	// k-core's ordered win shows in wall clock even at small scale. Each
 	// side is timed as the minimum of kcoreTimingRuns alternating runs, so
 	// one run slowed by a loaded machine does not decide the comparison.
-	ds, err := All(ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range ds {
+	for _, d := range must[[]*Dataset](t)(datasets(ScaleSmall, headline)) {
 		ord, unord := minKCoreTimes(t, d)
 		t.Logf("%s: k-core unordered/ordered time %.2f (%v / %v, min of %d alternating runs)",
 			d.Name, unord.Seconds()/ord.Seconds(), unord, ord, kcoreTimingRuns)
@@ -69,8 +70,8 @@ func minKCoreTimes(t *testing.T, d *Dataset) (ord, unord time.Duration) {
 	t.Helper()
 	ord, unord = time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for i := 0; i < kcoreTimingRuns; i++ {
-		o := KCore(context.Background(), FwGraphIt, d)
-		u := KCore(context.Background(), FwUnordered, d)
+		o := measure(context.Background(), FwGraphIt, KCore, d, ScaleSmall)
+		u := measure(context.Background(), FwUnordered, KCore, d, ScaleSmall)
 		if o.Err != nil || u.Err != nil {
 			t.Fatalf("%s: k-core: ordered %v, unordered %v", d.Name, o.Err, u.Err)
 		}
@@ -159,10 +160,18 @@ func TestTable7Shape(t *testing.T) {
 func TestDeltaSweepRoundsDecrease(t *testing.T) {
 	tbl := must[*Table](t)(DeltaSweep(context.Background(), ScaleSmall))
 	// Rounds must be non-increasing in delta for each graph (coarser
-	// buckets merge rounds).
-	rounds := map[string][]string{}
+	// buckets merge rounds). Rows list each graph's deltas in increasing
+	// order.
+	rounds := map[string][]int{}
 	for _, row := range tbl.Rows {
-		rounds[row[0]] = append(rounds[row[0]], row[3])
+		r, err := strconv.Atoi(row[3])
+		if err != nil {
+			t.Fatalf("%s at ∆=%s: rounds %q: %v", row[0], row[1], row[3], err)
+		}
+		if rs := rounds[row[0]]; len(rs) > 0 && r > rs[len(rs)-1] {
+			t.Errorf("%s: rounds rose from %d to %d at ∆=%s", row[0], rs[len(rs)-1], r, row[1])
+		}
+		rounds[row[0]] = append(rounds[row[0]], r)
 	}
 	for g, rs := range rounds {
 		if len(rs) < 2 {
@@ -172,16 +181,28 @@ func TestDeltaSweepRoundsDecrease(t *testing.T) {
 	t.Logf("\n%s", tbl)
 }
 
+// byName returns the roster dataset named name at scale s.
+func byName(t *testing.T, s Scale, name string) *Dataset {
+	t.Helper()
+	for _, d := range must[[]*Dataset](t)(datasets(s, table4)) {
+		if d.Name == name {
+			return d
+		}
+	}
+	t.Fatalf("no dataset %s", name)
+	return nil
+}
+
 func TestDatasetsCachedAndShaped(t *testing.T) {
-	a := must[[]*Dataset](t)(Social(ScaleSmall))[0]
-	b := must[[]*Dataset](t)(Social(ScaleSmall))[0]
+	a := byName(t, ScaleSmall, "LJ-sim")
+	b := byName(t, ScaleSmall, "LJ-sim")
 	if a != b {
 		t.Error("datasets not cached")
 	}
 	if a.Graph.NumVertices() == 0 || a.Graph.NumEdges() == 0 {
 		t.Error("empty social graph")
 	}
-	rd := must[[]*Dataset](t)(Road(ScaleSmall))[0]
+	rd := byName(t, ScaleSmall, "RD-sim")
 	if !rd.Graph.HasCoords() {
 		t.Error("road graph must carry coordinates for A*")
 	}
@@ -198,8 +219,8 @@ func TestDatasetsCachedAndShaped(t *testing.T) {
 }
 
 func TestLogWeightedVariant(t *testing.T) {
-	d := must[[]*Dataset](t)(Social(ScaleSmall))[0]
-	g := must[*graph.Graph](t)(d.LogWeighted())
+	d := byName(t, ScaleSmall, "LJ-sim")
+	g := must[*graph.Graph](t)(d.As(LogWeighted))
 	maxW := int32(0)
 	for _, w := range g.Wts {
 		if w > maxW {
@@ -265,6 +286,96 @@ func TestTable4SupportAndSanity(t *testing.T) {
 		}
 		if algoName == "SetCover" && row[colFor["Unordered"]] != "--" {
 			t.Errorf("SetCover has no unordered baseline: %v", row)
+		}
+	}
+	t.Logf("\n%s", tbl)
+}
+
+// TestDerivedGraphsKeyedByScale: a derived graph belongs to its dataset's
+// scale. Deriving LJ-sim at small scale first must not hand the medium
+// dataset the small graph.
+func TestDerivedGraphsKeyedByScale(t *testing.T) {
+	small, medium := byName(t, ScaleSmall, "LJ-sim"), byName(t, ScaleMedium, "LJ-sim")
+	for _, v := range []Variant{Symmetrized, LogWeighted} {
+		for _, d := range []*Dataset{small, medium} {
+			g := must[*graph.Graph](t)(d.As(v))
+			if g.NumVertices() != d.Graph.NumVertices() {
+				t.Errorf("variant %d of %d-vertex %s has %d vertices", v, d.Graph.NumVertices(), d.Name, g.NumVertices())
+			}
+		}
+	}
+}
+
+// TestCatalogueMatchesReference runs every supported catalogue cell on
+// every graph Table 4 gives its algorithm, from the first query pair, and
+// checks the answer against the spec's sequential reference. Exact specs
+// and Galois SSSP, whose approximate ordering still converges, must equal
+// it: the whole vector for distances and coreness, Values[dst] for pair
+// searches. Galois PPSP and A* stop early, so their answer is a real path:
+// never below the reference, and finite when the reference is.
+func TestCatalogueMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	ds := must[[]*Dataset](t)(datasets(ScaleSmall, table4))
+	for _, row := range table4Rows {
+		for _, d := range ds {
+			if row.class != "" && d.Class != row.class {
+				continue
+			}
+			for _, fw := range Frameworks {
+				c, ok := lookup(fw, row.alg, d)
+				if !ok {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", row.alg, d.Name, fw), func(t *testing.T) {
+					q := pairs(d, 1)[0]
+					r := c.run(ctx, q[0], q[1])
+					if r.Err != nil {
+						t.Fatal(r.Err)
+					}
+					ref := must[*algo.QueryResult](t)(c.spec.Ref(must[*graph.Graph](t)(d.As(c.variant)), q[0], q[1]))
+					got, want := r.Result.Values, ref.Values
+					switch {
+					case c.spec.Kind == algo.KindCover:
+						// The bound TestSetCoverNearGreedyQuality holds the
+						// parallel cover to.
+						if r.Result.NumChosen == 0 || r.Result.NumChosen > 4*ref.NumChosen {
+							t.Errorf("cover of %d sets, greedy %d", r.Result.NumChosen, ref.NumChosen)
+						}
+					case c.spec.Kind == algo.KindPair && !c.spec.Exact:
+						if got[q[1]] < want[q[1]] || (got[q[1]] == graphit.Unreached) != (want[q[1]] == graphit.Unreached) {
+							t.Errorf("dist(%d→%d) = %d, reference %d", q[0], q[1], got[q[1]], want[q[1]])
+						}
+					case c.spec.Kind == algo.KindPair:
+						if got[q[1]] != want[q[1]] {
+							t.Errorf("dist(%d→%d) = %d, reference %d", q[0], q[1], got[q[1]], want[q[1]])
+						}
+					case !slices.Equal(got, want):
+						t.Errorf("%s answer differs from the reference", c.spec.Name)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAblationSweepsEveryKnob: every knob reports one row per setting on
+// each of its graphs, and none errors.
+func TestAblationSweepsEveryKnob(t *testing.T) {
+	tbl := must[*Table](t)(Ablation(context.Background(), ScaleSmall))
+	rows := map[string]int{}
+	for _, row := range tbl.Rows {
+		rows[row[0]]++
+		if strings.HasPrefix(row[4], "err") {
+			t.Errorf("%v errored", row)
+		}
+	}
+	for _, ab := range ablations {
+		graphs := 3
+		if ab.graph != "" {
+			graphs = 1
+		}
+		if rows[ab.knob] != graphs*len(ab.settings) {
+			t.Errorf("%s: %d rows, want %d", ab.knob, rows[ab.knob], graphs*len(ab.settings))
 		}
 	}
 	t.Logf("\n%s", tbl)

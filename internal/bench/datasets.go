@@ -1,8 +1,8 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation (Section 6) on this repository's
-// synthetic dataset stand-ins. cmd/benchtab drives it from the command
-// line; the root bench_test.go exposes one testing.B benchmark per
-// table/figure.
+// synthetic dataset stand-ins. Every experiment draws its graphs from one
+// roster (this file) and its runs from one catalogue (frameworks.go);
+// cmd/benchtab drives it from the command line.
 package bench
 
 import (
@@ -28,27 +28,89 @@ const (
 	ScaleLarge Scale = "large"
 )
 
-// Dataset is one named graph with its paper counterpart.
+// Graph classes of the roster.
+const (
+	ClassSocial = "social"
+	ClassRoad   = "road"
+)
+
+// Dataset is one named graph at one scale, with its paper counterpart.
 type Dataset struct {
 	// Name is the stand-in name, e.g. "LJ-sim".
 	Name string
 	// PaperName is the dataset it substitutes (Table 3).
 	PaperName string
-	// Class is "social" or "road".
+	// Class is ClassSocial or ClassRoad.
 	Class string
 	Graph *graph.Graph
 	// BestDeltaExp is the hand-tuned ∆ exponent for ∆-stepping (paper
 	// §6.2: social 1–100, road 2^13–2^17; scaled-down graphs want
 	// correspondingly smaller road deltas).
 	BestDeltaExp int
+
+	mu      sync.Mutex
+	derived [LogWeighted + 1]*graph.Graph // by Variant, built on first use
+}
+
+// Variant is a form of a dataset's graph that an algorithm runs on.
+type Variant uint8
+
+const (
+	// Base is the generated graph.
+	Base Variant = iota
+	// Symmetrized is the symmetric graph the paper gives k-core and
+	// SetCover.
+	Symmetrized
+	// LogWeighted has weights in [1, log n), the wBFS convention (paper
+	// Table 4's † graphs).
+	LogWeighted
+)
+
+// shape is how a stand-in is generated.
+type shape uint8
+
+const (
+	rmatLight shape = iota // Graph500 R-MAT skew
+	rmatHeavy              // the same skew, denser
+	web                    // stronger skew: web graphs' deeper power-law tails
+	road                   // perturbed grid with coordinates and travel-time weights
+)
+
+// tables is the set of experiments a roster dataset appears in.
+type tables uint8
+
+const (
+	headline tables = 1 << iota // Fig. 1, Fig. 4, Fig. 11, ∆ sweep, autotuner, ablations
+	table4                      // the full Table 3 roster
+	table6                      // bucket fusion
+	table7                      // eager vs lazy
+)
+
+// roster is paper Table 3's datasets, each with the experiments that use
+// it, in the order tables list them.
+var roster = []struct {
+	name, paper string
+	shape       shape
+	seed        int64
+	side        float64 // road grid side as a fraction of roadSide
+	in          tables
+}{
+	{"LJ-sim", "LiveJournal", rmatLight, 101, 0, headline | table4 | table7},
+	{"TW-sim", "Twitter", rmatHeavy, 202, 0, headline | table4 | table6 | table7},
+	{"OK-sim", "Orkut", rmatHeavy, 404, 0, table4},
+	{"FT-sim", "Friendster", rmatHeavy, 505, 0, table4 | table6 | table7},
+	{"WB-sim", "WebGraph", web, 606, 0, table4 | table6 | table7},
+	{"RD-sim", "RoadUSA", road, 303, 1.0, headline | table4 | table6 | table7},
+	{"GE-sim", "Germany", road, 707, 0.7, table4},
+	{"MA-sim", "Massachusetts", road, 808, 0.25, table4},
 }
 
 var (
 	cacheMu sync.Mutex
-	cache   = map[string]*Dataset{}
+	cache   = map[string]*Dataset{} // by name/scale
 )
 
-// rmatScale returns (scale, edgeFactor) per Scale for a social stand-in.
+// rmatSize returns (scale, edgeFactor) per Scale for a social stand-in.
 func rmatSize(s Scale, heavy bool) (int, int) {
 	switch s {
 	case ScaleSmall:
@@ -69,7 +131,7 @@ func rmatSize(s Scale, heavy bool) (int, int) {
 	}
 }
 
-func roadSize(s Scale) int {
+func roadSide(s Scale) int {
 	switch s {
 	case ScaleSmall:
 		return 100
@@ -80,12 +142,15 @@ func roadSize(s Scale) int {
 	}
 }
 
-// collect materializes a roster from per-dataset builders, stopping at the
-// first generation failure.
-func collect(builders ...func() (*Dataset, error)) ([]*Dataset, error) {
-	ds := make([]*Dataset, 0, len(builders))
-	for _, b := range builders {
-		d, err := b()
+// datasets returns the roster's datasets that appear in any of in, in
+// roster order.
+func datasets(s Scale, in tables) ([]*Dataset, error) {
+	var ds []*Dataset
+	for i := range roster {
+		if roster[i].in&in == 0 {
+			continue
+		}
+		d, err := load(i, s)
 		if err != nil {
 			return nil, err
 		}
@@ -94,220 +159,69 @@ func collect(builders ...func() (*Dataset, error)) ([]*Dataset, error) {
 	return ds, nil
 }
 
-// Social returns the core social-network stand-ins used by the headline
-// comparisons (directed, weights [1,1000)).
-func Social(s Scale) ([]*Dataset, error) {
-	return collect(
-		func() (*Dataset, error) { return socialDS("LJ-sim", "LiveJournal", s, false, 101) },
-		func() (*Dataset, error) { return socialDS("TW-sim", "Twitter", s, true, 202) },
-	)
-}
-
-// SocialAll returns the full social/web roster of paper Table 3: OK and FT
-// stand-ins are denser, WB-sim uses web-graph R-MAT skew.
-func SocialAll(s Scale) ([]*Dataset, error) {
-	ds, err := Social(s)
-	if err != nil {
-		return nil, err
-	}
-	rest, err := collect(
-		func() (*Dataset, error) { return socialDS("OK-sim", "Orkut", s, true, 404) },
-		func() (*Dataset, error) { return socialDS("FT-sim", "Friendster", s, true, 505) },
-		func() (*Dataset, error) { return webDS("WB-sim", "WebGraph", s, 606) },
-	)
-	if err != nil {
-		return nil, err
-	}
-	return append(ds, rest...), nil
-}
-
-// Road returns the headline road-network stand-in (symmetric, travel-time
-// weights, coordinates for A*).
-func Road(s Scale) ([]*Dataset, error) {
-	return collect(func() (*Dataset, error) { return roadDS("RD-sim", "RoadUSA", s, 303, 1.0) })
-}
-
-// RoadAll returns the full road roster of paper Table 3: Germany (~half of
-// RoadUSA's vertices) and Massachusetts (small).
-func RoadAll(s Scale) ([]*Dataset, error) {
-	ds, err := Road(s)
-	if err != nil {
-		return nil, err
-	}
-	rest, err := collect(
-		func() (*Dataset, error) { return roadDS("GE-sim", "Germany", s, 707, 0.7) },
-		func() (*Dataset, error) { return roadDS("MA-sim", "Massachusetts", s, 808, 0.25) },
-	)
-	if err != nil {
-		return nil, err
-	}
-	return append(ds, rest...), nil
-}
-
-// All returns the headline social + road stand-ins.
-func All(s Scale) ([]*Dataset, error) {
-	social, err := Social(s)
-	if err != nil {
-		return nil, err
-	}
-	road, err := Road(s)
-	if err != nil {
-		return nil, err
-	}
-	return append(social, road...), nil
-}
-
-// Everything returns the full Table 3 roster.
-func Everything(s Scale) ([]*Dataset, error) {
-	social, err := SocialAll(s)
-	if err != nil {
-		return nil, err
-	}
-	road, err := RoadAll(s)
-	if err != nil {
-		return nil, err
-	}
-	return append(social, road...), nil
-}
-
-// webDS builds a web-graph stand-in: stronger R-MAT skew (larger A
-// quadrant) than the social defaults, matching web graphs' deeper
-// power-law tails.
-func webDS(name, paper string, s Scale, seed int64) (*Dataset, error) {
-	key := fmt.Sprintf("%s/%s", name, s)
+// load generates roster entry i at scale s, once per process.
+func load(i int, s Scale) (*Dataset, error) {
+	e := &roster[i]
+	key := e.name + "/" + string(s)
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	if d, ok := cache[key]; ok {
 		return d, nil
 	}
-	sc, ef := rmatSize(s, true)
-	opt := gen.RMATOptions{
-		Scale: sc, EdgeFac: ef,
-		A: 0.65, B: 0.15, C: 0.15,
-		Seed: seed, MaxW: 1000, InEdges: true,
-	}
-	g, err := gen.RMAT(opt)
-	if err != nil {
-		return nil, fmt.Errorf("bench: generating %s: %w", name, err)
-	}
-	d := &Dataset{
-		Name: name, PaperName: paper, Class: "social", Graph: g,
-		BestDeltaExp: 4,
-	}
-	cache[key] = d
-	return d, nil
-}
-
-func socialDS(name, paper string, s Scale, heavy bool, seed int64) (*Dataset, error) {
-	key := fmt.Sprintf("%s/%s", name, s)
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if d, ok := cache[key]; ok {
-		return d, nil
-	}
-	sc, ef := rmatSize(s, heavy)
-	g, err := gen.RMAT(gen.DefaultRMAT(sc, ef, seed))
-	if err != nil {
-		return nil, fmt.Errorf("bench: generating %s: %w", name, err)
-	}
-	d := &Dataset{
-		Name: name, PaperName: paper, Class: "social", Graph: g,
-		// Social networks want small deltas (paper: 1–100).
-		BestDeltaExp: 4,
-	}
-	cache[key] = d
-	return d, nil
-}
-
-func roadDS(name, paper string, s Scale, seed int64, sizeFrac float64) (*Dataset, error) {
-	key := fmt.Sprintf("%s/%s", name, s)
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if d, ok := cache[key]; ok {
-		return d, nil
-	}
-	side := int(float64(roadSize(s)) * sizeFrac)
-	if side < 20 {
-		side = 20
-	}
-	g, err := gen.Road(gen.RoadOptions{
-		Rows: side, Cols: side, DeleteFrac: 0.1, DiagFrac: 0.05, Seed: seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bench: generating %s: %w", name, err)
-	}
-	d := &Dataset{
-		Name: name, PaperName: paper, Class: "road", Graph: g,
+	// Social networks want small deltas (paper: 1–100).
+	d := &Dataset{Name: e.name, PaperName: e.paper, Class: ClassSocial, BestDeltaExp: 4}
+	var err error
+	if e.shape == road {
+		side := max(int(float64(roadSide(s))*e.side), 20)
+		d.Graph, err = gen.Road(gen.RoadOptions{
+			Rows: side, Cols: side, DeleteFrac: 0.1, DiagFrac: 0.05, Seed: e.seed,
+		})
 		// Road networks want large deltas (paper: 2^13–2^17 at city/continent
 		// scale; the grid stand-ins peak around 2^10–2^13).
-		BestDeltaExp: 11,
+		d.Class, d.BestDeltaExp = ClassRoad, 11
+	} else {
+		opt := gen.DefaultRMAT(0, 0, e.seed)
+		opt.Scale, opt.EdgeFac = rmatSize(s, e.shape != rmatLight)
+		if e.shape == web {
+			opt.A, opt.B, opt.C = 0.65, 0.15, 0.15
+		}
+		d.Graph, err = gen.RMAT(opt)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("bench: generating %s: %w", e.name, err)
+	}
+	d.derived[Base] = d.Graph
 	cache[key] = d
 	return d, nil
 }
 
-// Symmetrized returns the dataset's symmetric graph (cached), as the paper
-// symmetrizes inputs for k-core and SetCover.
-func (d *Dataset) Symmetrized() (*graph.Graph, error) {
-	key := d.Name + "/sym/" + fmt.Sprint(d.Graph.NumVertices())
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if c, ok := cache[key]; ok {
-		return c.Graph, nil
+// As returns d's graph in variant v, deriving it on first use. A dataset
+// is one (name, scale) pair, so every derived graph is keyed by name,
+// scale and variant; the base graph is never modified.
+func (d *Dataset) As(v Variant) (*graph.Graph, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if g := d.derived[v]; g != nil {
+		return g, nil
 	}
-	if d.Graph.Symmetric() {
-		cache[key] = d
-		return d.Graph, nil
+	var g *graph.Graph
+	var err error
+	switch {
+	case v == Symmetrized && d.Graph.Symmetric():
+		g = d.Graph
+	case v == Symmetrized:
+		if g, err = d.Graph.Symmetrized(); err != nil {
+			return nil, fmt.Errorf("bench: symmetrizing %s: %w", d.Name, err)
+		}
+	default:
+		g, err = graph.Build(d.Graph.Edges(), graph.BuildOptions{
+			NumVertices: d.Graph.NumVertices(), Weighted: true, InEdges: true,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: reweighting %s: %w", d.Name, err)
+		}
+		gen.LogWeights(g, 42)
 	}
-	sg, err := d.Graph.Symmetrized()
-	if err != nil {
-		return nil, fmt.Errorf("bench: symmetrizing %s: %w", d.Name, err)
-	}
-	cache[key] = &Dataset{Graph: sg}
-	return sg, nil
-}
-
-// LogWeighted returns a copy of the dataset's graph with weights in
-// [1, log n), the wBFS convention (paper Table 4's † graphs). The copy is
-// cached; the original is untouched.
-func (d *Dataset) LogWeighted() (*graph.Graph, error) {
-	key := d.Name + "/logw"
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if c, ok := cache[key]; ok {
-		return c.Graph, nil
-	}
-	edges := d.Graph.Edges()
-	g, err := graph.Build(edges, graph.BuildOptions{
-		NumVertices: d.Graph.NumVertices(),
-		Weighted:    true,
-		InEdges:     true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bench: reweighting %s: %w", d.Name, err)
-	}
-	gen.LogWeights(g, 42)
-	cache[key] = &Dataset{Graph: g}
+	d.derived[v] = g
 	return g, nil
-}
-
-// table6Datasets mirrors paper Table 6's graph selection (TW, FT, WB, RD).
-func table6Datasets(s Scale) ([]*Dataset, error) {
-	return collect(
-		func() (*Dataset, error) { return socialDS("TW-sim", "Twitter", s, true, 202) },
-		func() (*Dataset, error) { return socialDS("FT-sim", "Friendster", s, true, 505) },
-		func() (*Dataset, error) { return webDS("WB-sim", "WebGraph", s, 606) },
-		func() (*Dataset, error) { return roadDS("RD-sim", "RoadUSA", s, 303, 1.0) },
-	)
-}
-
-// table7Datasets mirrors paper Table 7's selection (LJ, TW, FT, WB, RD).
-func table7Datasets(s Scale) ([]*Dataset, error) {
-	return collect(
-		func() (*Dataset, error) { return socialDS("LJ-sim", "LiveJournal", s, false, 101) },
-		func() (*Dataset, error) { return socialDS("TW-sim", "Twitter", s, true, 202) },
-		func() (*Dataset, error) { return socialDS("FT-sim", "Friendster", s, true, 505) },
-		func() (*Dataset, error) { return webDS("WB-sim", "WebGraph", s, 606) },
-		func() (*Dataset, error) { return roadDS("RD-sim", "RoadUSA", s, 303, 1.0) },
-	)
 }

@@ -4,30 +4,16 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"time"
 
 	"graphit"
-	"graphit/algo"
 	"graphit/internal/autotune"
 	"graphit/internal/core"
 )
 
-// sources returns deterministic start vertices spread over the graph,
-// skipping sinks (zero out-degree) so every run does real work.
-func sources(d *Dataset, k int) []graphit.VertexID {
-	n := d.Graph.NumVertices()
-	out := make([]graphit.VertexID, 0, k)
-	for i := 0; i < k; i++ {
-		v := graphit.VertexID((i*2654435761 + 17) % n)
-		for d.Graph.OutDegree(v) == 0 {
-			v = graphit.VertexID((int(v) + 1) % n)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // pairs returns deterministic (src, dst) pairs with a spread of distances.
+// No src is a sink (zero out-degree), so every run does real work.
 func pairs(d *Dataset, k int) [][2]graphit.VertexID {
 	n := d.Graph.NumVertices()
 	out := make([][2]graphit.VertexID, 0, k)
@@ -49,9 +35,9 @@ func numTrials(s Scale) int {
 	return 3
 }
 
-// average runs f over trials and returns the mean duration plus the last
-// run's stats (the counters are deterministic across sources only in
-// aggregate; we keep one representative).
+// average returns the mean duration of rs plus the last run's stats and
+// answer (the counters are deterministic across sources only in aggregate;
+// we keep one representative). The first failed run is returned as is.
 func average(rs []RunResult) RunResult {
 	if len(rs) == 0 {
 		return RunResult{Unsupported: true}
@@ -68,8 +54,6 @@ func average(rs []RunResult) RunResult {
 	return out
 }
 
-// Fig1 reproduces Figure 1: speedup of ordered over unordered algorithms
-// for SSSP and k-core.
 // Fig1Row is one ordered-vs-unordered comparison.
 type Fig1Row struct {
 	Dataset, Algorithm string
@@ -82,33 +66,26 @@ func (r Fig1Row) WorkRatio() float64 {
 	return float64(r.Unordered.Stats.Relaxations) / float64(r.Ordered.Stats.Relaxations)
 }
 
+// Fig1 reproduces Figure 1: speedup of ordered over unordered algorithms
+// for SSSP and k-core.
 func Fig1(ctx context.Context, s Scale) (*Table, []Fig1Row, error) {
 	t := &Table{
 		Title:  "Figure 1: ordered vs unordered (time speedup and work ratio)",
 		Header: []string{"graph", "algorithm", "ordered(s)", "unordered(s)", "speedup", "work ratio"},
 	}
-	ds, err := All(s)
+	ds, err := datasets(s, headline)
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []Fig1Row
-	add := func(d *Dataset, algoName string, o, u RunResult) {
-		r := Fig1Row{Dataset: d.Name, Algorithm: algoName, Ordered: o, Unordered: u}
-		rows = append(rows, r)
-		t.AddRow(d.Name, algoName, fmtDur(o.Time), fmtDur(u.Time),
-			fmtRatio(u.Time.Seconds()/o.Time.Seconds()), fmtRatio(r.WorkRatio()))
-	}
-	for _, d := range ds {
-		srcs := sources(d, numTrials(s))
-		var ord, unord []RunResult
-		for _, src := range srcs {
-			ord = append(ord, SSSP(ctx, FwGraphIt, d, src))
-			unord = append(unord, SSSP(ctx, FwUnordered, d, src))
+	for _, alg := range []Algorithm{SSSP, KCore} {
+		for _, d := range ds {
+			o, u := measure(ctx, FwGraphIt, alg, d, s), measure(ctx, FwUnordered, alg, d, s)
+			r := Fig1Row{Dataset: d.Name, Algorithm: string(alg), Ordered: o, Unordered: u}
+			rows = append(rows, r)
+			t.AddRow(d.Name, string(alg), fmtDur(o.Time), fmtDur(u.Time),
+				fmtRatio(u.Time.Seconds()/o.Time.Seconds()), fmtRatio(r.WorkRatio()))
 		}
-		add(d, "SSSP", average(ord), average(unord))
-	}
-	for _, d := range ds {
-		add(d, "k-core", KCore(ctx, FwGraphIt, d), KCore(ctx, FwUnordered, d))
 	}
 	t.Note("paper reports 1.4x-4x for SSSP on social graphs, hundreds on roads, ~5-8x for k-core")
 	t.Note("work ratio (relaxations unordered/ordered) is the machine-independent signal on few-core hosts")
@@ -131,64 +108,46 @@ func Fig4(ctx context.Context, s Scale) (*Table, []Fig4Cell, error) {
 		Title:  "Figure 4: slowdown vs fastest framework (1.00 = fastest, -- = unsupported)",
 		Header: []string{"algorithm", "graph", "GraphIt", "GAPBS", "Julienne", "Galois"},
 	}
-	ds, err := All(s)
+	ds, err := datasets(s, headline)
 	if err != nil {
 		return nil, nil, err
 	}
-	fws := []Framework{FwGraphIt, FwGAPBS, FwJulienne, FwGalois}
+	fws := Frameworks[:4] // the ordered systems
 	var cells []Fig4Cell
-	run := func(algoName string, d *Dataset, f func(Framework) RunResult) {
-		res := map[Framework]RunResult{}
-		best := time.Duration(1<<63 - 1)
-		for _, fw := range fws {
-			r := f(fw)
-			res[fw] = r
-			if !r.Unsupported && r.Err == nil && r.Time < best {
-				best = r.Time
+	for _, alg := range []Algorithm{SSSP, PPSP, KCore, SetCover} {
+		for _, d := range ds {
+			res := make([]RunResult, len(fws))
+			best := time.Duration(1<<63 - 1)
+			for i, fw := range fws {
+				res[i] = measure(ctx, fw, alg, d, s)
+				if !res[i].Unsupported && res[i].Err == nil && res[i].Time < best {
+					best = res[i].Time
+				}
 			}
+			row := []string{string(alg), d.Name}
+			for i, fw := range fws {
+				if res[i].Unsupported || res[i].Err != nil {
+					row = append(row, "--")
+					cells = append(cells, Fig4Cell{fw, string(alg), d.Name, 0, true})
+					continue
+				}
+				sl := res[i].Time.Seconds() / best.Seconds()
+				row = append(row, fmtRatio(sl))
+				cells = append(cells, Fig4Cell{fw, string(alg), d.Name, sl, false})
+			}
+			t.AddRow(row...)
 		}
-		row := []string{algoName, d.Name}
-		for _, fw := range fws {
-			r := res[fw]
-			if r.Unsupported || r.Err != nil {
-				row = append(row, "--")
-				cells = append(cells, Fig4Cell{fw, algoName, d.Name, 0, true})
-				continue
-			}
-			sl := r.Time.Seconds() / best.Seconds()
-			row = append(row, fmtRatio(sl))
-			cells = append(cells, Fig4Cell{fw, algoName, d.Name, sl, false})
-		}
-		t.AddRow(row...)
-	}
-	for _, d := range ds {
-		srcs := sources(d, numTrials(s))
-		run("SSSP", d, func(fw Framework) RunResult {
-			var rs []RunResult
-			for _, src := range srcs {
-				rs = append(rs, SSSP(ctx, fw, d, src))
-			}
-			return average(rs)
-		})
-	}
-	for _, d := range ds {
-		ps := pairs(d, numTrials(s))
-		run("PPSP", d, func(fw Framework) RunResult {
-			var rs []RunResult
-			for _, p := range ps {
-				rs = append(rs, PPSP(ctx, fw, d, p[0], p[1]))
-			}
-			return average(rs)
-		})
-	}
-	for _, d := range ds {
-		run("k-core", d, func(fw Framework) RunResult { return KCore(ctx, fw, d) })
-	}
-	for _, d := range ds {
-		run("SetCover", d, func(fw Framework) RunResult { return SetCover(ctx, fw, d) })
 	}
 	return t, cells, nil
 }
+
+// table4Rows lists Table 4's algorithms with the graph class each runs on
+// ("" for every class): wBFS on the social graphs, A* on the road graphs,
+// which carry coordinates.
+var table4Rows = []struct {
+	alg   Algorithm
+	class string
+}{{SSSP, ""}, {PPSP, ""}, {WBFS, ClassSocial}, {AStar, ClassRoad}, {KCore, ""}, {SetCover, ""}}
 
 // Table4 reproduces Table 4: running times of all six algorithms across
 // frameworks (ordered and unordered) and graphs.
@@ -197,70 +156,21 @@ func Table4(ctx context.Context, s Scale) (*Table, error) {
 		Title:  "Table 4: running time (seconds) per algorithm, framework, graph",
 		Header: []string{"algorithm", "graph", "GraphIt", "GAPBS", "Julienne", "Galois", "Unordered"},
 	}
-	every, err := Everything(s)
+	ds, err := datasets(s, table4)
 	if err != nil {
 		return nil, err
 	}
-	socials, err := SocialAll(s)
-	if err != nil {
-		return nil, err
-	}
-	roads, err := RoadAll(s)
-	if err != nil {
-		return nil, err
-	}
-	row := func(algoName string, d *Dataset, f func(Framework) RunResult) {
-		cells := []string{algoName, d.Name}
-		for _, fw := range Frameworks {
-			cells = append(cells, fmtResult(f(fw)))
+	for _, r := range table4Rows {
+		for _, d := range ds {
+			if r.class != "" && d.Class != r.class {
+				continue
+			}
+			cells := []string{string(r.alg), d.Name}
+			for _, fw := range Frameworks {
+				cells = append(cells, fmtResult(measure(ctx, fw, r.alg, d, s)))
+			}
+			t.AddRow(cells...)
 		}
-		t.AddRow(cells...)
-	}
-	for _, d := range every {
-		srcs := sources(d, numTrials(s))
-		row("SSSP", d, func(fw Framework) RunResult {
-			var rs []RunResult
-			for _, src := range srcs {
-				rs = append(rs, SSSP(ctx, fw, d, src))
-			}
-			return average(rs)
-		})
-	}
-	for _, d := range every {
-		ps := pairs(d, numTrials(s))
-		row("PPSP", d, func(fw Framework) RunResult {
-			var rs []RunResult
-			for _, p := range ps {
-				rs = append(rs, PPSP(ctx, fw, d, p[0], p[1]))
-			}
-			return average(rs)
-		})
-	}
-	for _, d := range socials {
-		srcs := sources(d, numTrials(s))
-		row("wBFS†", d, func(fw Framework) RunResult {
-			var rs []RunResult
-			for _, src := range srcs {
-				rs = append(rs, WBFS(ctx, fw, d, src))
-			}
-			return average(rs)
-		})
-	}
-	for _, d := range roads {
-		ps := pairs(d, numTrials(s))
-		row("A*", d, func(fw Framework) RunResult {
-			var rs []RunResult
-			for _, p := range ps {
-				rs = append(rs, AStar(ctx, fw, d, p[0], p[1]))
-			}
-			return average(rs)
-		})
-	}
-	for _, d := range every {
-		row("k-core", d, func(fw Framework) RunResult { return KCore(ctx, fw, d) })
-	}
-	for _, d := range every {
-		row("SetCover", d, func(fw Framework) RunResult { return SetCover(ctx, fw, d) })
 	}
 	t.Note("† wBFS uses weights in [1, log n) as in Julienne")
 	t.Note("frameworks are strategy stand-ins on a shared substrate (see DESIGN.md §3)")
@@ -282,30 +192,31 @@ func Table6(ctx context.Context, s Scale) (*Table, []Table6Row, error) {
 		Title:  "Table 6: bucket fusion ablation for SSSP (time and synchronized rounds)",
 		Header: []string{"graph", "with fusion", "rounds", "without fusion", "rounds", "round reduction"},
 	}
-	ds, err := table6Datasets(s)
+	ds, err := datasets(s, table6)
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []Table6Row
 	for _, d := range ds {
-		srcs := sources(d, numTrials(s))
+		ps := pairs(d, numTrials(s))
+		with, _ := lookup(FwGraphIt, SSSP, d)
+		without, _ := lookup(FwGAPBS, SSSP, d)
 		var withT, withoutT time.Duration
 		var withR, withoutR, fused int64
-		for _, src := range srcs {
-			w := SSSP(ctx, FwGraphIt, d, src)
-			wo := SSSP(ctx, FwGAPBS, d, src)
+		for _, p := range ps {
+			w, wo := with.run(ctx, p[0], p[1]), without.run(ctx, p[0], p[1])
 			withT += w.Time
 			withoutT += wo.Time
 			withR += w.Stats.Rounds
 			fused += w.Stats.FusedRounds
 			withoutR += wo.Stats.Rounds
 		}
-		k := time.Duration(len(srcs))
+		k := time.Duration(len(ps))
 		r := Table6Row{
 			Dataset:  d.Name,
 			WithTime: withT / k, WithoutTime: withoutT / k,
-			WithRounds: withR / int64(len(srcs)), WithoutRounds: withoutR / int64(len(srcs)),
-			FusedRounds: fused / int64(len(srcs)),
+			WithRounds: withR / int64(len(ps)), WithoutRounds: withoutR / int64(len(ps)),
+			FusedRounds: fused / int64(len(ps)),
 		}
 		rows = append(rows, r)
 		t.AddRow(d.Name,
@@ -324,31 +235,17 @@ func Table7(ctx context.Context, s Scale) (*Table, error) {
 		Title:  "Table 7: eager vs lazy bucket update (seconds; k-core lazy uses constant-sum reduction)",
 		Header: []string{"graph", "k-core eager", "k-core lazy", "SSSP eager", "SSSP lazy"},
 	}
-	ds, err := table7Datasets(s)
+	ds, err := datasets(s, table7)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range ds {
-		g, err := d.Symmetrized()
-		if err != nil {
-			return nil, err
-		}
-		eagerKC := timed(func() (graphit.Stats, error) {
-			r, err := algo.KCoreContext(ctx, g, graphit.DefaultSchedule().ConfigApplyPriorityUpdate("eager_no_fusion"))
-			if err != nil {
-				return graphit.Stats{}, err
-			}
-			return r.Stats, nil
-		})
-		lazyKC := KCore(ctx, FwGraphIt, d) // lazy_constant_sum
-		srcs := sources(d, numTrials(s))
-		var eagerS, lazyS []RunResult
-		for _, src := range srcs {
-			eagerS = append(eagerS, SSSP(ctx, FwGraphIt, d, src)) // eager (with fusion)
-			lazyS = append(lazyS, SSSP(ctx, FwJulienne, d, src))  // lazy
-		}
-		es, ls := average(eagerS), average(lazyS)
-		t.AddRow(d.Name, fmtDur(eagerKC.Time), fmtDur(lazyKC.Time), fmtDur(es.Time), fmtDur(ls.Time))
+		eager, _ := lookup(FwGraphIt, KCore, d)
+		eager.sched = eager.sched.ConfigApplyPriorityUpdate("eager_no_fusion")
+		t.AddRow(d.Name, fmtResult(eager.run(ctx, 0, 0)),
+			fmtResult(measure(ctx, FwGraphIt, KCore, d, s)), // lazy_constant_sum
+			fmtResult(measure(ctx, FwGraphIt, SSSP, d, s)),  // eager with fusion
+			fmtResult(measure(ctx, FwJulienne, SSSP, d, s))) // lazy
 	}
 	t.Note("paper: lazy wins k-core by 1.1-4.3x (redundant updates); eager wins SSSP by 2-43x")
 	return t, nil
@@ -366,16 +263,18 @@ func Fig11(ctx context.Context, s Scale, workers []int) (*Table, error) {
 	if len(workers) == 0 {
 		workers = []int{1, 2, 4, 8}
 	}
-	ds, err := All(s)
+	ds, err := datasets(s, headline)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range ds {
-		src := sources(d, 1)[0]
-		for _, fw := range []Framework{FwGraphIt, FwGAPBS, FwJulienne} {
-			sched, _ := ssspSchedule(fw, d)
+		src := pairs(d, 1)[0][0]
+		for _, fw := range Frameworks[:3] { // GraphIt, GAPBS, Julienne
+			c, _ := lookup(fw, SSSP, d)
+			sched := c.sched
 			for _, w := range workers {
-				r := ssspRun(ctx, d, src, sched.ConfigNumWorkers(w))
+				c.sched = sched.ConfigNumWorkers(w)
+				r := c.run(ctx, src, 0)
 				t.AddRow(d.Name, string(fw), fmt.Sprintf("%d", w), fmtResult(r),
 					fmt.Sprintf("%d", r.Stats.Rounds))
 			}
@@ -387,33 +286,105 @@ func Fig11(ctx context.Context, s Scale, workers []int) (*Table, error) {
 
 // DeltaSweep reproduces the §6.2 ∆-selection analysis: SSSP time across
 // coarsening factors, showing small deltas win on social networks and
-// large deltas on road networks.
+// large deltas on road networks. The sweep runs on one worker, so its
+// rounds column, the machine-independent signal, is reproducible: with
+// more, bucket fusion's round count depends on how the workers' local
+// buckets split (LJ-sim at ∆ ≥ 2^11 reads 3 or 4 rounds at two workers,
+// run to run). Figure 11 is the worker sweep.
 func DeltaSweep(ctx context.Context, s Scale) (*Table, error) {
 	t := &Table{
-		Title:  "Delta selection (paper §6.2): SSSP time across coarsening factors",
+		Title:  "Delta selection (paper §6.2): SSSP time across coarsening factors (one worker)",
 		Header: []string{"graph", "delta", "time(s)", "rounds"},
 	}
-	ds, err := All(s)
+	ds, err := datasets(s, headline)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range ds {
-		src := sources(d, 1)[0]
+		src := pairs(d, 1)[0][0]
+		c, _ := lookup(FwGraphIt, SSSP, d)
+		c.sched = c.sched.ConfigNumWorkers(1)
 		for _, exp := range []int{0, 2, 4, 7, 9, 11, 13, 15} {
-			sched := graphit.DefaultSchedule().
-				ConfigApplyPriorityUpdate("eager_with_fusion").
-				ConfigApplyPriorityUpdateDelta(1 << exp)
-			r := timed(func() (graphit.Stats, error) {
-				res, err := algo.SSSPContext(ctx, d.Graph, src, sched)
-				if err != nil {
-					return graphit.Stats{}, err
-				}
-				return res.Stats, nil
-			})
+			c.sched = c.sched.ConfigApplyPriorityUpdateDelta(1 << exp)
+			r := c.run(ctx, src, 0)
 			t.AddRow(d.Name, fmt.Sprintf("2^%d", exp), fmtResult(r), fmt.Sprintf("%d", r.Stats.Rounds))
 		}
 	}
 	t.Note("paper: best social deltas 1-100, best road deltas 2^13-2^17 (at continent scale)")
+	return t, nil
+}
+
+// ablations are the design knobs DESIGN.md §4 lists, each swept over one
+// catalogue cell with the counter the knob moves: the bucket-fusion size
+// threshold (load balance vs synchronization, §3.3), the number of
+// materialized lazy buckets (window vs overflow re-bucketing, §5.1), the
+// dynamic-scheduling grain, the direction optimizer (§6.2: Julienne's
+// hybrid pays an out-degree sum per round and rarely helps ∆-stepping),
+// and lazy-push deduplication (§5.1).
+var ablations = []struct {
+	knob     string
+	fw       Framework
+	alg      Algorithm
+	graph    string // "" for every headline graph
+	counter  string
+	count    func(graphit.Stats) int64
+	settings []string
+	apply    func(graphit.Schedule, string) graphit.Schedule
+}{
+	{"fusion threshold", FwGraphIt, SSSP, "RD-sim", "fused rounds",
+		func(st graphit.Stats) int64 { return st.FusedRounds }, []string{"1", "16", "256", "1000", "16384"},
+		func(s graphit.Schedule, v string) graphit.Schedule { return s.ConfigBucketFusionThreshold(atoi(v)) }},
+	{"lazy buckets", FwGraphIt, KCore, "LJ-sim", "window advances",
+		func(st graphit.Stats) int64 { return st.WindowAdvances }, []string{"4", "32", "128", "1024"},
+		func(s graphit.Schedule, v string) graphit.Schedule { return s.ConfigNumBuckets(atoi(v)) }},
+	{"grain", FwGraphIt, SSSP, "TW-sim", "relaxations",
+		func(st graphit.Stats) int64 { return st.Relaxations }, []string{"8", "64", "512"},
+		func(s graphit.Schedule, v string) graphit.Schedule { return s.ConfigApplyParallelization(atoi(v)) }},
+	{"direction", FwJulienne, SSSP, "", "pull rounds",
+		func(st graphit.Stats) int64 { return st.PullRounds }, []string{"SparsePush", "DensePull-SparsePush"},
+		graphit.Schedule.ConfigApplyDirection},
+	{"dedup", FwJulienne, SSSP, "", "bucket inserts",
+		func(st graphit.Stats) int64 { return st.BucketInserts }, []string{"on", "off"},
+		func(s graphit.Schedule, v string) graphit.Schedule { return s.ConfigDeduplication(v == "on") }},
+}
+
+// atoi parses a numeric ablation setting; every one is a literal above.
+func atoi(v string) int {
+	n, _ := strconv.Atoi(v)
+	return n
+}
+
+// Ablation runs every ablation sweep from the first source of its graphs,
+// timing each setting as the mean of numTrials runs.
+func Ablation(ctx context.Context, s Scale) (*Table, error) {
+	t := &Table{
+		Title:  "Ablations: design knobs swept over catalogue cells",
+		Header: []string{"knob", "graph", "cell", "setting", "time(s)", "rounds", "counter", "value"},
+	}
+	ds, err := datasets(s, headline)
+	if err != nil {
+		return nil, err
+	}
+	for _, ab := range ablations {
+		for _, d := range ds {
+			if ab.graph != "" && d.Name != ab.graph {
+				continue
+			}
+			c, _ := lookup(ab.fw, ab.alg, d)
+			sched, q := c.sched, pairs(d, 1)[0]
+			for _, v := range ab.settings {
+				c.sched = ab.apply(sched, v)
+				rs := make([]RunResult, numTrials(s))
+				for i := range rs {
+					rs[i] = c.run(ctx, q[0], q[1])
+				}
+				r := average(rs)
+				t.AddRow(ab.knob, d.Name, string(ab.fw)+" "+string(ab.alg), v, fmtResult(r),
+					fmt.Sprint(r.Stats.Rounds), ab.counter, fmt.Sprint(ab.count(r.Stats)))
+			}
+		}
+	}
+	t.Note("dedup: duplicates are dropped before the buckets see them, so inserts match at one worker; dedup saves the duplicate pushes")
 	return t, nil
 }
 
@@ -425,22 +396,22 @@ func Autotune(ctx context.Context, s Scale) (*Table, float64, error) {
 		Title:  "Autotuner vs hand-tuned schedule (SSSP)",
 		Header: []string{"graph", "hand-tuned(s)", "autotuned(s)", "ratio", "trials", "best schedule"},
 	}
-	ds, err := All(s)
+	ds, err := datasets(s, headline)
 	if err != nil {
 		return nil, 0, err
 	}
 	worst := 0.0
 	for _, d := range ds {
-		src := sources(d, 1)[0]
-		hand := average([]RunResult{SSSP(ctx, FwGraphIt, d, src), SSSP(ctx, FwGraphIt, d, src)})
-		measure := func(ctx context.Context, cfg core.Config) (time.Duration, error) {
-			start := time.Now()
-			if _, err := algo.SSSPContext(ctx, d.Graph, src, graphit.ScheduleFromConfig(cfg)); err != nil {
-				return 0, err
-			}
-			return time.Since(start), nil
+		src := pairs(d, 1)[0][0]
+		c, _ := lookup(FwGraphIt, SSSP, d)
+		hand := average([]RunResult{c.run(ctx, src, 0), c.run(ctx, src, 0)})
+		trial := func(ctx context.Context, cfg core.Config) (time.Duration, error) {
+			c := c
+			c.sched = graphit.ScheduleFromConfig(cfg)
+			r := c.run(ctx, src, 0)
+			return r.Time, r.Err
 		}
-		res, err := autotune.Tune(ctx, autotune.DefaultSpace(), measure, autotune.Options{
+		res, err := autotune.Tune(ctx, autotune.DefaultSpace(), trial, autotune.Options{
 			MaxTrials: 40, Repeats: 2, Seed: 7,
 		})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Table is a simple aligned text table used for all experiment output.
@@ -33,14 +34,15 @@ func (t *Table) String() string {
 		sb.WriteString(strings.Repeat("=", len(t.Title)))
 		sb.WriteString("\n")
 	}
+	// Widths count runes, so a cell such as "wBFS†" aligns.
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -51,7 +53,7 @@ func (t *Table) String() string {
 			}
 			sb.WriteString(c)
 			if i < len(widths) && i < len(cells)-1 {
-				sb.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+				sb.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 			}
 		}
 		sb.WriteString("\n")
