@@ -40,7 +40,6 @@ func kcoreSchedules() map[string]graphit.Schedule {
 		"lazy_pull":     base.ConfigApplyPriorityUpdate("lazy").ConfigApplyDirection("DensePull"),
 		"lazy_histsum":  base.ConfigApplyPriorityUpdate("lazy_constant_sum"),
 		"lazy_window16": base.ConfigApplyPriorityUpdate("lazy_constant_sum").ConfigNumBuckets(16),
-		"lazy_nodedup":  base.ConfigApplyPriorityUpdate("lazy").ConfigDeduplication(false),
 	}
 }
 

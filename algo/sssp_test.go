@@ -40,7 +40,6 @@ func allSchedules() map[string]graphit.Schedule {
 		"lazy_smallwindow":  base.ConfigApplyPriorityUpdate("lazy").ConfigApplyPriorityUpdateDelta(4).ConfigNumBuckets(8),
 		"eager_smallfusion": base.ConfigApplyPriorityUpdate("eager_with_fusion").ConfigApplyPriorityUpdateDelta(64).ConfigBucketFusionThreshold(4),
 		"lazy_hybrid_d16":   base.ConfigApplyPriorityUpdate("lazy").ConfigApplyPriorityUpdateDelta(16).ConfigApplyDirection("DensePull-SparsePush"),
-		"lazy_nodedup_d16":  base.ConfigApplyPriorityUpdate("lazy").ConfigApplyPriorityUpdateDelta(16).ConfigDeduplication(false),
 	}
 }
 
@@ -186,37 +185,6 @@ func TestHybridDirectionSwitches(t *testing.T) {
 		if res.Dist[v] != want[v] {
 			t.Fatalf("dist[%d] = %d, want %d", v, res.Dist[v], want[v])
 		}
-	}
-}
-
-// TestNoDedupStillCorrectButInsertsMore: disabling deduplication keeps
-// results exact (extraction-time dedup) under the default worker count.
-// Duplicates are dropped before the buckets see them, so at one worker the
-// two runs insert exactly as many bucket entries; with more workers which
-// round re-buckets a vertex depends on each run's interleaving, so counts
-// are compared serially only.
-func TestNoDedupStillCorrectButInsertsMore(t *testing.T) {
-	g := testGraphs(t)["rmat"]
-	src := graphit.VertexID(1)
-	base := graphit.DefaultSchedule().ConfigApplyPriorityUpdate("lazy").ConfigApplyPriorityUpdateDelta(64)
-	run := func(s graphit.Schedule) *SSSPResult {
-		t.Helper()
-		res, err := SSSP(g, src, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	with, without := run(base), run(base.ConfigDeduplication(false))
-	for v := range with.Dist {
-		if with.Dist[v] != without.Dist[v] {
-			t.Fatalf("dist[%d] differs: %d vs %d", v, with.Dist[v], without.Dist[v])
-		}
-	}
-	serial := base.ConfigNumWorkers(1)
-	with, without = run(serial), run(serial.ConfigDeduplication(false))
-	if without.Stats.BucketInserts != with.Stats.BucketInserts {
-		t.Errorf("serial: no-dedup inserts %d, dedup inserts %d", without.Stats.BucketInserts, with.Stats.BucketInserts)
 	}
 }
 

@@ -79,7 +79,7 @@ func TestScheduleErrorAccumulation(t *testing.T) {
 func TestScheduleFromConfigRoundTrip(t *testing.T) {
 	full := core.Config{
 		Strategy: core.Lazy, Delta: 1 << 9, FusionThreshold: 77, NumBuckets: 33,
-		Direction: core.Hybrid, Workers: 3, Grain: 64, NoDedup: true,
+		Direction: core.Hybrid, Workers: 3, Grain: 64,
 		RoundTimeout: 250 * time.Millisecond, StuckRounds: 9,
 	}
 	valid := []core.Config{core.DefaultConfig(), full}

@@ -63,9 +63,9 @@ func Load(p *int64) int64 { return atomic.LoadInt64(p) }
 // Store is an atomic store of a slice element (by pointer).
 func Store(p *int64, v int64) { atomic.StoreInt64(p, v) }
 
-// Flags is a set of CAS-guarded deduplication flags, one byte per vertex,
-// used to guarantee a vertex enters a per-round output buffer at most once
-// (paper Figure 9(a), line 21). Reset between rounds with ResetList.
+// Flags is a set of CAS-guarded flags, one word per vertex: TrySet admits
+// each vertex once — into a finalized set, or into a per-round output
+// buffer (paper Figure 9(a), line 21), reset between rounds with ResetList.
 type Flags struct {
 	bits []uint32
 }
@@ -86,11 +86,6 @@ func (f *Flags) IsSet(i uint32) bool {
 	return atomic.LoadUint32(&f.bits[i]) != 0
 }
 
-// Clear clears flag i.
-func (f *Flags) Clear(i uint32) {
-	atomic.StoreUint32(&f.bits[i], 0)
-}
-
 // ResetList clears exactly the flags named in ids: O(|ids|) instead of O(n),
 // the standard trick for per-round dedup on sparse frontiers.
 func (f *Flags) ResetList(ids []uint32) {
@@ -98,6 +93,3 @@ func (f *Flags) ResetList(ids []uint32) {
 		atomic.StoreUint32(&f.bits[v], 0)
 	}
 }
-
-// Len returns the capacity of the flag set.
-func (f *Flags) Len() int { return len(f.bits) }

@@ -153,7 +153,4 @@ func TestFlagsResetList(t *testing.T) {
 			t.Fatalf("flag %d: set=%v, want %v", v, f.IsSet(v), want)
 		}
 	}
-	if f.Len() != 10 {
-		t.Fatalf("Len = %d", f.Len())
-	}
 }

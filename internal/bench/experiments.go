@@ -318,9 +318,8 @@ func DeltaSweep(ctx context.Context, s Scale) (*Table, error) {
 // catalogue cell with the counter the knob moves: the bucket-fusion size
 // threshold (load balance vs synchronization, §3.3), the number of
 // materialized lazy buckets (window vs overflow re-bucketing, §5.1), the
-// dynamic-scheduling grain, the direction optimizer (§6.2: Julienne's
-// hybrid pays an out-degree sum per round and rarely helps ∆-stepping),
-// and lazy-push deduplication (§5.1).
+// dynamic-scheduling grain, and the direction optimizer (§6.2: Julienne's
+// hybrid pays an out-degree sum per round and rarely helps ∆-stepping).
 var ablations = []struct {
 	knob     string
 	fw       Framework
@@ -343,9 +342,6 @@ var ablations = []struct {
 	{"direction", FwJulienne, SSSP, "", "pull rounds",
 		func(st graphit.Stats) int64 { return st.PullRounds }, []string{"SparsePush", "DensePull-SparsePush"},
 		graphit.Schedule.ConfigApplyDirection},
-	{"dedup", FwJulienne, SSSP, "", "bucket inserts",
-		func(st graphit.Stats) int64 { return st.BucketInserts }, []string{"on", "off"},
-		func(s graphit.Schedule, v string) graphit.Schedule { return s.ConfigDeduplication(v == "on") }},
 }
 
 // atoi parses a numeric ablation setting; every one is a literal above.
@@ -384,7 +380,6 @@ func Ablation(ctx context.Context, s Scale) (*Table, error) {
 			}
 		}
 	}
-	t.Note("dedup: duplicates are dropped before the buckets see them, so inserts match at one worker; dedup saves the duplicate pushes")
 	return t, nil
 }
 

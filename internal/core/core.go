@@ -156,13 +156,6 @@ type Config struct {
 	Workers int
 	// Grain is the dynamic-scheduling chunk size (0 = parallel.DefaultGrain).
 	Grain int
-	// NoDedup disables the per-round CAS deduplication of the lazy push
-	// buffer (configDeduplication). Duplicates then re-bucket more than
-	// once per round; the bucket structure's extraction-time dedup keeps
-	// results correct, at the cost of extra insertions — the tradeoff the
-	// paper's compiler decides when it "inserts deduplication as needed"
-	// (§5.1).
-	NoDedup bool
 	// RoundTimeout, when positive, arms a watchdog that aborts any round
 	// staying in flight longer than this, returning a *StuckError. The
 	// abort is cooperative — checked at chunk boundaries inside traversal
@@ -219,16 +212,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// String renders the schedule's result-shaping fields; the grain and
-// deduplication appear only when they are not the defaults.
+// String renders the schedule's result-shaping fields; the grain appears
+// only when it is not the default.
 func (c Config) String() string {
 	s := fmt.Sprintf("{%s ∆=%d fuse<%d buckets=%d %s",
 		c.Strategy, c.Delta, c.FusionThreshold, c.NumBuckets, c.Direction)
 	if c.Grain != 0 {
 		s += fmt.Sprintf(" grain=%d", c.Grain)
-	}
-	if c.NoDedup {
-		s += " nodedup"
 	}
 	return s + "}"
 }

@@ -12,11 +12,10 @@ import (
 )
 
 // bucketSource abstracts next-bucket extraction and bulk re-bucketing: the
-// eager thread-local bins, the lazy Julienne buckets, and (paired with the
-// histogram traversal) the constant-sum path all implement it. Together
-// with traversal it is the engine's pluggable axis pair — every strategy in
-// the scheduling space is one (bucketSource, traversal) composition run by
-// the same round loop.
+// eager thread-local bins and the lazy Julienne buckets (which the
+// constant-sum path shares) implement it. Together with traversal it is the
+// engine's pluggable axis pair — every strategy in the scheduling space is
+// one (bucketSource, traversal) composition run by the same round loop.
 type bucketSource interface {
 	// next extracts the next non-empty bucket and its frontier, or
 	// (bucket.NullBkt, nil) when the queue is exhausted.
@@ -28,27 +27,30 @@ type bucketSource interface {
 	finish(st *Stats)
 }
 
-// traversal abstracts one round's edge sweep — SparsePush, DensePull, the
-// per-round Hybrid choice, or the constant-sum histogram reduction. It
-// returns the vertices whose priorities changed (for bucketSource.update),
-// whether the round pulled, and whether the sweep observed a cooperative
-// abort (watchdog timeout or mid-round cancellation) and stopped early —
-// in which case its effects may be partial and updated must be discarded.
+// traversal abstracts one round's edge sweep in one direction — SparsePush
+// (pushTrav, the lane kernel), DensePull (pullTrav) or the constant-sum
+// histogram reduction. It returns the vertices whose priorities changed
+// (for bucketSource.update) and whether the sweep observed a cooperative
+// abort (watchdog timeout or mid-round cancellation) and stopped early — in
+// which case its effects may be partial and updated must be discarded.
 type traversal interface {
-	relax(bid, curPrio int64, frontier []uint32) (updated []uint32, pull, aborted bool)
+	relax(bid, curPrio int64, frontier []uint32) (updated []uint32, aborted bool)
 }
 
-// engine is one composed (bucketSource, traversal) pair plus the per-worker
-// updaters whose counters the round loop folds. All parallel phases run on
-// ex, the run's private executor, whose fixed worker count sized ups; ctl
-// is the run's shared fault-control block (abort flag, injection hook).
+// engine is one composed bucketSource and its traversals plus the
+// per-worker updaters whose counters the round loop folds. push is nil
+// under DensePull and pull under SparsePush; a Hybrid schedule has both and
+// picks per round (relax). All parallel phases run on ex, the run's private
+// executor, whose fixed worker count sized ups; ctl is the run's shared
+// fault-control block (abort flag, injection hook).
 type engine struct {
-	o    *Ordered
-	src  bucketSource
-	trav traversal
-	ups  []*Updater
-	ex   *parallel.Executor
-	ctl  *runCtl
+	o             *Ordered
+	src           bucketSource
+	push, pull    traversal
+	pullThreshold int64
+	ups           []*Updater
+	ex            *parallel.Executor
+	ctl           *runCtl
 }
 
 // Run executes the ordered operator to completion and returns its counters.
@@ -153,68 +155,65 @@ func (o *Ordered) runInfo(frontier int) RunInfo {
 	}
 }
 
-// buildEngine composes the (bucketSource, traversal) pair for the
-// configured schedule and seeds it with the initial active set.
+// buildEngine composes the schedule's bucket source and traversals on sc
+// and ex — the one composition RunContext and Manual share — and seeds the
+// source with the initial active set. Per-worker updaters are sized from
+// ex's immutable worker count, the count every traversal phase runs with.
+// The strategy decides only the source, the updaters' sink and the
+// traversals' filter bit; the direction decides the traversals.
 func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint32, ctl *runCtl) *engine {
-	trav, ups, bins := o.compose(sc, ex, ctl)
-	e := &engine{o: o, trav: trav, ups: ups, ex: ex, ctl: ctl}
-	if bins == nil {
-		e.src = o.newLazySource(active, trav)
-		return e
-	}
-	for i, v := range active {
-		bins[i%len(bins)].Insert(o.bucketOf(o.Prio[v]), v)
-	}
-	e.src = &eagerBins{o: o, bins: bins, sc: sc}
-	return e
-}
-
-// compose builds the schedule's traversal on sc and ex — the one
-// composition RunContext's engine and Manual share: the strategy →
-// traversal switch, the grain default, per-worker updaters sized from ex's
-// immutable worker count (the count every traversal phase runs with), their
-// atomics flags, and the dedup and dense scratch. Eager schedules also
-// return the per-worker bins their updaters write, for the caller to seed.
-func (o *Ordered) compose(sc *scratch, ex *parallel.Executor, ctl *runCtl) (traversal, []*Updater, []*bucket.LocalBins) {
-	n := o.G.NumVertices()
-	w := ex.Workers()
+	n, w := o.G.NumVertices(), ex.Workers()
 	grain := o.Cfg.Grain
 	if grain <= 0 {
 		grain = parallel.DefaultGrain
 	}
 	ups := sc.getUpdaters(o, w)
+	e := &engine{o: o, ups: ups, ex: ex, ctl: ctl, pullThreshold: int64(o.G.NumEdges()) / 20}
+	s := sweeper{o: o, ex: ex, sc: sc, ups: ups, grain: grain, ctl: ctl}
+	var bins []*bucket.LocalBins
 	switch o.Cfg.Strategy {
 	case EagerWithFusion, EagerNoFusion:
-		bins := sc.getBins(w)
+		bins = sc.getBins(w)
 		for i, u := range ups {
 			u.bins = bins[i]
 		}
-		if o.Cfg.Direction == DensePull {
-			return &eagerPull{o: o, ex: ex, ups: ups, inFron: sc.getDense(n), grain: grain, ctl: ctl}, ups, bins
+		for i, v := range active {
+			bins[i%len(bins)].Insert(o.bucketOf(o.Prio[v]), v)
 		}
-		for _, u := range ups {
-			u.atomics = true
-		}
-		return &eagerPush{o: o, ex: ex, ups: ups, bins: bins, fusion: o.Cfg.Strategy == EagerWithFusion, grain: grain, ctl: ctl}, ups, bins
+		e.src = &eagerBins{bins: bins, sc: sc}
+		s.filter = true
 	case LazyConstantSum:
-		for _, u := range ups {
-			u.atomics = true
-		}
-		return &constSumTrav{o: o, ex: ex, sc: sc, ups: ups, hist: sc.getHist(n, w), grain: grain, ctl: ctl}, ups, nil
+		src := o.newLazySource(active)
+		e.src, e.push = &filedSource{*src}, &constSumTrav{sweeper: s, hist: sc.getHist(n, w), lz: src.lz}
+		return e
 	default: // Lazy
-		t := &lazyTrav{
-			o: o, ex: ex, sc: sc, ups: ups, grain: grain,
-			pullThreshold: int64(o.G.NumEdges()) / 20,
-			ctl:           ctl,
-		}
-		if !o.Cfg.NoDedup {
-			t.dedup = sc.getDedup(n)
-		}
-		if o.Cfg.Direction != SparsePush {
-			t.inFron = sc.getDense(n)
-		}
-		return t, ups, nil
+		e.src = o.newLazySource(active)
 	}
+	if o.Cfg.Direction != DensePull {
+		e.push = &pushTrav{sweeper: s, bins: bins, fusion: o.Cfg.Strategy == EagerWithFusion}
+	}
+	if o.Cfg.Direction != SparsePush {
+		e.pull = &pullTrav{sweeper: s, inFron: sc.getDense(n)}
+	}
+	return e
+}
+
+// relax runs one round's sweep in the direction the schedule picks for it:
+// always push, always pull, or under Hybrid the direction optimizer's
+// per-round choice (Ligra/Julienne), pulling when the frontier's out-degree
+// volume exceeds |E|/20 — at the cost of an out-degree sum over the
+// frontier, the overhead the paper calls out in Julienne's SSSP (§6.2).
+func (e *engine) relax(bid, curPrio int64, frontier []uint32) (updated []uint32, pull, aborted bool) {
+	pull = e.push == nil || e.pull != nil && e.o.G.TotalOutDegree(frontier)+int64(len(frontier)) > e.pullThreshold
+	for _, u := range e.ups {
+		u.curBin, u.curPrio, u.atomics = bid, curPrio, !pull
+	}
+	if pull {
+		updated, aborted = e.pull.relax(bid, curPrio, frontier)
+	} else {
+		updated, aborted = e.push.relax(bid, curPrio, frontier)
+	}
+	return updated, pull, aborted
 }
 
 // phase runs one engine phase with panic containment: the injection hook
@@ -287,16 +286,13 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) erro
 			return nil
 		}
 		st.Rounds++
-		for _, u := range e.ups {
-			u.curBin, u.curPrio = bid, curPrio
-		}
 		var begin time.Time
 		if trace || keepRecent {
 			begin = time.Now()
 		}
 		var updated []uint32
 		var pull, aborted bool
-		pe := e.phase(PhaseRelax, func() { updated, pull, aborted = e.trav.relax(bid, curPrio, frontier) })
+		pe := e.phase(PhaseRelax, func() { updated, pull, aborted = e.relax(bid, curPrio, frontier) })
 		rRelax, rProc, rFused := e.fold(st)
 		if pe != nil {
 			return pe

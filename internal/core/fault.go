@@ -159,7 +159,7 @@ func (c *runCtl) reset() {
 
 // clean reports whether a finished run's scratch may be pooled: not after a
 // contained panic or a watchdog-driven mid-round abort, which leave derived
-// state (dedup flags, histograms, lane buffers) partial.
+// state (dense frontier maps, histograms, lane buffers) partial.
 func (c *runCtl) clean(err error) bool {
 	_, panicked := err.(*PanicError)
 	return !panicked && c.aborted() == abortNone

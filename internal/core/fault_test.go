@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,8 +27,8 @@ func (s *stuckSrc) finish(st *Stats)        {}
 // inertTrav relaxes nothing and never aborts.
 type inertTrav struct{}
 
-func (inertTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool, bool) {
-	return nil, false, false
+func (inertTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool) {
+	return nil, false
 }
 
 func TestStuckNoProgressDetector(t *testing.T) {
@@ -36,7 +37,7 @@ func TestStuckNoProgressDetector(t *testing.T) {
 	e := &engine{
 		o:    o,
 		src:  &stuckSrc{bid: 7, frontier: []uint32{1, 2, 3}},
-		trav: inertTrav{},
+		push: inertTrav{},
 		ups:  []*Updater{{o: o}},
 		ctl:  &runCtl{},
 	}
@@ -146,6 +147,51 @@ func TestManualPoisoned(t *testing.T) {
 	// Queries stay valid.
 	if m.Stats().Rounds < 2 {
 		t.Fatalf("Stats lost: %+v", m.Stats())
+	}
+}
+
+// TestPushPanicStopsSiblings: at two workers, a UDF that panics on its first
+// call stops the sibling at its next chunk boundary under eager and lazy
+// push alike, with no fusion tail after it: the run returns a *PanicError
+// with Processed well below the frontier, and the executor then runs the
+// next job cleanly.
+func TestPushPanicStopsSiblings(t *testing.T) {
+	defer testutil.LeakCheck(t, parallel.CloseIdle)()
+	const n = 1 << 16
+	g := lineGraph(t, n)
+	for _, s := range []Strategy{EagerWithFusion, Lazy} {
+		cfg := DefaultConfig()
+		cfg.Strategy = s
+		cfg.Workers = 2
+		op, prio := ssspOp(g, 0, cfg)
+		for v := range prio {
+			prio[v] = 0 // one bucket holding every vertex
+		}
+		op.Sources = nil
+		var fired atomic.Bool
+		op.Apply = func(src, dst uint32, w int32, u *Updater) {
+			if fired.CompareAndSwap(false, true) {
+				panic("first call")
+			}
+			u.UpdatePriorityMin(dst, u.Priority(src)+int64(w))
+		}
+		st, err := op.Run()
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "first call" {
+			t.Fatalf("%v: expected the UDF's *PanicError, got %v", s, err)
+		}
+		if st.Processed >= n/4 {
+			t.Errorf("%v: %d of %d frontier vertices processed after the first one panicked", s, st.Processed, n)
+		}
+		next, dist := ssspOp(g, 0, cfg)
+		if _, err := next.Run(); err != nil {
+			t.Fatalf("%v: next run: %v", s, err)
+		}
+		for v, d := range dist {
+			if d != int64(v) {
+				t.Fatalf("%v: next run dist[%d] = %d", s, v, d)
+			}
+		}
 	}
 }
 

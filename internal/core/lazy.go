@@ -14,165 +14,46 @@ import (
 
 // lazySource is the bucketSource for lazy bucket update (paper Figure 5):
 // a Julienne-style windowed bucket structure, extracted once per round and
-// bulk-updated with the round's deduplicated changed-vertex buffer.
+// bulk-updated with the round's changed-vertex buffer.
 type lazySource struct {
-	o  *Ordered
 	lz *bucket.Lazy
-	// filed is set when the traversal files its updated vertices itself
-	// (the constant-sum drain, which knows each new bucket), so update has
-	// nothing left to do.
-	filed bool
 }
 
 // newLazySource builds the Julienne buckets over the initial active set.
 // The bucket function consults the authoritative priority vector, so stale
 // entries are filtered on extraction (§5.1's optimized interface). Like
 // every other reader of the priority vector, it loads priorities atomically.
-// A constant-sum trav is handed the buckets to file its drained vertices.
-func (o *Ordered) newLazySource(active []uint32, trav traversal) *lazySource {
+func (o *Ordered) newLazySource(active []uint32) *lazySource {
 	bktOf := func(v uint32) int64 {
 		if o.fin != nil && o.fin.IsSet(v) {
 			return bucket.NullBkt
 		}
 		return o.bucketOf(atomicutil.Load(&o.Prio[v]))
 	}
-	s := &lazySource{o: o, lz: bucket.NewLazyFrom(o.G.NumVertices(), o.Order, o.Cfg.NumBuckets, bktOf, active)}
-	if t, ok := trav.(*constSumTrav); ok {
-		t.lz, s.filed = s.lz, true
-	}
-	return s
+	return &lazySource{lz: bucket.NewLazyFrom(o.G.NumVertices(), o.Order, o.Cfg.NumBuckets, bktOf, active)}
 }
 
 func (s *lazySource) next() (int64, []uint32) { return s.lz.Next() }
 
+// update files the round's changed vertices. The traversal's buffers list a
+// vertex once per winning update that did not directly follow another win
+// for it, and UpdateBuckets takes each vertex at most once, so the round's
+// duplicates are dropped here, at the seam, in one serial pass.
 func (s *lazySource) update(ids []uint32) {
-	if s.filed {
-		return
-	}
-	if s.o.Cfg.NoDedup {
-		// SparsePush without CAS dedup emits one id per winning relaxation,
-		// so ids can hold duplicates — UpdateBuckets requires at most one
-		// occurrence per vertex. Dedupe here, at the seam, so bucket inserts
-		// (and Stats.BucketInserts) match the deduplicated configuration.
-		ids = s.lz.DedupeIDs(ids)
-	}
-	s.lz.UpdateBuckets(ids)
+	s.lz.UpdateBuckets(s.lz.DedupeIDs(ids))
 }
+
+// filedSource is the lazy bucket source minus the bulk update, for the
+// traversals that file every bucket move themselves (the constant-sum drain
+// and the lane kernel), so a round hands the engine nothing to re-bucket.
+type filedSource struct{ lazySource }
+
+func (*filedSource) update([]uint32) {}
 
 func (s *lazySource) finish(st *Stats) {
 	st.BucketInserts += s.lz.Inserts
 	st.WindowAdvances += s.lz.Rebuckets
 	st.Inversions += s.lz.Inversions
-}
-
-// lazyTrav is the edge-map traversal for the plain lazy strategy. It covers
-// all three directions: SparsePush (atomic updates into a CAS-deduplicated
-// per-worker buffer), DensePull (non-atomic owner updates, each changed
-// destination appended once to its owner's buffer), and the per-round
-// Hybrid choice — Ligra/Julienne's direction optimizer, pulling when the
-// frontier's out-degree volume exceeds |E|/20.
-type lazyTrav struct {
-	o             *Ordered
-	ex            *parallel.Executor
-	sc            *scratch
-	ups           []*Updater
-	dedup         *atomicutil.Flags // nil under configDeduplication off
-	inFron        []bool            // dense frontier map (pull only)
-	grain         int
-	pullThreshold int64
-	ctl           *runCtl
-
-	// Sweep bodies are built once and reused every round: a closure literal
-	// in the hot path escapes to the heap on every call (its captures leak
-	// into the executor), which alone breaks the zero-alloc steady state.
-	pushBody func(lo, hi, worker int)
-	pullBody func(lo, hi, worker int)
-	curVerts []uint32 // pushBody's frontier for the current sweep
-}
-
-func (t *lazyTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool, bool) {
-	o := t.o
-	if o.fin != nil {
-		// Finalize dequeued vertices first so intra-bucket updates to them
-		// are rejected (k-core: coreness is fixed at dequeue).
-		for _, v := range frontier {
-			o.fin.TrySet(v)
-		}
-	}
-	pull := o.Cfg.Direction == DensePull
-	if o.Cfg.Direction == Hybrid {
-		// The direction optimizer's per-round decision — and its cost, an
-		// out-degree sum over the frontier, the overhead the paper calls out
-		// in Julienne's SSSP (§6.2).
-		pull = o.G.TotalOutDegree(frontier)+int64(len(frontier)) > t.pullThreshold
-	}
-	for _, u := range t.ups {
-		if pull {
-			u.atomics, u.owned, u.dedup = false, true, nil
-		} else {
-			u.atomics, u.owned, u.dedup = true, false, t.dedup
-		}
-	}
-	if pull {
-		updated := t.pullRound(frontier)
-		return updated, true, t.ctl.aborted() != abortNone
-	}
-	updated := t.pushRound(frontier)
-	return updated, false, t.ctl.aborted() != abortNone
-}
-
-// pushRound applies the operator over the out-edges of the frontier with
-// atomic updates, collecting changed vertices once each (CAS dedup) into
-// per-worker buffers (the outEdges buffer of paper Figure 9(a)).
-func (t *lazyTrav) pushRound(verts []uint32) []uint32 {
-	if t.pushBody == nil {
-		t.pushBody = func(lo, hi, worker int) {
-			if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
-				return
-			}
-			o := t.o
-			u := t.ups[worker]
-			for _, v := range t.curVerts[lo:hi] {
-				u.processed++
-				o.sweepOut(v, atomicutil.Load(&o.Prio[v]), u)
-			}
-		}
-	}
-	t.curVerts = verts
-	t.ex.ForChunks(len(verts), t.grain, t.pushBody)
-	t.curVerts = nil
-	updated := t.sc.collect(t.ups)
-	if t.dedup != nil {
-		t.dedup.ResetList(updated)
-	}
-	return updated
-}
-
-// pullRound applies the operator over the in-edges of all vertices against a
-// dense frontier; destination updates need no atomics (paper Figure 9(b)).
-// Each destination belongs to the one worker whose chunk holds it, so that
-// worker's buffer already lists every changed destination once, and the
-// round's changed set is their concatenation — as in pushRound.
-func (t *lazyTrav) pullRound(verts []uint32) []uint32 {
-	for _, v := range verts {
-		t.inFron[v] = true
-	}
-	if t.pullBody == nil {
-		t.pullBody = func(lo, hi, worker int) {
-			if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
-				return
-			}
-			u := t.ups[worker]
-			for v := lo; v < hi; v++ {
-				t.o.processPull(uint32(v), t.inFron, u)
-			}
-		}
-	}
-	t.ex.ForChunks(t.o.G.NumVertices(), t.grain, t.pullBody)
-	for _, v := range verts {
-		t.inFron[v] = false
-	}
-	return t.sc.collect(t.ups)
 }
 
 // constSumTrav implements the histogram reduction (paper Figure 10): count
@@ -188,16 +69,11 @@ func (t *lazyTrav) pullRound(verts []uint32) []uint32 {
 // buckets. Workers are woken once per round, and the round then files the
 // moved vertices into lz directly, so no bucket function runs for them.
 type constSumTrav struct {
-	o     *Ordered
-	ex    *parallel.Executor
-	sc    *scratch
-	ups   []*Updater
-	hist  *histogram.Counter
-	lz    *bucket.Lazy // the engine's buckets, set by newLazySource
-	grain int
-	ctl   *runCtl
+	sweeper
+	hist *histogram.Counter
+	lz   *bucket.Lazy // the engine's buckets
 
-	// Bodies are built once per run, like pushBody; the fields after them
+	// Bodies are built once per run, like pushTrav's; the fields after them
 	// are their inputs and the shared round state of the current round.
 	countBody func(lo, hi, worker int)
 	drainBody func(worker int)
@@ -222,7 +98,7 @@ type constSumTrav struct {
 // grid. Road k-core runs hundreds of rounds of about a thousand edges.
 const inlineCount = 1 << 15
 
-func (t *constSumTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool, bool) {
+func (t *constSumTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool) {
 	o := t.o
 	if o.fin != nil {
 		// Mark every frontier vertex, not only those this call finalizes:
@@ -263,7 +139,7 @@ func (t *constSumTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, b
 	}
 	t.curVerts = nil
 	if !drained {
-		return nil, false, true
+		return nil, true
 	}
 	for _, u := range t.ups {
 		for i, v := range u.out {
@@ -271,7 +147,7 @@ func (t *constSumTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, b
 		}
 		u.outBkt = u.outBkt[:0]
 	}
-	return t.sc.collect(t.ups), false, false
+	return t.sc.collect(t.ups), false
 }
 
 // buildBodies builds the count, drain and parallel round bodies.

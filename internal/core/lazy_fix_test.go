@@ -18,48 +18,6 @@ func runSSSP(t *testing.T, g *graph.Graph, cfg Config) ([]int64, Stats) {
 	return dist, st
 }
 
-// TestNoDedupMatchesDedup: without CAS dedup, SparsePush emits duplicate ids
-// into the round's update buffer; the lazy source dedupes them at the update
-// seam, so disabling dedup must change neither the results nor the stats
-// (previously duplicates reached Lazy.UpdateBuckets — violating its
-// precondition — and inflated Stats.BucketInserts).
-func TestNoDedupMatchesDedup(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		g := randomGraph(seed)
-		base := DefaultConfig()
-		base.Strategy = Lazy
-		base.Direction = SparsePush
-		base.Delta = 4
-		base.Workers = 1
-		withDedup := base
-		noDedup := base
-		noDedup.NoDedup = true
-
-		distA, stA := runSSSP(t, g, withDedup)
-		distB, stB := runSSSP(t, g, noDedup)
-		for v := range distA {
-			if distA[v] != distB[v] {
-				t.Fatalf("seed %d: dist[%d] = %d with dedup, %d without", seed, v, distA[v], distB[v])
-			}
-		}
-		if stA != stB {
-			t.Fatalf("seed %d: stats diverge with dedup on/off:\n  dedup:   %+v\n  nodedup: %+v", seed, stA, stB)
-		}
-
-		// Multi-worker arm: per-round interleavings are not deterministic, so
-		// only the converged results are asserted.
-		withDedup.Workers = 4
-		noDedup.Workers = 4
-		distC, _ := runSSSP(t, g, withDedup)
-		distD, _ := runSSSP(t, g, noDedup)
-		for v := range distC {
-			if distC[v] != distD[v] {
-				t.Fatalf("seed %d workers=4: dist[%d] = %d with dedup, %d without", seed, v, distC[v], distD[v])
-			}
-		}
-	}
-}
-
 // TestLazyEqualityAcrossWorkersAndPooling: slab recycling and the per-worker
 // update buffers must be invisible — identical results AND identical
 // stats across worker counts, each run taking the pooled scratch the
@@ -199,7 +157,7 @@ func TestPullRecordsEachDestinationOnce(t *testing.T) {
 			ex := parallel.NewExecutor(workers)
 			e := op.buildEngine(new(scratch), ex, frontier, &runCtl{})
 			before := append([]int64(nil), prio...)
-			updated, pull, aborted := e.trav.relax(0, 0, frontier)
+			updated, pull, aborted := e.relax(0, 0, frontier)
 			ex.Close()
 			if !pull || aborted {
 				t.Fatalf("%v w=%d: pull=%v aborted=%v, want a completed pull round", dir, workers, pull, aborted)

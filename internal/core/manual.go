@@ -13,14 +13,10 @@ import (
 // 17–21), dequeuing ready sets and applying edge functions one round at a
 // time. Manual mode always uses lazy bucketing — the eager transformation
 // is only legal when the compiler (or RunOrdered) owns the whole loop and
-// can verify the bucket has no other uses (paper §5.2). It composes the
-// same lazySource/traversal pair as RunContext, minus the round loop.
+// can verify the bucket has no other uses (paper §5.2). It runs the same
+// engine RunContext composes, minus the round loop.
 type Manual struct {
-	o    *Ordered
-	src  *lazySource
-	trav traversal
-	ups  []*Updater
-	ex   *parallel.Executor
+	e *engine
 
 	curBkt   int64
 	frontier []uint32
@@ -59,8 +55,7 @@ func NewManual(o *Ordered) (*Manual, error) {
 	// rounds have no watchdog or injection hook (faults reach them through
 	// the user's EdgeFunc directly), so the control block is inert.
 	ex := parallel.Acquire(o.Cfg.Workers)
-	trav, ups, _ := o.compose(&scratch{}, ex, &runCtl{})
-	return &Manual{o: o, src: o.newLazySource(active, trav), trav: trav, ups: ups, ex: ex}, nil
+	return &Manual{e: o.buildEngine(&scratch{}, ex, active, &runCtl{})}, nil
 }
 
 // Close releases the loop's executor back to the pool. The Manual remains
@@ -72,7 +67,7 @@ func (m *Manual) Close() {
 		return
 	}
 	m.closed = true
-	parallel.Release(m.ex)
+	parallel.Release(m.e.ex)
 }
 
 // ensurePopped extracts the next ready set if none is pending.
@@ -80,7 +75,7 @@ func (m *Manual) ensurePopped() {
 	if m.popped {
 		return
 	}
-	m.curBkt, m.frontier = m.src.next()
+	m.curBkt, m.frontier = m.e.src.next()
 	m.popped = true
 }
 
@@ -94,12 +89,12 @@ func (m *Manual) Finished() bool {
 // (pq.getCurrentPriority()).
 func (m *Manual) GetCurrentPriority() int64 {
 	m.ensurePopped()
-	return m.curBkt * m.o.Cfg.Delta
+	return m.curBkt * m.e.o.Cfg.Delta
 }
 
 // FinishedVertex reports whether v has been finalized.
 func (m *Manual) FinishedVertex(v uint32) bool {
-	return m.o.fin != nil && m.o.fin.IsSet(v)
+	return m.e.o.fin != nil && m.e.o.fin.IsSet(v)
 }
 
 // DequeueReadySet returns the vertices ready to be processed
@@ -110,9 +105,9 @@ func (m *Manual) DequeueReadySet() []uint32 {
 	if m.curBkt == bucket.NullBkt {
 		return nil
 	}
-	if m.o.fin != nil {
+	if fin := m.e.o.fin; fin != nil {
 		for _, v := range m.frontier {
-			m.o.fin.TrySet(v)
+			fin.TrySet(v)
 		}
 	}
 	return m.frontier
@@ -131,39 +126,27 @@ func (m *Manual) ApplyUpdatePriority(frontier []uint32, f EdgeFunc) (err error) 
 	if m.err != nil {
 		return m.err
 	}
-	o := m.o
+	e := m.e
 	if f == nil {
-		f = o.Apply
+		f = e.o.Apply
 	}
-	o.Apply = f
+	e.o.Apply = f
 	m.st.Rounds++
-	curPrio := m.curBkt * o.Cfg.Delta
-	fold := func() {
-		for _, u := range m.ups {
-			m.st.Relaxations += u.relaxations
-			m.st.Inversions += u.inversions
-			m.st.Processed += u.processed
-			u.relaxations, u.inversions, u.processed, u.fused = 0, 0, 0, 0
-		}
-	}
 	defer func() {
 		if r := recover(); r != nil {
-			fold()
+			e.fold(&m.st)
 			pe := asPanicError(PhaseRelax, m.st.Rounds, r)
 			m.err = pe
 			err = pe
 		}
 	}()
-	for _, u := range m.ups {
-		u.curBin, u.curPrio = m.curBkt, curPrio
-	}
-	updated, pull, _ := m.trav.relax(m.curBkt, curPrio, frontier)
-	fold()
+	updated, pull, _ := e.relax(m.curBkt, m.curBkt*e.o.Cfg.Delta, frontier)
+	e.fold(&m.st)
 	if pull {
 		m.st.PullRounds++
 	}
 	m.st.GlobalSyncs++
-	m.src.update(updated)
+	e.src.update(updated)
 	m.popped = false
 	m.frontier = nil
 	return nil
@@ -175,6 +158,6 @@ func (m *Manual) Err() error { return m.err }
 // Stats returns counters accumulated so far.
 func (m *Manual) Stats() Stats {
 	st := m.st
-	m.src.finish(&st)
+	m.e.src.finish(&st)
 	return st
 }

@@ -31,8 +31,8 @@ const MaxLanes = 64
 // worker — and one group (W = 1 or k = 1) runs on the calling goroutine.
 // Only the lazy strategy with lower_first (increasing) order is supported,
 // and a faulted multi run fails with partial per-lane stats, like any run.
-// Direction, Grain and NoDedup are hints a multi run ignores: the kernel
-// pushes, has its own duplicate filter, and needs no in-edges.
+// Direction and Grain are hints a multi run ignores: the kernel pushes and
+// needs no in-edges.
 type MultiOrdered struct {
 	G *graph.Graph
 	// Lanes[l] is lane l's priority vector (e.g. dist for SSSP) — exactly the
@@ -308,8 +308,8 @@ func (mo *MultiOrdered) runKernel(ctx context.Context, ctl *runCtl, tr Tracer, t
 	lz.SetSelfFiltered()
 	ups := sc.getUpdaters(face, 1)
 	t.lz, t.u, t.ctl = lz, ups[0], ctl
-	src := &laneSource{lazySource{o: face, lz: lz}}
-	e := &engine{o: face, src: src, trav: t, ups: ups, ctl: ctl}
+	src := &filedSource{lazySource{lz: lz}}
+	e := &engine{o: face, src: src, push: t, ups: ups, ctl: ctl}
 
 	runErr := e.run(ctx, tr, trace, st)
 	src.finish(st)
@@ -328,13 +328,6 @@ func (mo *MultiOrdered) runKernel(ctx context.Context, ctl *runCtl, tr Tracer, t
 // lanePoll is how many ids a lane drain consumes between abort polls; a
 // power of two, so the test is a mask.
 const lanePoll = 1024
-
-// laneSource is the lazy bucket source minus the bulk update: the lane kernel
-// files every bucket move inline, so a round hands the engine nothing to
-// re-bucket.
-type laneSource struct{ lazySource }
-
-func (*laneSource) update([]uint32) {}
 
 // laneTrav is the lane kernel: the one traversal behind MultiOrdered, and
 // the state it sweeps. Ids are l<<nLog | v (nPad = n rounded up to a power of
@@ -461,7 +454,7 @@ func (t *laneTrav) stop(cur int64) bool {
 // checkpoint at each segment start, it polls the abort flag every lanePoll
 // consumed ids — a plain load, no hook — and a watchdog or cancellation
 // abort ends the round mid-drain, its partial counters folded.
-func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool, bool) {
+func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool) {
 	g := t.mo.G
 	state := t.state
 	off, adj, allWts := g.Off, g.Neigh, t.wts
@@ -573,5 +566,5 @@ func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool, bool
 		}
 	}
 	t.casc = casc[:0] // keep the grown queue for the next round
-	return nil, false, aborted
+	return nil, aborted
 }

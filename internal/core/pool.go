@@ -3,24 +3,22 @@ package core
 import (
 	"sync"
 
-	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
 	"graphit/internal/histogram"
 )
 
 // scratch is the per-run working state of the engine: frontier and update
-// buffers, per-worker updaters and bins, dedup flags, the dense frontier
-// map, and the constant-sum histogram. Runs return it to a pool so repeated
-// runs (PPSP query batches, autotune trials) stop re-allocating O(V) state.
+// buffers, per-worker updaters and bins, the dense frontier map, and the
+// constant-sum histogram. Runs return it to a pool so repeated runs (PPSP
+// query batches, autotune trials) stop re-allocating O(V) state.
 //
 // Invariant: all state is clean at round barriers — every traversal clears
-// its dedup flags and dense frontier map before returning, and the engine
-// only stops between rounds — so a scratch released after a completed,
-// stopped, or cancelled run is safe to hand to the next run as-is.
+// its dense frontier map and empties its buffers before returning, and the
+// engine only stops between rounds — so a scratch released after a
+// completed, stopped, or cancelled run is safe to hand to the next run as-is.
 type scratch struct {
 	bins     []*bucket.LocalBins
 	ups      []*Updater
-	dedup    *atomicutil.Flags
 	inFron   []bool
 	laneSt   []byte
 	laneCasc []uint32
@@ -76,14 +74,6 @@ func (sc *scratch) getLaneState(sz int) []byte {
 		st[i] = 0
 	}
 	return st
-}
-
-// getDedup returns clean CAS dedup flags for n vertices.
-func (sc *scratch) getDedup(n int) *atomicutil.Flags {
-	if sc.dedup == nil || sc.dedup.Len() < n {
-		sc.dedup = atomicutil.NewFlags(n)
-	}
-	return sc.dedup
 }
 
 // getDense returns the clean dense frontier-membership map used by pull

@@ -76,7 +76,6 @@ func randomConfig(a, b, c, d uint8) Config {
 		case 1:
 			cfg.Direction = Hybrid
 		}
-		cfg.NoDedup = d%8 >= 4
 	}
 	cfg.Grain = []int{0, 4, 64}[int(d)%3]
 	return cfg

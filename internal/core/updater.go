@@ -9,8 +9,8 @@ import (
 // Updater is the runtime face of the DSL's priority-update operators
 // (paper Table 1): updatePriorityMin, updatePriorityMax, updatePrioritySum.
 // One Updater is owned by each worker; the engine wires it to the schedule's
-// bucket sink (thread-local bins for eager, a deduplicated buffer for lazy)
-// and decides whether updates must be atomic (SparsePush) or not (DensePull,
+// bucket sink (thread-local bins for eager, an output buffer for lazy) and
+// decides whether updates must be atomic (SparsePush) or not (DensePull,
 // where each destination is owned by one worker — paper Figure 9(b)).
 type Updater struct {
 	o       *Ordered
@@ -23,12 +23,8 @@ type Updater struct {
 	sink func(v graph.VertexID, newPrio int64)
 	// Eager sink: the owning worker's local bins.
 	bins *bucket.LocalBins
-	// Lazy sink: the per-worker output buffer. SparsePush deduplicates
-	// through the global flags; DensePull sets owned instead, because the
-	// worker owns every destination it writes (see record).
-	out   []uint32
-	dedup *atomicutil.Flags
-	owned bool
+	// Lazy sink: the per-worker output buffer (see record).
+	out []uint32
 	// outBkt[i] is out[i]'s new bucket, noted by the constant-sum drain.
 	outBkt []int64
 
@@ -72,14 +68,12 @@ func (u *Updater) record(v graph.VertexID, newPrio int64) {
 			u.inversions++
 		}
 		u.bins.Insert(b, v)
-	case u.owned: // lazy DensePull
-		// One worker handles all of v's in-edges in a row, so a repeat win
-		// for v always follows its first: checking the last entry dedups.
+	default: // lazy
+		// A pull worker handles all of v's in-edges in a row, so a repeat
+		// win for v follows its first and checking the last entry lists v
+		// once. A push buffer may still list v more than once; the lazy
+		// source drops the repeats at the bucket seam.
 		if n := len(u.out); n == 0 || u.out[n-1] != v {
-			u.out = append(u.out, v)
-		}
-	default: // lazy SparsePush; dedup is nil when configDeduplication is off
-		if u.dedup == nil || u.dedup.TrySet(v) {
 			u.out = append(u.out, v)
 		}
 	}

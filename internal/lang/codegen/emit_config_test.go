@@ -102,7 +102,7 @@ func TestEmitGoRebuildsExecutedConfig(t *testing.T) {
 					cfg.Direction, _ = core.ParseDirection(dir)
 					cfg.Delta, cfg.FusionThreshold, cfg.NumBuckets = prog.delta, 77, 33
 					if extra {
-						cfg.Grain, cfg.NoDedup, cfg.Workers = 64, true, 3
+						cfg.Grain, cfg.Workers = 64, 3
 						cfg.RoundTimeout, cfg.StuckRounds = 250*time.Millisecond, 9
 					}
 					out, err := plan.EmitGo()

@@ -201,8 +201,8 @@ func atoi(s string) int64 {
 
 // scheduleChain renders every field of cfg as the graphit.Schedule setter
 // calls that rebuild it from DefaultSchedule. The result-shaping fields are
-// always spelled out; the grain, deduplication, workers and watchdogs only
-// when set, since ConfigApplyParallelization rejects the default grain 0.
+// always spelled out; the grain, workers and watchdogs only when set, since
+// ConfigApplyParallelization rejects the default grain 0.
 func scheduleChain(cfg *core.Config) []string {
 	chain := []string{
 		fmt.Sprintf("ConfigApplyPriorityUpdate(%q)", cfg.Strategy),
@@ -210,9 +210,6 @@ func scheduleChain(cfg *core.Config) []string {
 		fmt.Sprintf("ConfigBucketFusionThreshold(%d)", cfg.FusionThreshold),
 		fmt.Sprintf("ConfigNumBuckets(%d)", cfg.NumBuckets),
 		fmt.Sprintf("ConfigApplyDirection(%q)", cfg.Direction),
-	}
-	if cfg.NoDedup {
-		chain = append(chain, "ConfigDeduplication(false)")
 	}
 	if cfg.Grain != 0 {
 		chain = append(chain, fmt.Sprintf("ConfigApplyParallelization(%d)", cfg.Grain))

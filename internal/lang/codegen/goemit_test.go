@@ -217,23 +217,22 @@ func TestEmitGoScheduleDifferences(t *testing.T) {
 	}
 }
 
-// TestEmitGoCarriesGrainAndDedup: a schedule that disables deduplication
-// and sets a grain runs both under Execute, so the emitted chain and its
-// header comment must carry both.
-func TestEmitGoCarriesGrainAndDedup(t *testing.T) {
+// TestEmitGoCarriesGrain: a schedule that sets a grain runs it under
+// Execute, so the emitted chain and its header comment must carry it. Its
+// configDeduplication call sets nothing, so nothing of it is emitted.
+func TestEmitGoCarriesGrain(t *testing.T) {
 	src := emit(t, "sssp.gt", `program->configApplyPriorityUpdate("s1", "lazy")
 ->configDeduplication("s1", "disabled")
 ->configApplyParallelization("s1", "dynamic-vertex-parallel,64");`)
-	for _, want := range []string{"ConfigDeduplication(false)", "ConfigApplyParallelization(64)"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("emitted chain lacks %s:\n%s", want, src)
-		}
+	if !strings.Contains(src, "ConfigApplyParallelization(64)") {
+		t.Errorf("emitted chain lacks ConfigApplyParallelization(64):\n%s", src)
+	}
+	if strings.Contains(src, "Dedup") {
+		t.Errorf("emitted program names deduplication:\n%s", src)
 	}
 	header, _, _ := strings.Cut(src, "package main")
-	for _, want := range []string{"grain=64", "nodedup"} {
-		if !strings.Contains(header, want) {
-			t.Errorf("header comment does not name %s:\n%s", want, header)
-		}
+	if !strings.Contains(header, "grain=64") {
+		t.Errorf("header comment does not name grain=64:\n%s", header)
 	}
 }
 

@@ -50,10 +50,12 @@ func Resolve(calls []lang.SchedCall) (Schedules, error) {
 		case "configApplyDirection":
 			s.Direction, err = core.ParseDirection(a)
 		case "configDeduplication":
+			// Original GraphIt's switch. The engine always deduplicates
+			// lazy updates once, at the bucket seam, so the call is
+			// checked and ignored.
 			if a != "enabled" && a != "disabled" {
 				err = fmt.Errorf("takes \"enabled\" or \"disabled\", got %q", a)
 			}
-			s.NoDedup = a == "disabled"
 		case "configApplyParallelization":
 			// "dynamic-vertex-parallel" (optionally with a grain, e.g.
 			// "dynamic-vertex-parallel,64") is the only supported mode. An
@@ -87,10 +89,6 @@ func Resolve(calls []lang.SchedCall) (Schedules, error) {
 // gives back c for label l; the fields Resolve never sets (workers and the
 // watchdogs) are left out.
 func Format(label string, cfg core.Config) string {
-	dedup := "enabled"
-	if cfg.NoDedup {
-		dedup = "disabled"
-	}
 	par := "dynamic-vertex-parallel"
 	if cfg.Grain > 0 {
 		par += fmt.Sprintf(",%d", cfg.Grain)
@@ -100,10 +98,9 @@ func Format(label string, cfg core.Config) string {
 ->configBucketFusionThreshold(%[1]q, "%[4]d")
 ->configNumBuckets(%[1]q, "%[5]d")
 ->configApplyDirection(%[1]q, %[6]q)
-->configDeduplication(%[1]q, %[7]q)
-->configApplyParallelization(%[1]q, %[8]q);`,
+->configApplyParallelization(%[1]q, %[7]q);`,
 		label, cfg.Strategy.String(), cfg.Delta, cfg.FusionThreshold, cfg.NumBuckets,
-		cfg.Direction.String(), dedup, par)
+		cfg.Direction.String(), par)
 }
 
 // ParseText parses standalone scheduling text (the contents of a schedule

@@ -110,6 +110,10 @@ func TestConfigConversion(t *testing.T) {
 	}
 }
 
+// TestResolveDeduplicationAndHybrid: configDeduplication, original GraphIt's
+// switch, still parses and still rejects a value other than "enabled" or
+// "disabled", but sets nothing — the engine always deduplicates at the
+// bucket seam.
 func TestResolveDeduplicationAndHybrid(t *testing.T) {
 	calls, err := ParseText(`
 program->configDeduplication("s1", "disabled")
@@ -122,12 +126,10 @@ program->configDeduplication("s1", "disabled")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := m.Get("s1")
-	if !s.NoDedup {
-		t.Error("dedup not disabled")
-	}
-	if s.Direction != core.Hybrid {
-		t.Errorf("direction = %v, want Hybrid", s.Direction)
+	want := core.DefaultConfig()
+	want.Direction = core.Hybrid
+	if got := *m.Get("s1"); got != want {
+		t.Errorf("config = %+v, want %+v", got, want)
 	}
 	if _, err := Resolve([]lang.SchedCall{{Name: "configDeduplication", Args: []string{"s1", "maybe"}}}); err == nil {
 		t.Error("bad dedup value accepted")
@@ -135,28 +137,26 @@ program->configDeduplication("s1", "disabled")
 }
 
 // TestFormatRoundTrip: Resolve(ParseText(Format(label, c))) gives back c for
-// every strategy × direction, grain {0, 64} and deduplication on and off,
-// with non-default ∆, fusion threshold and bucket count.
+// every strategy × direction and grain {0, 64}, with non-default ∆, fusion
+// threshold and bucket count.
 func TestFormatRoundTrip(t *testing.T) {
 	for _, st := range core.StrategyNames() {
 		for _, dir := range core.DirectionNames() {
 			for _, grain := range []int{0, 64} {
-				for _, noDedup := range []bool{false, true} {
-					c := core.Config{Delta: 1 << 11, FusionThreshold: 77, NumBuckets: 33, Grain: grain, NoDedup: noDedup}
-					c.Strategy, _ = core.ParseStrategy(st)
-					c.Direction, _ = core.ParseDirection(dir)
-					text := Format("s1", c)
-					calls, err := ParseText(text)
-					if err != nil {
-						t.Fatalf("%v\n%s", err, text)
-					}
-					m, err := Resolve(calls)
-					if err != nil {
-						t.Fatalf("%v\n%s", err, text)
-					}
-					if got := *m["s1"]; got != c || len(m) != 1 {
-						t.Errorf("round trip of %+v gave %+v (%d labels):\n%s", c, got, len(m), text)
-					}
+				c := core.Config{Delta: 1 << 11, FusionThreshold: 77, NumBuckets: 33, Grain: grain}
+				c.Strategy, _ = core.ParseStrategy(st)
+				c.Direction, _ = core.ParseDirection(dir)
+				text := Format("s1", c)
+				calls, err := ParseText(text)
+				if err != nil {
+					t.Fatalf("%v\n%s", err, text)
+				}
+				m, err := Resolve(calls)
+				if err != nil {
+					t.Fatalf("%v\n%s", err, text)
+				}
+				if got := *m["s1"]; got != c || len(m) != 1 {
+					t.Errorf("round trip of %+v gave %+v (%d labels):\n%s", c, got, len(m), text)
 				}
 			}
 		}

@@ -69,15 +69,6 @@ func (s Schedule) ConfigNumBuckets(n int) Schedule {
 	return s.validate()
 }
 
-// ConfigDeduplication enables or disables per-round deduplication of the
-// lazy push buffer. The compiler normally inserts deduplication when the
-// algorithm needs it (paper §5.1); disabling it trades extra bucket
-// insertions for skipping the CAS flags.
-func (s Schedule) ConfigDeduplication(enabled bool) Schedule {
-	s.cfg.NoDedup = !enabled
-	return s
-}
-
 // ConfigApplyDirection selects the traversal direction: "SparsePush",
 // "DensePull", or "DensePull-SparsePush" (per-round hybrid, lazy only).
 func (s Schedule) ConfigApplyDirection(dir string) Schedule {
