@@ -8,11 +8,12 @@ import (
 )
 
 // warmEngine runs op to completion on a single-worker engine and hands the
-// engine back with a frontier to replay: the priorities are converged, so
+// engine back with the warm-up run's stats and a frontier to replay: the
+// priorities are converged, so
 // replaying a round on that frontier exercises the full steady-state round
 // machinery (dense map, sweep, filters, collection) without winning any
 // update.
-func warmEngine(t *testing.T, op *Ordered) (*engine, []uint32) {
+func warmEngine(t *testing.T, op *Ordered) (*engine, Stats, []uint32) {
 	t.Helper()
 	op.Cfg.normalize()
 	if err := op.validate(); err != nil {
@@ -34,12 +35,12 @@ func warmEngine(t *testing.T, op *Ordered) (*engine, []uint32) {
 	for i := range frontier {
 		frontier[i] = uint32(i * 7)
 	}
-	return e, frontier
+	return e, st, frontier
 }
 
 // warmSSSP warms an SSSP engine on a 4000-vertex path under strategy s
 // and direction dir, with the UDF operator or the native MinPlus one.
-func warmSSSP(t *testing.T, s Strategy, dir Direction, minPlus bool) (*engine, []uint32) {
+func warmSSSP(t *testing.T, s Strategy, dir Direction, minPlus bool) (*engine, Stats, []uint32) {
 	t.Helper()
 	g := lineGraph(t, 4000)
 	cfg := DefaultConfig()
@@ -66,7 +67,7 @@ func replayAllocs(tr traversal, frontier []uint32) float64 {
 // frontier set/clear, the full in-edge sweep, and the concatenation of the
 // per-worker changed lists — performs zero heap allocation.
 func TestLazyPullSteadyStateAllocs(t *testing.T) {
-	e, frontier := warmSSSP(t, Lazy, DensePull, false)
+	e, _, frontier := warmSSSP(t, Lazy, DensePull, false)
 	tr, ok := e.pull.(*pullTrav)
 	if !ok {
 		t.Fatalf("expected *pullTrav, got %T", e.pull)
@@ -79,7 +80,7 @@ func TestLazyPullSteadyStateAllocs(t *testing.T) {
 // TestLazyPushSteadyStateAllocs: the SparsePush counterpart — per-worker
 // update buffers and the update collection all reuse run-owned scratch.
 func TestLazyPushSteadyStateAllocs(t *testing.T) {
-	e, frontier := warmSSSP(t, Lazy, SparsePush, false)
+	e, _, frontier := warmSSSP(t, Lazy, SparsePush, false)
 	tr, ok := e.push.(*pushTrav)
 	if !ok {
 		t.Fatalf("expected *pushTrav, got %T", e.push)
@@ -93,7 +94,7 @@ func TestLazyPushSteadyStateAllocs(t *testing.T) {
 // stale-filtered mark, the prebuilt in-edge sweep body with the native
 // MinPlus operator, and the clear — performs zero heap allocation.
 func TestEagerPullSteadyStateAllocs(t *testing.T) {
-	e, frontier := warmSSSP(t, EagerNoFusion, DensePull, true)
+	e, _, frontier := warmSSSP(t, EagerNoFusion, DensePull, true)
 	tr, ok := e.pull.(*pullTrav)
 	if !ok || !tr.filter {
 		t.Fatalf("expected a filtering *pullTrav, got %T", e.pull)
@@ -112,7 +113,10 @@ func TestEagerPullSteadyStateAllocs(t *testing.T) {
 // Priorities are converged, so every relaxation loses and bucket 1 admits
 // every replayed vertex at or past it.
 func TestEagerMinPlusSteadyStateAllocs(t *testing.T) {
-	e, frontier := warmSSSP(t, EagerWithFusion, SparsePush, true)
+	e, st, frontier := warmSSSP(t, EagerWithFusion, SparsePush, true)
+	if st.FusedRounds == 0 {
+		t.Fatal("warmup run fused no rounds")
+	}
 	tr, ok := e.push.(*pushTrav)
 	if !ok || !tr.fusion {
 		t.Fatalf("expected a fusing *pushTrav, got %T", e.push)

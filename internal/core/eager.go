@@ -32,7 +32,7 @@ func (e *eagerBins) next() (int64, []uint32) {
 	return nb, fr
 }
 
-func (e *eagerBins) update(ids []uint32) {}
+func (e *eagerBins) update(ids []uint32) int { return 0 }
 
 func (e *eagerBins) finish(st *Stats) {
 	for _, b := range e.bins {

@@ -21,8 +21,9 @@ type bucketSource interface {
 	// (bucket.NullBkt, nil) when the queue is exhausted.
 	next() (int64, []uint32)
 	// update bulk-moves the round's changed vertices to their new buckets
-	// (no-op for eager, whose traversal re-buckets inline).
-	update(ids []uint32)
+	// (no-op for eager, whose traversal re-buckets inline) and returns how
+	// many distinct vertices the round moved.
+	update(ids []uint32) int
 	// finish folds the source's internal counters into st.
 	finish(st *Stats)
 }
@@ -325,7 +326,8 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) erro
 		// One global synchronization per round: the sweep's join plus the
 		// bulk bucket update (paper Figure 5, lines 12–13).
 		st.GlobalSyncs++
-		if pe := e.phase(PhaseUpdate, func() { e.src.update(updated) }); pe != nil {
+		var nUpdated int
+		if pe := e.phase(PhaseUpdate, func() { nUpdated = e.src.update(updated) }); pe != nil {
 			return pe
 		}
 		ev := RoundEvent{
@@ -333,7 +335,7 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) erro
 			Bucket:      bid,
 			Priority:    curPrio,
 			Frontier:    len(frontier),
-			Updated:     len(updated),
+			Updated:     nUpdated,
 			Relaxations: rRelax,
 			Processed:   rProc,
 			FusedIters:  rFused,

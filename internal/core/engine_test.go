@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"graphit/internal/bucket"
+	"graphit/internal/graph"
 	"graphit/internal/parallel"
 	"graphit/internal/testutil"
 )
@@ -171,6 +173,32 @@ func TestMemTracerRecordsRun(t *testing.T) {
 	}
 	if relax != st.Relaxations {
 		t.Errorf("per-round relaxations sum to %d, stats say %d", relax, st.Relaxations)
+	}
+}
+
+// TestLazyTraceCountsUpdatedOnce: a lazy push round's trace counts each
+// updated vertex once, after the seam dedup. In the round that sweeps {1, 2},
+// vertex 3 wins twice with vertex 4 between, so the buffer lists 3, 4, 3.
+func TestLazyTraceCountsUpdatedOnce(t *testing.T) {
+	g, err := graph.Build([]graph.Edge{
+		{Src: 0, Dst: 1, W: 1}, {Src: 0, Dst: 2, W: 1},
+		{Src: 1, Dst: 3, W: 10}, {Src: 1, Dst: 4, W: 10}, {Src: 2, Dst: 3, W: 5},
+	}, graph.BuildOptions{Weighted: true, InEdges: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, _ := ssspOp(g, 0, Config{Strategy: Lazy, Direction: SparsePush, Delta: 100, Workers: 1})
+	mem := &MemTracer{}
+	op.Trace = mem
+	if _, err := op.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, ev := range mem.Events {
+		got = append(got, ev.Updated)
+	}
+	if want := []int{2, 2, 0}; !slices.Equal(got, want) {
+		t.Errorf("per-round Updated = %v, want %v", got, want)
 	}
 }
 

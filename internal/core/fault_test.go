@@ -21,7 +21,7 @@ type stuckSrc struct {
 }
 
 func (s *stuckSrc) next() (int64, []uint32) { return s.bid, s.frontier }
-func (s *stuckSrc) update(ids []uint32)     {}
+func (s *stuckSrc) update(ids []uint32) int { return 0 }
 func (s *stuckSrc) finish(st *Stats)        {}
 
 // inertTrav relaxes nothing and never aborts.

@@ -39,8 +39,10 @@ func (s *lazySource) next() (int64, []uint32) { return s.lz.Next() }
 // vertex once per winning update that did not directly follow another win
 // for it, and UpdateBuckets takes each vertex at most once, so the round's
 // duplicates are dropped here, at the seam, in one serial pass.
-func (s *lazySource) update(ids []uint32) {
-	s.lz.UpdateBuckets(s.lz.DedupeIDs(ids))
+func (s *lazySource) update(ids []uint32) int {
+	ids = s.lz.DedupeIDs(ids)
+	s.lz.UpdateBuckets(ids)
+	return len(ids)
 }
 
 // filedSource is the lazy bucket source minus the bulk update, for the
@@ -48,7 +50,7 @@ func (s *lazySource) update(ids []uint32) {
 // and the lane kernel), so a round hands the engine nothing to re-bucket.
 type filedSource struct{ lazySource }
 
-func (*filedSource) update([]uint32) {}
+func (*filedSource) update(ids []uint32) int { return len(ids) }
 
 func (s *lazySource) finish(st *Stats) {
 	st.BucketInserts += s.lz.Inserts

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime/debug"
 	"sync/atomic"
 
 	"graphit/internal/atomicutil"
@@ -93,7 +92,7 @@ func (t *pushTrav) relax(bid, _ int64, frontier []uint32) ([]uint32, bool) {
 // sweep is one worker's share of a round: dynamic chunks of the shared
 // frontier, then (eager_with_fusion) its own current-bucket bin.
 func (t *pushTrav) sweep(worker int) {
-	defer t.haltOnPanic(worker)
+	defer parallel.HaltOnPanic(&t.halt, worker)
 	bid, frontier := t.bid, t.frontier
 	u := t.ups[worker]
 	for !t.halt.Load() {
@@ -124,19 +123,6 @@ func (t *pushTrav) sweep(worker int) {
 		}
 		u.fused++
 		t.visit(my.Take(bid), bid, u)
-	}
-}
-
-// haltOnPanic, deferred by sweep, stops the sweep's siblings at their next
-// chunk boundary when it panics, and re-raises the panic wrapped with the
-// stack captured here, closest to the fault.
-func (t *pushTrav) haltOnPanic(worker int) {
-	if r := recover(); r != nil {
-		t.halt.Store(true)
-		if _, ok := r.(*parallel.Panic); !ok {
-			r = &parallel.Panic{Value: r, Stack: debug.Stack(), Worker: worker}
-		}
-		panic(r)
 	}
 }
 

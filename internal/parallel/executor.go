@@ -246,20 +246,9 @@ func (e *Executor) ForChunks(n, grain int, body func(lo, hi, worker int)) {
 		return
 	}
 	var next atomic.Int64
-	// A panicked chunk marks the loop aborted so sibling workers stop
-	// claiming chunks at their next boundary; the panic is wrapped here (the
-	// closest frame to the fault) so the original stack reaches the caller.
 	var aborted atomic.Bool
 	e.Run(func(worker int) {
-		defer func() {
-			if r := recover(); r != nil {
-				aborted.Store(true)
-				if _, ok := r.(*Panic); !ok {
-					r = &Panic{Value: r, Stack: debug.Stack(), Worker: worker}
-				}
-				panic(r)
-			}
-		}()
+		defer HaltOnPanic(&aborted, worker)
 		for !aborted.Load() {
 			lo := int(next.Add(int64(grain))) - grain
 			if lo >= n {
@@ -272,6 +261,21 @@ func (e *Executor) ForChunks(n, grain int, body func(lo, hi, worker int)) {
 			body(lo, hi, worker)
 		}
 	})
+}
+
+// HaltOnPanic is deferred by a worker body that claims chunks of a shared
+// loop while halt is clear. If the body panics, it sets halt, so sibling
+// workers stop claiming chunks at their next boundary, and re-raises the
+// panic wrapped in a *Panic carrying the stack captured here, the closest
+// frame to the fault.
+func HaltOnPanic(halt *atomic.Bool, worker int) {
+	if r := recover(); r != nil {
+		halt.Store(true)
+		if _, ok := r.(*Panic); !ok {
+			r = &Panic{Value: r, Stack: debug.Stack(), Worker: worker}
+		}
+		panic(r)
+	}
 }
 
 // executorPool recycles executors between engine runs, keyed by worker
