@@ -1,14 +1,14 @@
 package algo
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"graphit"
 	"graphit/internal/atomicutil"
-	"graphit/internal/bucket"
-	"graphit/internal/parallel"
 )
 
 // SetCoverResult carries the output of approximate set cover.
@@ -37,32 +37,35 @@ type SetCoverResult struct {
 // set moves buckets at most once per round.
 //
 // Like k-core, set cover tolerates no priority coarsening; the schedule's
-// ∆ must be 1. The schedule's NumBuckets, Grain and NumWorkers options
-// apply.
+// ∆ must be 1. It runs on the ordered engine under lazy SparsePush whatever
+// strategy and direction the schedule names; the schedule's NumBuckets,
+// Grain, NumWorkers, RoundTimeout and StuckRounds options apply.
 func SetCover(g *graphit.Graph, sched graphit.Schedule) (*SetCoverResult, error) {
 	return SetCoverContext(context.Background(), g, sched)
 }
 
-// SetCoverContext is SetCover under a context: cancellation is checked at
-// every round barrier and returns the partial (possibly incomplete) cover
-// together with ctx.Err().
+// SetCoverContext is SetCover under the engine's run contract: it halts at
+// a round barrier on cancellation, and on a contained panic or stall
+// (*graphit.PanicError, *graphit.StuckError), returning the partial cover
+// with the error; a Tracer carried by ctx observes its rounds.
 //
-// Each round runs two phases over the bucket's ready sets, and every set
-// reads only its live elements, as in Julienne: a set's first visit reads
-// its CSR range plus itself and packs the elements still uncovered into a
-// list of its own (carved from its worker's append-only slab; the graph is
-// never modified), and every later pass reads and re-packs that list in
-// place. Phase 1 write-mins the set's id onto each live element while
-// packing. Phase 2 counts the elements the set won; a set that commits
-// covers them and clears its reservations in the same pass, and one that
-// does not clears its reservations while recounting and re-packing. Only a
-// set itself ever tests an element's reservation against its own id, so no
-// third release phase is needed. A set's bucket is its packed length.
+// Each round runs two vertex passes over the bucket's ready sets, and every
+// set reads only its live elements, as in Julienne: a set's first visit
+// reads its CSR range plus itself and packs the elements still uncovered
+// into a list of its own (carved from its worker's append-only slab, so the
+// run's worker count is fixed here; the graph is never modified), and every
+// later pass re-packs that list in place. Phase 1 write-mins the set's id
+// onto each live element while packing. Phase 2 counts the elements the
+// set won; a set that commits covers them and clears its reservations in
+// the same pass, and one that does not clears its reservations while
+// recounting and re-packing. Only a set itself ever tests an element's
+// reservation against its own id, so no third release phase is needed. A
+// set's priority is its packed length (degree+1 before its first visit,
+// NullMax once done).
 //
-// The rounds run on an executor of the schedule's ConfigNumWorkers workers,
-// checked out for this run alone. At one worker the cover is deterministic.
-// Stats.Relaxations counts element visits: every list entry either phase
-// reads.
+// At one worker the cover is deterministic. Stats.Relaxations counts
+// element visits (every list entry either phase reads), Stats.Processed the
+// dequeued sets.
 func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedule) (*SetCoverResult, error) {
 	if !g.Symmetric() {
 		return nil, fmt.Errorf("algo: set cover requires a symmetrized graph")
@@ -81,46 +84,28 @@ func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedu
 	const slabChunk = 1 << 14     // entries per slab allocation
 	coveredBy := make([]int64, n) // element -> committed set
 	reserve := make([]int64, n)   // element -> reserving set this round
+	prio := make([]int64, n)      // set -> packed length
 	for v := range coveredBy {
-		coveredBy[v] = uncoveredMark
-		reserve[v] = unreserved
+		coveredBy[v], reserve[v] = uncoveredMark, unreserved
+		prio[v] = int64(g.OutDegree(uint32(v))) + 1 // neighbors + self
 	}
 	chosen := make([]bool, n)
 	// live[s] is set s's packed list: the elements still uncovered when s
-	// was last visited, nil before its first visit and empty once s is
-	// committed or has nothing left to cover.
+	// was last visited, nil before its first visit.
 	live := make([][]uint32, n)
-	bktOf := func(s uint32) int64 {
-		l := live[s]
-		if l == nil {
-			return int64(g.OutDegree(s)) + 1 // neighbors + self
-		}
-		if len(l) == 0 {
-			return bucket.NullBkt
-		}
-		return int64(len(l))
-	}
-	lz := bucket.NewLazy(n, bucket.Decreasing, cfg.NumBuckets, bktOf)
-
-	ex := parallel.Acquire(cfg.Workers)
-	defer parallel.Release(ex)
 	type coverWorker struct {
-		slab    []uint32 // current slab chunk; first visits pack into its tail
-		updated []uint32 // sets to re-bucket after this round
-		visits  int64
-		_       [64]byte // keeps workers' fields off one cache line
+		slab []uint32 // current slab chunk; first visits pack into its tail
+		_    [64]byte // keeps workers' slabs off one cache line
 	}
-	workers := make([]coverWorker, ex.Workers())
-	var sets []uint32
-	var threshold int64
+	workers := make([]coverWorker, cmp.Or(cfg.Workers, runtime.GOMAXPROCS(0)))
 
 	// Phase 1: reserve and pack. Every ready set write-mins its id onto its
 	// uncovered elements (the smallest set id wins each) and keeps only
 	// those in its list. Sets commit only in phase 2, so coveredBy is read
 	// plainly here.
-	reservePhase := func(lo, hi, worker int) {
+	reservePhase := func(sets []uint32, worker int, _ *graphit.Queue) (visits int64) {
 		w := &workers[worker]
-		for _, s := range sets[lo:hi] {
+		for _, s := range sets {
 			src := live[s]
 			dst, first := src[:0], src == nil // a re-pack overwrites what it has read
 			if first {
@@ -130,7 +115,7 @@ func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedu
 					w.slab = make([]uint32, 0, max(slabChunk, len(src)+1))
 				}
 				dst = w.slab[len(w.slab):]
-				w.visits++
+				visits++
 				if coveredBy[s] == uncoveredMark {
 					atomicutil.WriteMin(&reserve[s], int64(s))
 					dst = append(dst, s)
@@ -142,20 +127,21 @@ func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedu
 					dst = append(dst, e)
 				}
 			}
-			w.visits += int64(len(src))
+			visits += int64(len(src))
 			if first {
 				w.slab = w.slab[:len(w.slab)+len(dst)]
 			}
 			live[s] = dst
 		}
+		return visits
 	}
 	// Phase 2: a set that reserved at least half of the bucket's value
 	// commits; the rest are re-bucketed by their true remaining coverage.
-	commitPhase := func(lo, hi, worker int) {
-		w := &workers[worker]
-		for _, s := range sets[lo:hi] {
+	commitPhase := func(sets []uint32, _ int, q *graphit.Queue) (visits int64) {
+		threshold := (q.GetCurrentPriority() + 1) / 2
+		for _, s := range sets {
 			l, id := live[s], int64(s)
-			w.visits += 2 * int64(len(l))
+			visits += 2 * int64(len(l))
 			var won int64
 			for _, e := range l {
 				if atomicutil.Load(&reserve[e]) == id {
@@ -172,7 +158,7 @@ func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedu
 						atomicutil.Store(&reserve[e], unreserved)
 					}
 				}
-				live[s] = l[:0] // done; never re-bucketed
+				q.SetPriority(s, graphit.NullMax) // done; never re-bucketed
 				continue
 			}
 			// An element s holds is uncovered (only s could cover it);
@@ -188,52 +174,32 @@ func SetCoverContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedu
 				k++
 			}
 			live[s] = l[:k]
+			np := graphit.NullMax
 			if k > 0 {
-				w.updated = append(w.updated, s)
+				np = int64(k)
 			}
+			q.SetPriority(s, np)
 		}
+		return visits
 	}
 
-	var st graphit.Stats
-	var runErr error
-	for {
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
-		}
-		var bid int64
-		if bid, sets = lz.Next(); bid == bucket.NullBkt {
-			break
-		}
-		st.Rounds++
-		threshold = (bid + 1) / 2
-		ex.ForChunks(len(sets), cfg.Grain, reservePhase)
-		ex.ForChunks(len(sets), cfg.Grain, commitPhase)
-		st.GlobalSyncs += 2
-		upd := workers[0].updated
-		for i := 1; i < len(workers); i++ {
-			upd = append(upd, workers[i].updated...)
-			workers[i].updated = workers[i].updated[:0]
-		}
-		lz.UpdateBuckets(upd)
-		workers[0].updated = upd[:0]
+	op := &graphit.Ordered{G: g, Prio: prio, Order: graphit.HigherFirst,
+		Passes: []graphit.VertexPass{reservePhase, commitPhase}}
+	sched = sched.ConfigApplyPriorityUpdate("lazy").ConfigApplyDirection("SparsePush").ConfigNumWorkers(len(workers))
+	st, err := graphit.RunOrderedContext(ctx, op, sched)
+	if err != nil && !halted(ctx, err) {
+		return nil, err
 	}
-
 	num := 0
 	for _, c := range chosen {
 		if c {
 			num++
 		}
 	}
-	for i := range workers {
-		st.Relaxations += workers[i].visits
-	}
-	st.BucketInserts = lz.Inserts
-	st.WindowAdvances = lz.Rebuckets
 	return &SetCoverResult{
 		Chosen:    chosen,
 		CoveredBy: coveredBy,
 		NumChosen: num,
 		Stats:     st,
-	}, runErr
+	}, err
 }

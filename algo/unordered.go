@@ -162,12 +162,7 @@ func atomicAdd(p *int64, v int64) {
 
 // vertexFilter is Ligra's dense vertexFilter, the unordered peel's
 // full rescan: it appends to peel[:0] the v in [0, n) that pass keep, in
-// ascending order, in one serial loop. It is kept out of line so that keep
-// stays an indirect call per vertex, the cost of a filter that takes its
-// predicate as a value; inlined, the compiler also inlines keep, and the
-// unordered baseline that Figure 1 measures changes.
-//
-//go:noinline
+// ascending order, in one serial loop.
 func vertexFilter(peel []uint32, n int, keep func(v int) bool) []uint32 {
 	peel = peel[:0]
 	for v := 0; v < n; v++ {

@@ -263,7 +263,8 @@ type Stats struct {
 	// would otherwise have been global rounds (eager_with_fusion only).
 	FusedRounds int64 `json:"fused_rounds"`
 	// GlobalSyncs counts global synchronization episodes (one per round:
-	// the sweep's join plus the bulk bucket update).
+	// the sweep's join plus the bulk bucket update; one per pass under
+	// Ordered.Passes).
 	GlobalSyncs int64 `json:"global_syncs"`
 	// Relaxations counts edge-function applications.
 	Relaxations int64 `json:"relaxations"`
@@ -315,6 +316,13 @@ type StopFunc func(curPrio int64) bool
 // per edge. The zero value names none: the operator runs Apply.
 type Relaxation uint8
 
+// VertexPass is one per-round pass over a chunk vs of the frontier, run by
+// worker (below Cfg.Workers, or GOMAXPROCS if 0) with its Updater u: the
+// runtime form of the DSL's applyExtern and applyExternReduce. It returns
+// its work, counted as relaxations. A frontier vertex no pass re-files with
+// u.SetPriority leaves the queue.
+type VertexPass func(vs []uint32, worker int, u *Updater) (work int64)
+
 // MinPlus is ∆-stepping's relaxation prio[dst] = min(prio[dst], prio[src]+w)
 // — paper Figure 3's updateEdge, what the compiler inlines as a writeMin in
 // the generated edge loop (§5.1). Every engine body has its own native loop
@@ -339,6 +347,10 @@ type Ordered struct {
 	// for A*, widest path, k-core and any UDF of another shape. Not used by
 	// LazyConstantSum.
 	Apply EdgeFunc
+	// Passes, when set, replaces the edge operator: each round runs every
+	// pass in order over the whole frontier, one barrier per pass (SetCover,
+	// the DSL's extern-driven loops). Lazy SparsePush only.
+	Passes []VertexPass
 	// SumConst is the constant priority delta for LazyConstantSum (e.g. -1
 	// for k-core); the engine applies prio += SumConst*count per round.
 	SumConst int64
@@ -399,7 +411,10 @@ func (o *Ordered) validate() error {
 	if err := o.validateRelax(); err != nil {
 		return err
 	}
-	if o.Cfg.Strategy != LazyConstantSum && o.Apply == nil && o.Relax != MinPlus {
+	if o.Passes != nil && (o.Apply != nil || o.Relax != 0 || o.Cfg.Strategy != Lazy || o.Cfg.Direction != SparsePush) {
+		return fmt.Errorf("core: Passes replace the edge operator and run under lazy SparsePush only")
+	}
+	if o.Cfg.Strategy != LazyConstantSum && o.Apply == nil && o.Relax != MinPlus && o.Passes == nil {
 		return fmt.Errorf("core: nil edge function")
 	}
 	if o.Cfg.Strategy == LazyConstantSum && o.SumConst == 0 {

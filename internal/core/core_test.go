@@ -99,6 +99,8 @@ func TestValidationErrors(t *testing.T) {
 		"minplus with apply":        "non-nil Apply",
 		"minplus unweighted":        "weighted graph",
 		"unknown relaxation":        "unknown relaxation",
+		"passes under eager":        "lazy SparsePush",
+		"passes with apply":         "lazy SparsePush",
 	}
 	cases := map[string]func() *Ordered{
 		"nil graph": func() *Ordered {
@@ -180,6 +182,16 @@ func TestValidationErrors(t *testing.T) {
 		"unknown relaxation": func() *Ordered {
 			op, _ := minPlusOp(g, 0, DefaultConfig())
 			op.Relax = MinPlus + 1
+			return op
+		},
+		"passes under eager": func() *Ordered {
+			op, _ := ssspOp(g, 0, DefaultConfig())
+			op.Apply, op.Passes = nil, []VertexPass{func([]uint32, int, *Updater) int64 { return 0 }}
+			return op
+		},
+		"passes with apply": func() *Ordered {
+			op, _ := ssspOp(g, 0, Config{Strategy: Lazy})
+			op.Passes = []VertexPass{func([]uint32, int, *Updater) int64 { return 0 }}
 			return op
 		},
 	}

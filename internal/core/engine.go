@@ -29,11 +29,12 @@ type bucketSource interface {
 }
 
 // traversal abstracts one round's edge sweep in one direction — SparsePush
-// (pushTrav, the lane kernel), DensePull (pullTrav) or the constant-sum
-// histogram reduction. It returns the vertices whose priorities changed
-// (for bucketSource.update) and whether the sweep observed a cooperative
-// abort (watchdog timeout or mid-round cancellation) and stopped early — in
-// which case its effects may be partial and updated must be discarded.
+// (pushTrav, the lane kernel), DensePull (pullTrav), the constant-sum
+// histogram reduction, or a pass operator's vertex passes (passTrav). It
+// returns the vertices whose priorities changed (for bucketSource.update)
+// and whether the sweep observed a cooperative abort (watchdog timeout or
+// mid-round cancellation) and stopped early — in which case its effects may
+// be partial and updated must be discarded.
 type traversal interface {
 	relax(bid, curPrio int64, frontier []uint32) (updated []uint32, aborted bool)
 }
@@ -161,7 +162,8 @@ func (o *Ordered) runInfo(frontier int) RunInfo {
 // source with the initial active set. Per-worker updaters are sized from
 // ex's immutable worker count, the count every traversal phase runs with.
 // The strategy decides only the source, the updaters' sink and the
-// traversals' filter bit; the direction decides the traversals.
+// traversals' filter bit; the direction decides the traversals. A pass
+// operator (Ordered.Passes) and constant-sum each bring their own traversal.
 func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint32, ctl *runCtl) *engine {
 	n, w := o.G.NumVertices(), ex.Workers()
 	grain := o.Cfg.Grain
@@ -172,8 +174,8 @@ func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint3
 	e := &engine{o: o, ups: ups, ex: ex, ctl: ctl, pullThreshold: int64(o.G.NumEdges()) / 20}
 	s := sweeper{o: o, ex: ex, sc: sc, ups: ups, grain: grain, ctl: ctl}
 	var bins []*bucket.LocalBins
-	switch o.Cfg.Strategy {
-	case EagerWithFusion, EagerNoFusion:
+	switch {
+	case o.Cfg.Strategy == EagerWithFusion || o.Cfg.Strategy == EagerNoFusion:
 		bins = sc.getBins(w)
 		for i, u := range ups {
 			u.bins = bins[i]
@@ -183,9 +185,12 @@ func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint3
 		}
 		e.src = &eagerBins{bins: bins, sc: sc}
 		s.filter = true
-	case LazyConstantSum:
+	case o.Cfg.Strategy == LazyConstantSum:
 		src := o.newLazySource(active)
 		e.src, e.push = &filedSource{*src}, &constSumTrav{sweeper: s, hist: sc.getHist(n, w), lz: src.lz}
+		return e
+	case o.Passes != nil:
+		e.src, e.push = o.newLazySource(active), &passTrav{sweeper: s}
 		return e
 	default: // Lazy
 		e.src = o.newLazySource(active)
@@ -324,8 +329,8 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) erro
 			st.PullRounds++
 		}
 		// One global synchronization per round: the sweep's join plus the
-		// bulk bucket update (paper Figure 5, lines 12–13).
-		st.GlobalSyncs++
+		// bulk bucket update (paper Figure 5, lines 12–13), or one per pass.
+		st.GlobalSyncs += int64(max(1, len(o.Passes)))
 		var nUpdated int
 		if pe := e.phase(PhaseUpdate, func() { nUpdated = e.src.update(updated) }); pe != nil {
 			return pe
@@ -417,7 +422,7 @@ func (o *Ordered) initialActive() ([]uint32, error) {
 		}
 		return act, nil
 	}
-	var act []uint32
+	act := make([]uint32, 0, len(o.Prio)) // full scans serve k-core and SetCover, where all are active
 	for v, p := range o.Prio {
 		if p == null {
 			continue

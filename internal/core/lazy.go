@@ -24,11 +24,15 @@ type lazySource struct {
 // entries are filtered on extraction (§5.1's optimized interface). Like
 // every other reader of the priority vector, it loads priorities atomically.
 func (o *Ordered) newLazySource(active []uint32) *lazySource {
+	prio, fin, null, cfg := o.Prio, o.fin, o.nullPrio(), &o.Cfg
 	bktOf := func(v uint32) int64 {
-		if o.fin != nil && o.fin.IsSet(v) {
+		if fin != nil && fin.IsSet(v) {
 			return bucket.NullBkt
 		}
-		return o.bucketOf(atomicutil.Load(&o.Prio[v]))
+		if p := atomicutil.Load(&prio[v]); p != null {
+			return cfg.coarsen(p)
+		}
+		return bucket.NullBkt
 	}
 	return &lazySource{lz: bucket.NewLazyFrom(o.G.NumVertices(), o.Order, o.Cfg.NumBuckets, bktOf, active)}
 }

@@ -179,6 +179,35 @@ func (t *pullTrav) sweep(lo, hi, worker int) {
 	}
 }
 
+// passTrav runs a pass operator's vertex passes (Ordered.Passes) over a
+// lazy frontier, one ForChunks barrier each. What they re-file with
+// Updater.SetPriority reaches the seam in the updaters' buffers.
+type passTrav struct {
+	sweeper
+	bodies   []func(lo, hi, worker int) // one per pass, built once per run
+	frontier []uint32
+}
+
+func (t *passTrav) relax(_, _ int64, frontier []uint32) ([]uint32, bool) {
+	for i := len(t.bodies); i < len(t.o.Passes); i++ {
+		pass := t.o.Passes[i]
+		t.bodies = append(t.bodies, func(lo, hi, worker int) {
+			if u := t.ups[worker]; !t.ctl.checkpoint(PhaseRelaxChunk, worker) {
+				u.relaxations += pass(t.frontier[lo:hi], worker, u)
+			}
+		})
+	}
+	t.ups[0].processed += int64(len(frontier))
+	t.frontier = frontier
+	for _, body := range t.bodies {
+		if t.ctl.aborted() == abortNone {
+			t.ex.ForChunks(len(frontier), t.grain, body)
+		}
+	}
+	t.frontier = nil
+	return t.sc.collect(t.ups), t.ctl.aborted() != abortNone
+}
+
 // sweepOut applies the operator to every out-edge of v, whose priority the
 // caller loaded once as p. The MinPlus loop relaxes from that one load:
 // priorities only fall, and if v's falls mid-sweep, the write that lowered

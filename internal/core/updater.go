@@ -79,6 +79,16 @@ func (u *Updater) record(v graph.VertexID, newPrio int64) {
 	}
 }
 
+// SetPriority sets v's priority to p and, unless p is null, lists v for the
+// round's bucket update even if its bucket is unchanged: how a vertex pass
+// (Ordered.Passes) re-files a vertex it dequeued.
+func (u *Updater) SetPriority(v graph.VertexID, p int64) {
+	atomicutil.Store(&u.o.Prio[v], p)
+	if p != u.o.nullPrio() {
+		u.record(v, p)
+	}
+}
+
 // UpdatePriorityMin lowers v's priority to newPrio if it improves it, and
 // reports whether the update won. Only valid on lower_first queues.
 func (u *Updater) UpdatePriorityMin(v graph.VertexID, newPrio int64) bool {

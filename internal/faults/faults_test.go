@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"graphit"
+	"graphit/algo"
 	"graphit/internal/core"
 	"graphit/internal/gen"
 	"graphit/internal/parallel"
@@ -379,6 +380,69 @@ func TestCancelMidRound(t *testing.T) {
 			}
 			if st.Rounds < 1 {
 				t.Fatalf("partial Stats lost: %+v", st)
+			}
+		})
+	}
+}
+
+// TestSetCoverFaults runs SetCover's two vertex passes under the engine's
+// run contract: a panic in a pass chunk returns a *PanicError, a stalled
+// round under RoundTimeout a *StuckError, and a cancel mid-round the
+// context's error — each with the partial cover and its Stats — and a
+// fresh run on the same pool afterwards picks the fault-free cover.
+func TestSetCoverFaults(t *testing.T) {
+	defer testutil.LeakCheck(t, parallel.CloseIdle)()
+	g := kcoreGraph(t)
+	sched := graphit.DefaultSchedule().ConfigNumWorkers(2)
+	want, err := algo.SetCover(g, sched.ConfigNumWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		sched graphit.Schedule
+		in    func(cancel context.CancelFunc) *Injector
+		check func(t *testing.T, err error)
+	}{
+		{"panic", sched, func(context.CancelFunc) *Injector {
+			return New(PanicAt(core.PhaseRelaxChunk, 2, "injected fault"))
+		}, func(t *testing.T, err error) {
+			var pe *graphit.PanicError
+			if !errors.As(err, &pe) || pe.Value != "injected fault" || pe.Round != 2 {
+				t.Fatalf("expected a round-2 *PanicError, got %v", err)
+			}
+		}},
+		{"stall", sched.ConfigRoundTimeout(30 * time.Millisecond), func(context.CancelFunc) *Injector {
+			return New(DelayAt(core.PhaseRelaxChunk, 2, 300*time.Millisecond))
+		}, func(t *testing.T, err error) {
+			var se *graphit.StuckError
+			if !errors.As(err, &se) || se.Reason != core.StuckRoundTimeout || se.Round != 2 || len(se.Recent) == 0 {
+				t.Fatalf("expected a round-2 timeout *StuckError with recent rounds, got %v", err)
+			}
+		}},
+		{"cancel", sched.ConfigRoundTimeout(time.Second), func(cancel context.CancelFunc) *Injector {
+			return New(CancelAt(core.PhaseRelaxChunk, 2, cancel))
+		}, func(t *testing.T, err error) {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("expected context.Canceled, got %v", err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			res, err := algo.SetCoverContext(c.in(cancel).Context(ctx), g, c.sched)
+			c.check(t, err)
+			if res == nil || res.Stats.Rounds < 1 || res.Stats.Relaxations == 0 {
+				t.Fatalf("partial cover or Stats lost: %+v", res)
+			}
+			again, err := algo.SetCover(g, sched.ConfigNumWorkers(1))
+			if err != nil {
+				t.Fatalf("run after the fault failed: %v", err)
+			}
+			if again.NumChosen != want.NumChosen || again.Stats != want.Stats {
+				t.Fatalf("post-fault run chose %d sets (%v), want %d (%v)", again.NumChosen, again.Stats, want.NumChosen, want.Stats)
 			}
 		})
 	}

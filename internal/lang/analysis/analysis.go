@@ -103,7 +103,8 @@ type ConstantSumInfo struct {
 // LoopInfo is the recognized ordered while loop of main.
 type LoopInfo struct {
 	While *lang.WhileStmt
-	// Label is the scheduling label on the applyUpdatePriority statement.
+	// Label is the scheduling label on the applyUpdatePriority statement,
+	// or on the first labeled phase of an extern-driven loop.
 	Label string
 	// BucketVar is the dequeued vertexset variable.
 	BucketVar string

@@ -141,6 +141,9 @@ func (r *Result) classifyLoopBody(w *lang.WhileStmt) (*LoopInfo, error) {
 					return nil, fmt.Errorf("analysis: %s: %s must be applied to the dequeued bucket", s.Pos, mc.Method)
 				}
 				li.ExternDriven = true
+				if li.Label == "" {
+					li.Label = label
+				}
 			default:
 				return nil, fmt.Errorf("analysis: %s: unsupported operator %q in ordered loop", s.Pos, mc.Method)
 			}

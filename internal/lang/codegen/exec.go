@@ -109,9 +109,7 @@ func (m *machine) run() (res *ExecResult, err error) {
 	main := newFrame(nil, len(m.ir.main.slots))
 	m.block(m.ir.pre)(main)
 	var st core.Stats
-	if lp := m.ir.loop; lp != nil && lp.phases != nil {
-		st = m.runExternLoop(lp)
-	} else if lp != nil {
+	if lp := m.ir.loop; lp != nil {
 		if st, err = m.ordered(lp, main).Run(); err != nil {
 			return nil, err
 		}
@@ -138,6 +136,9 @@ func (m *machine) ordered(lp *irLoop, main *frame) *core.Ordered {
 	}
 	if !lp.lowerFirst {
 		op.Order = bucket.Decreasing
+	}
+	if lp.phases != nil {
+		return m.externLoop(op, lp)
 	}
 	if lp.constSum != nil {
 		op.SumConst, op.SumFloorIsCurrent = lp.constSum.Const, lp.constSum.ThresholdIsCurrentPriority

@@ -277,12 +277,18 @@ func (l *lowerer) loop(p *Plan) *irLoop {
 	if !pq.LowerFirst {
 		lp.null = constant(core.NullMax, kInt, "graphit.NullMax")
 	}
+	if !pq.AllowCoarsening && s.Delta > 1 {
+		l.errf(l.pos, "schedule sets ∆=%d but the priority queue disallows coarsening", s.Delta)
+	}
 	if li.ExternDriven {
 		if pq.AllowCoarsening {
 			l.errf(l.pos, "extern-driven loops do not support priority coarsening")
 		}
 		for _, st := range li.While.Body[1:] {
 			if ls, ok := st.(*lang.LabeledStmt); ok {
+				if _, named := p.Schedules[ls.Label]; named && ls.Label != li.Label {
+					l.errf(ls.Pos, "the loop's schedule is on its first labeled phase %q, not on %q", li.Label, ls.Label)
+				}
 				st = ls.S
 			}
 			if es, ok := st.(*lang.ExprStmt); ok {
@@ -295,9 +301,6 @@ func (l *lowerer) loop(p *Plan) *irLoop {
 			}
 		}
 		return lp
-	}
-	if !pq.AllowCoarsening && s.Delta > 1 {
-		l.errf(l.pos, "schedule sets ∆=%d but the priority queue disallows coarsening", s.Delta)
 	}
 	info := p.Analysis.UDFs[li.UDFName]
 	if s.Strategy == core.LazyConstantSum {

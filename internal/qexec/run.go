@@ -122,8 +122,8 @@ func (pl *Plan) outcome(code Code, err error) *Outcome {
 
 // runLanes executes the lanes under sched with a last-resort panic shield:
 // the engine contains panics in its own phases, but algorithm code outside
-// an engine phase (argument checks, manual round loops like SetCover's)
-// could still unwind into the pipeline. Any such panic is converted to a
+// an engine phase (argument checks, setup, result assembly) could still
+// unwind into the pipeline. Any such panic is converted to a
 // *graphit.PanicError so every layer above sees one fault taxonomy and the
 // process never dies for a query.
 //

@@ -44,6 +44,10 @@ func TestFaultDrill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, greedy, err := algo.GreedySetCover(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// While injecting is set, every query's context gets a fresh injector,
 	// shared by its primary run and its fallback rerun. Most queries get a
@@ -51,9 +55,8 @@ func TestFaultDrill(t *testing.T) {
 	// a one-shot round stall long enough to trip the 2s round watchdog, so
 	// the drill exercises both fault kinds; every 10th (offset 5) gets a
 	// persistent panic that faults the rerun too. (A fault only bites when
-	// a run reaches its phase — setcover's own round loop has no engine
-	// watchdog or relax-chunk hook — and behind an open breaker the lone
-	// fallback takes the request's fault itself.) forced, when non-zero,
+	// a run reaches its phase, and behind an open breaker the lone fallback
+	// takes the request's fault itself.) forced, when non-zero,
 	// overrides the mix for the deterministic checks after the barrage.
 	const (
 		mixed = iota
@@ -165,6 +168,10 @@ func TestFaultDrill(t *testing.T) {
 			}
 		case 3:
 			wantValues(t, r.resp, ids, refCore)
+		case 4: // within 1.5x the sequential greedy cover, as the spine checks
+			if c := r.resp.CoverSize; c == nil || *c < 1 || 2**c > 3*greedy {
+				t.Fatalf("query %d: setcover cover_size %v, greedy needs %d", r.i, c, greedy)
+			}
 		}
 	}
 	if panics == 0 {

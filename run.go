@@ -27,6 +27,10 @@ type Queue = core.Updater
 // the DSL's updateEdge UDF (paper Figure 3, lines 7–10).
 type EdgeFunc = core.EdgeFunc
 
+// VertexPass is one per-round pass over the frontier's vertices: set
+// Ordered.Passes to a list of them instead of an edge function (SetCover).
+type VertexPass = core.VertexPass
+
 // StopFunc is a customized stop condition checked once per round with the
 // priority of the bucket about to be processed.
 type StopFunc = core.StopFunc
