@@ -30,7 +30,8 @@ func (o *Ordered) RunApprox() (Stats, error) {
 
 // RunApproxContext is RunApprox under a context: cancellation is checked at
 // every batch boundary, halting all workers and returning the partial Stats
-// together with ctx.Err().
+// together with ctx.Err(). The engine has no rounds, so Cfg.RoundTimeout and
+// Cfg.StuckRounds are silently ignored: bound an approximate run with ctx.
 //
 // Panics in the edge function are contained like in the bucketed engine: all
 // workers join, and the fault returns as a *PanicError with partial Stats.

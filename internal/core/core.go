@@ -156,13 +156,15 @@ type Config struct {
 	Workers int
 	// Grain is the dynamic-scheduling chunk size (0 = parallel.DefaultGrain).
 	Grain int
-	// RoundTimeout, when positive, arms a watchdog that aborts any round
-	// staying in flight longer than this, returning a *StuckError. The
-	// abort is cooperative — checked at chunk boundaries inside traversal
-	// phases — so it catches livelocks (e.g. a fusion loop that never
-	// drains) but cannot interrupt a single blocked call into a user edge
-	// function. 0 disables the watchdog (the default); go test -timeout
-	// remains the backstop for truly hung code.
+	// RoundTimeout, when positive, aborts any round running longer than
+	// this, counted from before its next_bucket phase, with a *StuckError
+	// naming that round. The deadline is judged where the engine already
+	// asks whether to stop — at chunk boundaries inside traversal phases
+	// and at each round's end — so it catches livelocks (e.g. a fusion loop
+	// that never drains) but cannot interrupt a single blocked call into a
+	// user edge function. It also makes context cancellation stop a round
+	// mid-sweep instead of at the next barrier. 0 disables it (the
+	// default); go test -timeout remains the backstop for truly hung code.
 	RoundTimeout time.Duration
 	// StuckRounds, when positive, aborts with a *StuckError after this many
 	// consecutive rounds that extract the same bucket with zero relaxations

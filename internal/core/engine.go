@@ -32,7 +32,7 @@ type bucketSource interface {
 // (pushTrav, the lane kernel), DensePull (pullTrav), the constant-sum
 // histogram reduction, or a pass operator's vertex passes (passTrav). It
 // returns the vertices whose priorities changed (for bucketSource.update)
-// and whether the sweep observed a cooperative abort (watchdog timeout or
+// and whether the sweep observed a cooperative abort (round timeout or
 // mid-round cancellation) and stopped early — in which case its effects may
 // be partial and updated must be discarded.
 type traversal interface {
@@ -62,9 +62,9 @@ func (o *Ordered) Run() (Stats, error) {
 
 // RunContext executes the ordered operator under ctx. Cancellation is
 // cooperative: the engine checks ctx at every round barrier (and, when a
-// RoundTimeout watchdog is active, at chunk boundaries mid-round), so a
-// cancelled or expired context halts the run promptly and returns the
-// partial Stats accumulated so far together with ctx.Err().
+// RoundTimeout is set, at chunk boundaries mid-round), so a cancelled or
+// expired context halts the run promptly and returns the partial Stats
+// accumulated so far together with ctx.Err().
 //
 // Faults are contained: a panic in a traversal phase (typically a user
 // edge function) is recovered and returned as a *PanicError, and a round
@@ -107,10 +107,7 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 	// parallel phases reuse parked workers instead of spawning goroutines.
 	ex := parallel.Acquire(o.Cfg.Workers)
 	ctl := newRunCtl(ctx)
-	var stopWatch func()
-	if o.Cfg.RoundTimeout > 0 {
-		stopWatch = ctl.startWatchdog(ctx, o.Cfg.RoundTimeout)
-	}
+	disarm := ctl.arm(ctx, o.Cfg.RoundTimeout)
 	sc := getScratch()
 	e := o.buildEngine(sc, ex, active, ctl)
 	if trace {
@@ -119,9 +116,7 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 	var st Stats
 	runErr := e.run(ctx, tr, trace, &st)
 	e.src.finish(&st)
-	if stopWatch != nil {
-		stopWatch()
-	}
+	disarm()
 	if trace {
 		tr.RunEnd(st, runErr)
 	}
@@ -261,9 +256,10 @@ const recentRounds = 8
 
 // run is the single shared round loop: extract the next bucket, check the
 // stop condition, sweep edges, fold counters, bulk-update buckets — with a
-// cooperative cancellation check at every round barrier. Every error it
-// returns ends the run: a contained *PanicError, a *StuckError from the
-// watchdog or the no-progress detector, or the context's error.
+// cooperative cancellation check at every round barrier and the run
+// control's stop question at every round's end. Every error it returns ends
+// the run: a contained *PanicError, a *StuckError from the round deadline
+// or the no-progress detector, or the context's error.
 func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) error {
 	o := e.o
 	ctl := e.ctl
@@ -283,12 +279,10 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) erro
 			return pe
 		}
 		if bid == bucket.NullBkt {
-			ctl.endRound()
 			return nil
 		}
 		curPrio := bid * o.Cfg.Delta
 		if o.Stop != nil && o.Stop(curPrio) {
-			ctl.endRound()
 			return nil
 		}
 		st.Rounds++
@@ -304,26 +298,7 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) erro
 			return pe
 		}
 		if aborted {
-			if ctl.aborted() == abortCancel {
-				return ctx.Err()
-			}
-			return &StuckError{
-				Reason: StuckRoundTimeout, Round: st.Rounds, Bucket: bid,
-				Priority: curPrio, Frontier: len(frontier),
-				Elapsed: time.Since(begin),
-				Recent:  append([]RoundEvent(nil), recent...),
-			}
-		}
-		if r := ctl.aborted(); r != abortNone {
-			// The abort raced with the round's completion: the traversal
-			// never observed it, so the round's effects are fully applied.
-			// Honor cancellation at this barrier; a late timeout is moot —
-			// the round is done — so clear it and continue.
-			if r == abortCancel {
-				return ctx.Err()
-			}
-			ctl.reset()
-			ctl.beginRound(st.Rounds) // keep the watchdog timing this round's tail
+			return e.abortErr(ctx, st.Rounds, bid, curPrio, len(frontier), recent)
 		}
 		if pull {
 			st.PullRounds++
@@ -334,6 +309,9 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) erro
 		var nUpdated int
 		if pe := e.phase(PhaseUpdate, func() { nUpdated = e.src.update(updated) }); pe != nil {
 			return pe
+		}
+		if ctl.stopped() {
+			return e.abortErr(ctx, st.Rounds, bid, curPrio, len(frontier), recent)
 		}
 		ev := RoundEvent{
 			Round:       st.Rounds,
@@ -369,7 +347,6 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) erro
 				}
 				stuckRun++
 				if stuckRun >= o.Cfg.StuckRounds {
-					ctl.endRound()
 					return &StuckError{
 						Reason: StuckNoProgress, Round: st.Rounds, Bucket: bid,
 						Priority: curPrio, Frontier: len(frontier),
@@ -382,7 +359,20 @@ func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) erro
 			}
 			lastBid = bid
 		}
-		ctl.endRound()
+	}
+}
+
+// abortErr is the error of a round the run control stopped: the context's
+// error after a cancellation, else a timeout *StuckError naming the round.
+func (e *engine) abortErr(ctx context.Context, round, bid, prio int64, frontier int, recent []RoundEvent) error {
+	if e.ctl.aborted() == abortCancel {
+		return ctx.Err()
+	}
+	return &StuckError{
+		Reason: StuckRoundTimeout, Round: round, Bucket: bid,
+		Priority: prio, Frontier: frontier,
+		Elapsed: e.ctl.elapsed(),
+		Recent:  append([]RoundEvent(nil), recent...),
 	}
 }
 

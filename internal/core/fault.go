@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,8 +53,8 @@ const (
 	StuckNoProgress = "no_progress"
 )
 
-// StuckError reports a run aborted by the watchdog (RoundTimeout) or the
-// no-progress detector (StuckRounds), with enough per-round trace context
+// StuckError reports a run aborted by its round deadline (RoundTimeout) or
+// the no-progress detector (StuckRounds), with enough per-round trace context
 // to diagnose the hang.
 type StuckError struct {
 	// Reason is StuckRoundTimeout or StuckNoProgress.
@@ -66,8 +65,9 @@ type StuckError struct {
 	Bucket   int64
 	Priority int64
 	Frontier int
-	// Elapsed is how long the offending round (timeout) or the no-progress
-	// streak had been running.
+	// Elapsed is how long the offending round (timeout, counted from
+	// before its next_bucket phase) or the no-progress streak had been
+	// running.
 	Elapsed time.Duration
 	// Recent holds the last few completed rounds' trace events, oldest
 	// first, regardless of whether a Tracer was attached.
@@ -108,22 +108,26 @@ const (
 	abortCancel
 )
 
-// runCtl is the per-run control block shared between the round loop, the
-// traversal phases, and the watchdog goroutine: the fault-injection hook,
-// the cooperative abort flag, and the current round's identity and start
-// time. Traversals poll it at chunk boundaries, so an abort interrupts a
-// round at chunk granularity (it cannot interrupt a single blocked call
-// into a user edge function — a Go limitation the watchdog documents by
-// aborting as soon as the offending chunk returns).
+// runCtl is the per-run control block shared between the round loop and
+// the traversal phases: the fault-injection hook, the cooperative abort
+// flag, the round deadline, and the current round's identity and start.
+// Traversals poll it at chunk boundaries, so an abort interrupts a round at
+// chunk granularity (it cannot interrupt a single blocked call into a user
+// edge function — a Go limitation: the round is aborted as soon as the
+// offending chunk returns).
 type runCtl struct {
 	hook FaultHook
 	// worker is the id the round loop's own checkpoints report: 0, except
 	// in a lane group, where it is the group's executor worker.
 	worker int
+	// timeout is the round deadline (0 = none); start is the monotonic
+	// origin of roundStart, set by arm.
+	timeout time.Duration
+	start   time.Time
 
 	reason     atomic.Int32 // abortNone/abortTimeout/abortCancel
 	round      atomic.Int64 // 1-based round in flight (0 when idle)
-	roundStart atomic.Int64 // UnixNano of the round's start (0 when idle)
+	roundStart atomic.Int64 // the round's start, in ns since start
 }
 
 func newRunCtl(ctx context.Context) *runCtl {
@@ -134,32 +138,54 @@ func newRunCtl(ctx context.Context) *runCtl {
 	return c
 }
 
+// arm sets the round deadline. A positive timeout also turns ctx's
+// cancellation into a mid-round abort (without it, cancellation is only
+// seen at round barriers); the returned function unregisters that.
+func (c *runCtl) arm(ctx context.Context, timeout time.Duration) (disarm func() bool) {
+	if timeout <= 0 {
+		return func() bool { return false }
+	}
+	c.timeout, c.start = timeout, time.Now()
+	return context.AfterFunc(ctx, func() { c.abort(abortCancel) })
+}
+
 // abort requests a cooperative stop; the first reason wins.
 func (c *runCtl) abort(reason int32) { c.reason.CompareAndSwap(abortNone, reason) }
 
 // aborted reports the recorded abort reason (abortNone if none).
 func (c *runCtl) aborted() int32 { return c.reason.Load() }
 
-// beginRound marks a round in flight for the watchdog and hook.
+// beginRound marks round in flight and, under a deadline, stamps its start.
 func (c *runCtl) beginRound(round int64) {
 	c.round.Store(round)
-	c.roundStart.Store(time.Now().UnixNano())
+	if c.timeout > 0 {
+		c.roundStart.Store(int64(time.Since(c.start)))
+	}
 }
 
-// endRound marks the run idle (between rounds) so the watchdog does not
-// time an interval no round is consuming.
-func (c *runCtl) endRound() { c.roundStart.Store(0) }
+// elapsed is how long the round in flight has run; it needs a deadline
+// armed, as only then are rounds stamped.
+func (c *runCtl) elapsed() time.Duration {
+	return time.Since(c.start) - time.Duration(c.roundStart.Load())
+}
 
-// reset clears a timeout abort that raced with its round's completion, so
-// the run continues clean.
-func (c *runCtl) reset() {
-	c.reason.Store(abortNone)
-	c.endRound()
+// stopped is the one stop question of the round loop and its traversals:
+// it reports whether the run has been aborted, first recording a timeout
+// if the round in flight is past its deadline.
+func (c *runCtl) stopped() bool {
+	if c.reason.Load() != abortNone {
+		return true
+	}
+	if c.timeout > 0 && c.elapsed() > c.timeout {
+		c.abort(abortTimeout)
+		return true
+	}
+	return false
 }
 
 // clean reports whether a finished run's scratch may be pooled: not after a
-// contained panic or a watchdog-driven mid-round abort, which leave derived
-// state (dense frontier maps, histograms, lane buffers) partial.
+// contained panic or an abort, which leave derived state (dense frontier
+// maps, histograms, lane buffers) partial.
 func (c *runCtl) clean(err error) bool {
 	_, panicked := err.(*PanicError)
 	return !panicked && c.aborted() == abortNone
@@ -182,56 +208,10 @@ func (c *runCtl) fireAt(phase string, round int64, worker int) {
 
 // checkpoint is the per-chunk check inside parallel traversal phases: it
 // fires the injection hook (which may panic — contained by the executor)
-// and reports whether the round has been aborted and the worker should
-// stop claiming work.
+// and reports whether the worker should stop claiming work.
 func (c *runCtl) checkpoint(phase string, worker int) bool {
 	c.fire(phase, worker)
-	return c.reason.Load() != abortNone
-}
-
-// startWatchdog spawns the round watchdog: it aborts any round that stays
-// in flight longer than timeout, and converts context cancellation into a
-// mid-round abort (without it, cancellation is only seen at round
-// barriers). The returned stop function joins the goroutine.
-func (c *runCtl) startWatchdog(ctx context.Context, timeout time.Duration) func() {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := timeout / 8
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		// Abort each round start at most once: once the engine has reset a
-		// timeout that raced with its round's completion, that interval is
-		// judged and must not be aborted again.
-		var lastAborted int64
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				c.abort(abortCancel)
-				return
-			case <-t.C:
-				start := c.roundStart.Load()
-				if start == 0 || start == lastAborted {
-					continue
-				}
-				if time.Since(time.Unix(0, start)) > timeout {
-					c.abort(abortTimeout)
-					lastAborted = start
-				}
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
+	return c.stopped()
 }
 
 // asPanicError converts a recovered panic value into a *PanicError,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -63,49 +64,108 @@ func TestStuckNoProgressDetector(t *testing.T) {
 	}
 }
 
-func TestWatchdogAbortsLongRound(t *testing.T) {
+// TestRoundDeadline: the run control's stop question lets a round run
+// until its deadline and records a timeout once the round is past it —
+// judged by the asking checkpoint itself, with no goroutine behind it.
+func TestRoundDeadline(t *testing.T) {
 	ctl := &runCtl{}
+	defer ctl.arm(context.Background(), time.Hour)()
 	ctl.beginRound(1)
-	stop := ctl.startWatchdog(context.Background(), 10*time.Millisecond)
-	defer stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for ctl.aborted() != abortTimeout {
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog never aborted an over-long round")
-		}
-		time.Sleep(time.Millisecond)
+	if ctl.stopped() || ctl.aborted() != abortNone {
+		t.Fatal("a round an hour from its deadline was stopped")
 	}
-	// The same round must not be aborted twice after a reset…
-	start := ctl.roundStart.Load()
-	ctl.reset()
-	ctl.round.Store(1)
-	ctl.roundStart.Store(start) // same round identity
-	time.Sleep(30 * time.Millisecond)
+
+	ctl = &runCtl{}
+	defer ctl.arm(context.Background(), time.Millisecond)()
+	ctl.beginRound(1)
+	time.Sleep(5 * time.Millisecond)
 	if ctl.aborted() != abortNone {
-		t.Fatal("watchdog re-aborted the round it already aborted")
+		t.Fatal("the deadline was judged with no checkpoint asking")
 	}
-	// …but a new round is timed afresh.
-	ctl.beginRound(2)
-	for ctl.aborted() != abortTimeout {
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog ignored the next round")
-		}
-		time.Sleep(time.Millisecond)
+	if !ctl.stopped() || ctl.aborted() != abortTimeout {
+		t.Fatalf("a round past its deadline: stopped with reason %d, want abortTimeout", ctl.aborted())
+	}
+	if d := ctl.elapsed(); d < 5*time.Millisecond {
+		t.Fatalf("elapsed %v, want at least the 5ms the round ran", d)
 	}
 }
 
-func TestWatchdogConvertsCancellation(t *testing.T) {
+// TestRoundDeadlineConvertsCancellation: an armed run control turns its
+// context's cancellation into a mid-round abort with no checkpoint asking;
+// once disarmed, or armed without a deadline, it leaves cancellation to the
+// round barriers.
+func TestRoundDeadlineConvertsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	ctl := &runCtl{}
-	stop := ctl.startWatchdog(ctx, time.Hour)
-	defer stop()
+	disarm := ctl.arm(ctx, time.Hour)
+	defer disarm()
 	cancel()
 	deadline := time.Now().Add(2 * time.Second)
 	for ctl.aborted() != abortCancel {
 		if time.Now().After(deadline) {
-			t.Fatal("watchdog never propagated the cancellation")
+			t.Fatal("cancellation never reached the abort flag")
 		}
 		time.Sleep(time.Millisecond)
+	}
+
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ctl := &runCtl{}
+		ctl.arm(ctx, timeout)()
+		cancel()
+		time.Sleep(10 * time.Millisecond)
+		if ctl.aborted() != abortNone {
+			t.Fatalf("timeout %v: a cancellation after disarm set reason %d", timeout, ctl.aborted())
+		}
+	}
+}
+
+// TestRunStartsNoGoroutine: a run under RoundTimeout starts no goroutine of
+// its own — not an engine run at one worker, and not a two-group lane-kernel
+// run at two. The count inside a round's relax phase equals the count
+// before the run, once a warm-up run has pooled the executor.
+func TestRunStartsNoGoroutine(t *testing.T) {
+	g := lineGraph(t, 256)
+	cfg := DefaultConfig()
+	cfg.Strategy = Lazy
+	cfg.RoundTimeout = time.Hour
+	for _, c := range []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"engine_w1", func(ctx context.Context) error {
+			cfg := cfg
+			cfg.Workers = 1
+			op, _ := ssspOp(g, 0, cfg)
+			_, err := op.RunContext(ctx)
+			return err
+		}},
+		{"lanes2_w2", func(ctx context.Context) error {
+			cfg := cfg
+			cfg.Workers = 2
+			mo, _ := multiOp(g, []uint32{0, 128}, cfg)
+			_, err := mo.RunContext(ctx)
+			return err
+		}},
+	} {
+		var during atomic.Int64
+		ctx := WithFaultHook(context.Background(), func(phase string, round int64, worker int) {
+			if phase == PhaseRelaxChunk {
+				during.CompareAndSwap(0, int64(runtime.NumGoroutine()))
+			}
+		})
+		if err := c.run(ctx); err != nil {
+			t.Fatalf("%s: warm-up run: %v", c.name, err)
+		}
+		during.Store(0)
+		before := runtime.NumGoroutine()
+		if err := c.run(ctx); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := during.Load(); got != int64(before) {
+			t.Errorf("%s: %d goroutines during a round, %d before the run", c.name, got, before)
+		}
 	}
 }
 

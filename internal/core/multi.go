@@ -147,7 +147,7 @@ func (mo *MultiOrdered) Run() (MultiStats, error) {
 }
 
 // RunContext executes the multi-source operator under ctx with the same
-// cancellation, watchdog, and panic-containment envelope as
+// cancellation, round-deadline, and panic-containment envelope as
 // Ordered.RunContext. On a
 // contained fault or cancellation the lane vectors hold a partially-relaxed
 // (still monotone-safe) state and MultiStats carries the partial counters.
@@ -201,7 +201,7 @@ func (mo *MultiOrdered) seeds() int {
 // runGroups runs the lanes as g contiguous lane groups on a w-worker
 // executor, worker i running group i. Lane vectors are disjoint, so each
 // group is an independent serial kernel run — its own laneTrav, state plane,
-// bucket structure, scratch and runCtl (with its own watchdog) — exactly the
+// bucket structure, scratch and runCtl (with its own deadline) — exactly the
 // run a one-group RunMulti over those lanes would make. Per-lane stats land
 // at their lane index and the shared counters are summed over the groups.
 // The first group error is the run's error: it cancels the siblings, whose
@@ -300,10 +300,7 @@ func (mo *MultiOrdered) runKernel(ctx context.Context, ctl *runCtl, tr Tracer, t
 		return nil
 	}
 
-	var stopWatch func()
-	if mo.Cfg.RoundTimeout > 0 {
-		stopWatch = ctl.startWatchdog(ctx, mo.Cfg.RoundTimeout)
-	}
+	disarm := ctl.arm(ctx, mo.Cfg.RoundTimeout)
 	lz := bucket.NewLazyFrom(k*nPad, mo.Order, mo.Cfg.NumBuckets, t.bktOfID, ids)
 	lz.SetSelfFiltered()
 	ups := sc.getUpdaters(face, 1)
@@ -313,9 +310,7 @@ func (mo *MultiOrdered) runKernel(ctx context.Context, ctl *runCtl, tr Tracer, t
 
 	runErr := e.run(ctx, tr, trace, st)
 	src.finish(st)
-	if stopWatch != nil {
-		stopWatch()
-	}
+	disarm()
 	// A faulted or aborted round leaves the cascade and partition buffers
 	// mid-use; only a clean run hands its (grown) scratch back to the pool.
 	if ctl.clean(runErr) {
@@ -451,9 +446,9 @@ func (t *laneTrav) stop(cur int64) bool {
 //
 // A drain can be one whole run (any ∆ above the graph's distances), so it
 // keeps the engine's cancellation contract itself: besides the hooked
-// checkpoint at each segment start, it polls the abort flag every lanePoll
-// consumed ids — a plain load, no hook — and a watchdog or cancellation
-// abort ends the round mid-drain, its partial counters folded.
+// checkpoint at each segment start, it asks ctl.stopped every lanePoll
+// consumed ids — no hook — and a round timeout or a cancellation ends the
+// round mid-drain, its partial counters folded.
 func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool) {
 	g := t.mo.G
 	state := t.state
@@ -525,7 +520,7 @@ func (t *laneTrav) relax(bid, curPrio int64, ids []uint32) ([]uint32, bool) {
 			if state[id] == 0 {
 				continue // stale or duplicate copy
 			}
-			if proc&(lanePoll-1) == lanePoll-1 && t.ctl.aborted() != abortNone {
+			if proc&(lanePoll-1) == lanePoll-1 && t.ctl.stopped() {
 				aborted = true
 				break
 			}

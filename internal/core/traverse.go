@@ -112,8 +112,8 @@ func (t *pushTrav) sweep(worker int) {
 	for !t.halt.Load() {
 		// The fusion checkpoint also breaks fusion livelocks: a UDF that
 		// keeps re-inserting into the current bucket spins here without
-		// ever reaching a global barrier, so this is the only point a
-		// watchdog abort can interrupt it.
+		// ever reaching a global barrier, so this is the only point its
+		// round deadline is judged.
 		if t.ctl.checkpoint(PhaseFusion, worker) {
 			return
 		}

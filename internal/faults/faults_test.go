@@ -359,8 +359,39 @@ func TestWatchdogTimeout(t *testing.T) {
 	})
 }
 
+// TestRoundTimeoutChargesStalledRound stalls round 2 outside its relax
+// phase, in next_bucket and in update_buckets, past a 10ms RoundTimeout.
+// Either way round 2 fails with a timeout *StuckError whose Elapsed covers
+// the stall: the round is timed from before its next_bucket, and one that
+// overruns in its last phase is judged at its own end, not charged to the
+// round after it.
+func TestRoundTimeoutChargesStalledRound(t *testing.T) {
+	defer testutil.LeakCheck(t, parallel.CloseIdle)()
+	g := ssspGraph(t)
+	sched := graphit.DefaultSchedule().
+		ConfigApplyPriorityUpdate("lazy").
+		ConfigApplyPriorityUpdateDelta(4).
+		ConfigNumWorkers(1).
+		ConfigRoundTimeout(10 * time.Millisecond)
+	const stall = 100 * time.Millisecond
+	for _, phase := range []string{core.PhaseNext, core.PhaseUpdate} {
+		t.Run(phase, func(t *testing.T) {
+			op, _ := ssspOp(g, 1)
+			in := New(DelayAt(phase, 2, stall))
+			_, err := graphit.RunOrderedContext(in.Context(context.Background()), op, sched)
+			var se *graphit.StuckError
+			if !errors.As(err, &se) || se.Reason != core.StuckRoundTimeout {
+				t.Fatalf("expected a timeout *StuckError, got %v", err)
+			}
+			if se.Round != 2 || se.Elapsed < stall {
+				t.Fatalf("StuckError names round %d after %v, want round 2 after at least %v", se.Round, se.Elapsed, stall)
+			}
+		})
+	}
+}
+
 // TestCancelMidRound cancels the run's own context from inside a round; with
-// the watchdog armed the abort lands mid-round, not at the next barrier.
+// a RoundTimeout armed the abort lands mid-round, not at the next barrier.
 func TestCancelMidRound(t *testing.T) {
 	defer testutil.LeakCheck(t, parallel.CloseIdle)()
 	g := ssspGraph(t)

@@ -99,10 +99,12 @@ func (s Schedule) ConfigNumWorkers(w int) Schedule {
 	return s.validate()
 }
 
-// ConfigRoundTimeout arms the engine's round watchdog: any round in flight
-// longer than d is aborted with a StuckError. The abort is cooperative,
-// checked at chunk boundaries inside traversal phases; 0 disables the
-// watchdog.
+// ConfigRoundTimeout arms the engine's round deadline: any round running
+// longer than d, from before its next_bucket phase, is aborted with a
+// StuckError naming it. The deadline is judged cooperatively, at chunk
+// boundaries inside traversal phases and at each round's end, and it lets
+// context cancellation stop a round mid-sweep; no goroutine is started for
+// it. 0 disables it.
 func (s Schedule) ConfigRoundTimeout(d time.Duration) Schedule {
 	s.cfg.RoundTimeout = d
 	return s.validate()
