@@ -34,6 +34,11 @@ func AStar(g *graphit.Graph, src, dst graphit.VertexID, sched graphit.Schedule) 
 // AStarContext is AStar under a context, returning the partial result and
 // ctx.Err() on cancellation.
 func AStarContext(ctx context.Context, g *graphit.Graph, src, dst graphit.VertexID, sched graphit.Schedule) (*AStarResult, error) {
+	return astar(ctx, g, src, dst, sched, graphit.RunOrderedContext)
+}
+
+// astar is A*'s operator under either ordering.
+func astar(ctx context.Context, g *graphit.Graph, src, dst graphit.VertexID, sched graphit.Schedule, run runner) (*AStarResult, error) {
 	if err := checkWeighted(g); err != nil {
 		return nil, err
 	}
@@ -75,12 +80,9 @@ func AStarContext(ctx context.Context, g *graphit.Graph, src, dst graphit.Vertex
 			return best != graphit.Unreached && cur >= best
 		},
 	}
-	st, err := graphit.RunOrderedContext(ctx, op, sched)
-	if err != nil {
-		if halted(ctx, err) {
-			return &AStarResult{Dist: dist, Estimate: est, Stats: st}, err
-		}
+	st, err := run(ctx, op, sched)
+	if err != nil && !halted(ctx, err) {
 		return nil, err
 	}
-	return &AStarResult{Dist: dist, Estimate: est, Stats: st}, nil
+	return &AStarResult{Dist: dist, Estimate: est, Stats: st}, err
 }

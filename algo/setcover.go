@@ -45,7 +45,7 @@ func SetCover(g *graphit.Graph, sched graphit.Schedule) (*SetCoverResult, error)
 }
 
 // SetCoverContext is SetCover under the engine's run contract: it halts at
-// a round barrier on cancellation, and on a contained panic or stall
+// the next pass chunk on cancellation, and on a contained panic or stall
 // (*graphit.PanicError, *graphit.StuckError), returning the partial cover
 // with the error; a Tracer carried by ctx observes its rounds.
 //

@@ -28,6 +28,16 @@ func SSSP(g *graphit.Graph, src graphit.VertexID, sched graphit.Schedule) (*SSSP
 // partial result computed so far (distances settled up to the cancelled
 // round) together with ctx.Err().
 func SSSPContext(ctx context.Context, g *graphit.Graph, src graphit.VertexID, sched graphit.Schedule) (*SSSPResult, error) {
+	return sssp(ctx, g, src, sched, graphit.RunOrderedContext)
+}
+
+// runner runs an operator under a schedule: graphit.RunOrderedContext for
+// strict priority ordering, runApprox for Galois's approximate ordering.
+// Each algorithm builds its operator once and takes the runner.
+type runner func(context.Context, *graphit.Ordered, graphit.Schedule) (graphit.Stats, error)
+
+// sssp is SSSP's operator under either ordering.
+func sssp(ctx context.Context, g *graphit.Graph, src graphit.VertexID, sched graphit.Schedule, run runner) (*SSSPResult, error) {
 	if err := checkWeighted(g); err != nil {
 		return nil, err
 	}
@@ -41,14 +51,11 @@ func SSSPContext(ctx context.Context, g *graphit.Graph, src graphit.VertexID, sc
 		Relax:   graphit.MinPlus,
 		Sources: []graphit.VertexID{src},
 	}
-	st, err := graphit.RunOrderedContext(ctx, op, sched)
-	if err != nil {
-		if halted(ctx, err) {
-			return &SSSPResult{Dist: dist, Stats: st}, err
-		}
+	st, err := run(ctx, op, sched)
+	if err != nil && !halted(ctx, err) {
 		return nil, err
 	}
-	return &SSSPResult{Dist: dist, Stats: st}, nil
+	return &SSSPResult{Dist: dist, Stats: st}, err
 }
 
 // WBFS computes weighted breadth-first search: ∆-stepping specialized to
@@ -73,6 +80,11 @@ func PPSP(g *graphit.Graph, src, dst graphit.VertexID, sched graphit.Schedule) (
 // PPSPContext is PPSP under a context, returning the partial result and
 // ctx.Err() on cancellation.
 func PPSPContext(ctx context.Context, g *graphit.Graph, src, dst graphit.VertexID, sched graphit.Schedule) (*SSSPResult, error) {
+	return ppsp(ctx, g, src, dst, sched, graphit.RunOrderedContext)
+}
+
+// ppsp is PPSP's operator under either ordering.
+func ppsp(ctx context.Context, g *graphit.Graph, src, dst graphit.VertexID, sched graphit.Schedule, run runner) (*SSSPResult, error) {
 	if err := checkWeighted(g); err != nil {
 		return nil, err
 	}
@@ -88,12 +100,9 @@ func PPSPContext(ctx context.Context, g *graphit.Graph, src, dst graphit.VertexI
 			return best != graphit.Unreached && cur >= best
 		},
 	}
-	st, err := graphit.RunOrderedContext(ctx, op, sched)
-	if err != nil {
-		if halted(ctx, err) {
-			return &SSSPResult{Dist: dist, Stats: st}, err
-		}
+	st, err := run(ctx, op, sched)
+	if err != nil && !halted(ctx, err) {
 		return nil, err
 	}
-	return &SSSPResult{Dist: dist, Stats: st}, nil
+	return &SSSPResult{Dist: dist, Stats: st}, err
 }

@@ -15,8 +15,8 @@
 //	benchtab -timeout 5m           # bound the whole run; partial tables on expiry
 //
 // An unknown -exp name exits 2 and lists the valid ones. ^C (or an expired
-// -timeout) cancels the in-flight experiment at its next round barrier and
-// skips the rest.
+// -timeout) cancels the in-flight experiment at its engine's next chunk
+// boundary and skips the rest.
 package main
 
 import (

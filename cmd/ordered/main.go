@@ -19,14 +19,14 @@
 // record with the schedule and graph shape, one round record per engine
 // round (bucket, frontier size, relaxations, wall time, ...), and a
 // run_end record with the final counters. -timeout (and ^C) cancel the
-// run at the next round barrier; the partial result is still summarized,
-// marked "halted early".
+// run at the engine's next chunk boundary or round barrier; the partial
+// result is still summarized, marked "halted early".
 //
 // -timeout bounds the whole run; -round-timeout arms the engine's per-round
 // watchdog instead, aborting any single round that stalls (with a
 // diagnosable StuckError carrying recent round trace events). -stuck-rounds
-// aborts after that many consecutive zero-progress rounds. Neither applies
-// to -algo sssp-approx, whose engine has no rounds; use -timeout. A contained
+// aborts after that many consecutive zero-progress rounds; it cannot fire
+// on -algo sssp-approx, whose whole drain is one round. A contained
 // fault (an edge-function panic, or a watchdog abort) halts the run; the
 // process stays alive and prints the partial result.
 //
@@ -69,8 +69,8 @@ func main() {
 		verify     = flag.Bool("verify", false, "verify against the sequential reference")
 		tracePath  = flag.String("trace", "", "write per-round JSON lines to this file (\"-\" = stdout)")
 		timeout    = flag.Duration("timeout", 0, "cancel the run after this long (0 = no limit)")
-		roundTO    = flag.Duration("round-timeout", 0, "abort any single round exceeding this (0 = no watchdog; ignored by sssp-approx)")
-		stuckK     = flag.Int("stuck-rounds", 0, "abort after this many consecutive zero-progress rounds (0 = off; ignored by sssp-approx)")
+		roundTO    = flag.Duration("round-timeout", 0, "abort any single round exceeding this (0 = no watchdog)")
+		stuckK     = flag.Int("stuck-rounds", 0, "abort after this many consecutive zero-progress rounds (0 = off)")
 	)
 	flag.Parse()
 	if *graphPath == "" {

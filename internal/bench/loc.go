@@ -23,19 +23,20 @@ func Table5() (*Table, error) {
 		Header: []string{"algorithm", "GraphIt (.gt)", "library (Go)", "reduction"},
 	}
 	// Map each algorithm to its DSL file and the Go function(s) a user
-	// would otherwise write (the library implementations in package algo;
-	// the Context variants hold the bodies, the plain names are one-line
-	// delegations).
+	// would otherwise write (the library implementations in package algo:
+	// the Context entry point, and for the shortest-path family the body
+	// it shares with its approximate-ordering variant; the plain names are
+	// one-line delegations).
 	rows := []struct {
 		name    string
 		dslFile string
 		goFile  string
 		goFuncs []string
 	}{
-		{"SSSP", "sssp.gt", "algo/sssp.go", []string{"SSSPContext"}},
-		{"PPSP", "ppsp.gt", "algo/sssp.go", []string{"PPSPContext"}},
-		{"wBFS", "wbfs.gt", "algo/sssp.go", []string{"SSSPContext", "WBFSContext"}},
-		{"A*", "astar.gt", "algo/astar.go", []string{"AStarContext"}},
+		{"SSSP", "sssp.gt", "algo/sssp.go", []string{"SSSPContext", "sssp"}},
+		{"PPSP", "ppsp.gt", "algo/sssp.go", []string{"PPSPContext", "ppsp"}},
+		{"wBFS", "wbfs.gt", "algo/sssp.go", []string{"SSSPContext", "sssp", "WBFSContext"}},
+		{"A*", "astar.gt", "algo/astar.go", []string{"AStarContext", "astar"}},
 		{"k-core", "kcore.gt", "algo/kcore.go", []string{"KCoreContext"}},
 		{"SetCover", "setcover.gt", "algo/setcover.go", []string{"SetCoverContext"}},
 	}

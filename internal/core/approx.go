@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,13 +29,14 @@ func (o *Ordered) RunApprox() (Stats, error) {
 	return o.RunApproxContext(context.Background())
 }
 
-// RunApproxContext is RunApprox under a context: cancellation is checked at
-// every batch boundary, halting all workers and returning the partial Stats
-// together with ctx.Err(). The engine has no rounds, so Cfg.RoundTimeout and
-// Cfg.StuckRounds are silently ignored: bound an approximate run with ctx.
-//
-// Panics in the edge function are contained like in the bucketed engine: all
-// workers join, and the fault returns as a *PanicError with partial Stats.
+// RunApproxContext is RunApprox under ctx, inside the envelope RunContext
+// gives every run: the whole drain is one engine round (Stats.Rounds = 1),
+// traced like any other, and every worker checks the run control at each
+// batch boundary. Cancellation, or the round outliving Cfg.RoundTimeout,
+// therefore stops the drain mid-round with partial Stats and ctx.Err() or a
+// round-1 *StuckError; Cfg.StuckRounds cannot fire on a one-round run. A
+// panic in the edge function is contained: all workers join, and the fault
+// returns as a *PanicError with partial Stats.
 func (o *Ordered) RunApproxContext(ctx context.Context) (Stats, error) {
 	o.Cfg.normalize()
 	if err := o.validate(); err != nil {
@@ -46,137 +48,116 @@ func (o *Ordered) RunApproxContext(ctx context.Context) (Stats, error) {
 	if o.FinalizeOnPop {
 		return Stats{}, fmt.Errorf("core: approximate ordering cannot express finalize-on-dequeue algorithms (k-core, SetCover)")
 	}
-
-	active, err := o.initialActive()
-	if err != nil {
-		return Stats{}, err
-	}
-	if len(active) == 0 {
-		return Stats{}, nil
-	}
-	q := newApproxQueue(o, active)
-
-	// The run's executor fixes the worker count up front and parks its
-	// workers for reuse by later runs.
-	ex := parallel.Acquire(o.Cfg.Workers)
-	batch := o.Cfg.Grain
-	if batch <= 0 {
-		batch = parallel.DefaultGrain
-	}
-
-	var st Stats
-	pe := o.approxPass(ctx, q, ex, newRunCtl(ctx), batch, &st)
-	parallel.Release(ex)
-	st.BucketInserts += q.inserts
-	if pe != nil {
-		return st, pe
-	}
-	if err := ctx.Err(); err != nil {
-		return st, err
-	}
-	return st, nil
+	return o.runEngine(ctx, o.buildApproxEngine)
 }
 
-// newApproxQueue builds the shared bucket queue over the active set.
-func newApproxQueue(o *Ordered, active []uint32) *approxQueue {
-	q := &approxQueue{}
+// buildApproxEngine is buildEngine's sibling for approximate ordering: the
+// shared queue is seeded with the active set, which its source hands to one
+// round, and that round's traversal drains the queue on the run's executor.
+// The updaters note every win with its bucket in their buffers.
+func (o *Ordered) buildApproxEngine(sc *scratch, ex *parallel.Executor, active []uint32, ctl *runCtl) *engine {
+	grain := o.Cfg.Grain
+	if grain <= 0 {
+		grain = parallel.DefaultGrain
+	}
+	ups := sc.getUpdaters(o, ex.Workers())
+	for _, u := range ups {
+		u.noteBkt = true
+	}
+	q := &approxQueue{minHint: math.MaxInt64}
 	for _, v := range active {
 		q.push(o.bucketOf(o.Prio[v]), v)
 	}
 	q.outstanding.Store(int64(len(active)))
-	return q
+	return &engine{
+		o: o, ups: ups, ex: ex, ctl: ctl,
+		src:  &approxSource{q: q, active: active},
+		push: &approxTrav{sweeper: sweeper{o: o, ex: ex, sc: sc, ups: ups, grain: grain, ctl: ctl}, q: q},
+	}
 }
 
-// approxPass drains q on ex's workers until empty, stopped, or cancelled,
-// folding counters into st. A panic on any worker is contained: siblings
-// stop at their next batch boundary, all workers join, the executor stays
-// reusable, and the fault is returned as a *PanicError (the panicked
-// worker's uncommitted batch counters are lost — Stats stay partial).
-func (o *Ordered) approxPass(ctx context.Context, q *approxQueue, ex *parallel.Executor, ctl *runCtl, batch int, st *Stats) (pe *PanicError) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe = asPanicError(PhaseApproxBatch, 0, r)
-		}
-	}()
-	var stMu sync.Mutex
-	var stopped atomic.Bool
-	ex.Run(func(worker int) {
-		defer func() {
-			if r := recover(); r != nil {
-				// Stop siblings promptly: the panicked worker's in-flight
-				// batch never retires its outstanding count, so without
-				// this they would spin waiting for it forever.
-				stopped.Store(true)
-				panic(r)
-			}
-		}()
-		u := &Updater{o: o, atomics: true}
-		var pending []approxItem
-		u.sink = func(v uint32, newPrio int64) {
-			pending = append(pending, approxItem{bin: o.bucketOf(newPrio), v: v})
-		}
-		var batches int64
-		buf := make([]uint32, 0, batch)
-		for {
-			if stopped.Load() {
-				break
-			}
-			if ctx.Err() != nil {
-				stopped.Store(true)
-				break
-			}
-			bin, items := q.popBatch(batch, buf[:0])
-			if len(items) == 0 {
-				if q.outstanding.Load() == 0 {
-					break
-				}
-				runtime.Gosched()
-				continue
-			}
-			batches++
-			ctl.fireAt(PhaseApproxBatch, batches, worker)
-			if o.Stop != nil && o.Stop(bin*o.Cfg.Delta) {
-				q.outstanding.Add(-int64(len(items)))
-				stopped.Store(true)
-				break
-			}
-			u.curBin, u.curPrio = bin, bin*o.Cfg.Delta
-			for _, v := range items {
-				// Approximate stale filter: skip vertices whose
-				// priority has moved to an earlier bucket (already
-				// handled); later buckets still get processed — the
-				// priority inversion Galois tolerates.
-				p := atomicutil.Load(&o.Prio[v])
-				b := o.bucketOf(p)
-				if b != bucket.NullBkt && b >= bin {
-					u.processed++
-					o.sweepOut(v, p, u)
-					if b > bin {
-						u.inversions++
-					}
-				}
-			}
-			// Publish new work before retiring the batch, so outstanding
-			// can never read zero while work exists.
-			if len(pending) > 0 {
-				q.pushBatch(pending)
-				pending = pending[:0]
-			}
-			q.outstanding.Add(-int64(len(items)))
-		}
-		stMu.Lock()
-		st.Relaxations += u.relaxations
-		st.Inversions += u.inversions
-		st.Processed += u.processed
-		st.Rounds += batches // "rounds" = batches: no global rounds exist
-		stMu.Unlock()
-	})
-	return nil
+// approxSource hands the whole active set to one round, at its lowest
+// bucket; the queue then holds all remaining work, so the run ends after it.
+type approxSource struct {
+	q      *approxQueue
+	active []uint32
 }
 
-type approxItem struct {
-	bin int64
-	v   uint32
+func (s *approxSource) next() (int64, []uint32) {
+	active := s.active
+	s.active = nil
+	if len(active) == 0 {
+		return bucket.NullBkt, nil
+	}
+	return s.q.minHint, active
+}
+
+func (*approxSource) update(ids []uint32) int { return len(ids) }
+
+func (s *approxSource) finish(st *Stats) { st.BucketInserts += s.q.inserts }
+
+// approxTrav is the approximate round: every worker drains the shared queue
+// batch by batch until it is empty, the run control stops the run, the
+// operator's Stop holds, or a sibling panics. Each batch reaches the fault
+// hook as PhaseApproxBatch with the worker's batch index as its round.
+type approxTrav struct {
+	sweeper
+	q    *approxQueue
+	halt atomic.Bool // Stop held or a worker panicked: siblings stop at their next batch
+	body func(worker int)
+}
+
+func (t *approxTrav) relax(_, _ int64, _ []uint32) ([]uint32, bool) {
+	if t.body == nil {
+		t.body = t.drain
+	}
+	t.ex.Run(t.body)
+	return nil, t.ctl.aborted() != abortNone
+}
+
+func (t *approxTrav) drain(worker int) {
+	defer parallel.HaltOnPanic(&t.halt, worker)
+	o, q, u := t.o, t.q, t.ups[worker]
+	buf := make([]uint32, 0, t.grain)
+	for batches := int64(0); !t.halt.Load() && !t.ctl.stopped(); {
+		bin, items := q.popBatch(t.grain, buf[:0])
+		if len(items) == 0 {
+			if q.outstanding.Load() == 0 {
+				return
+			}
+			runtime.Gosched()
+			continue
+		}
+		batches++
+		t.ctl.fireAt(PhaseApproxBatch, batches, worker)
+		if o.Stop != nil && o.Stop(bin*o.Cfg.Delta) {
+			t.halt.Store(true)
+			return
+		}
+		u.curBin, u.curPrio = bin, bin*o.Cfg.Delta
+		for _, v := range items {
+			// Approximate stale filter: skip vertices whose priority has
+			// moved to an earlier bucket (already handled); later buckets
+			// still get processed — the priority inversion Galois
+			// tolerates.
+			p := atomicutil.Load(&o.Prio[v])
+			b := o.bucketOf(p)
+			if b != bucket.NullBkt && b >= bin {
+				u.processed++
+				o.sweepOut(v, p, u)
+				if b > bin {
+					u.inversions++
+				}
+			}
+		}
+		// Publish new work before retiring the batch, so outstanding can
+		// never read zero while work exists.
+		if len(u.out) > 0 {
+			q.pushBatch(u.out, u.outBkt)
+			u.out, u.outBkt = u.out[:0], u.outBkt[:0]
+		}
+		q.outstanding.Add(-int64(len(items)))
+	}
 }
 
 // approxQueue is a shared bucket array guarded by a single mutex, with
@@ -187,21 +168,21 @@ type approxItem struct {
 type approxQueue struct {
 	mu          sync.Mutex
 	bins        [][]uint32
-	minHint     int64
+	minHint     int64 // no non-empty bucket lies below it
 	outstanding atomic.Int64
 	inserts     int64
 }
 
 func (q *approxQueue) push(bin int64, v uint32) {
-	if bin < 0 {
-		bin = 0
-	}
 	q.mu.Lock()
 	q.pushLocked(bin, v)
 	q.mu.Unlock()
 }
 
 func (q *approxQueue) pushLocked(bin int64, v uint32) {
+	if bin < 0 {
+		bin = 0
+	}
 	for int64(len(q.bins)) <= bin {
 		q.bins = append(q.bins, nil)
 	}
@@ -212,18 +193,15 @@ func (q *approxQueue) pushLocked(bin int64, v uint32) {
 	q.inserts++
 }
 
-// pushBatch inserts items and raises outstanding accordingly.
-func (q *approxQueue) pushBatch(items []approxItem) {
+// pushBatch inserts vs[i] at bucket bins[i] and raises outstanding
+// accordingly.
+func (q *approxQueue) pushBatch(vs []uint32, bins []int64) {
 	q.mu.Lock()
-	for _, it := range items {
-		bin := it.bin
-		if bin < 0 {
-			bin = 0
-		}
-		q.pushLocked(bin, it.v)
+	for i, v := range vs {
+		q.pushLocked(bins[i], v)
 	}
 	q.mu.Unlock()
-	q.outstanding.Add(int64(len(items)))
+	q.outstanding.Add(int64(len(vs)))
 }
 
 // popBatch removes up to max vertices from the lowest non-empty bucket,

@@ -162,9 +162,9 @@ type Config struct {
 	// asks whether to stop — at chunk boundaries inside traversal phases
 	// and at each round's end — so it catches livelocks (e.g. a fusion loop
 	// that never drains) but cannot interrupt a single blocked call into a
-	// user edge function. It also makes context cancellation stop a round
-	// mid-sweep instead of at the next barrier. 0 disables it (the
-	// default); go test -timeout remains the backstop for truly hung code.
+	// user edge function. Context cancellation stops a round at the same
+	// points, with or without a deadline. 0 disables it (the default); go
+	// test -timeout remains the backstop for truly hung code.
 	RoundTimeout time.Duration
 	// StuckRounds, when positive, aborts with a *StuckError after this many
 	// consecutive rounds that extract the same bucket with zero relaxations

@@ -61,10 +61,11 @@ func (o *Ordered) Run() (Stats, error) {
 }
 
 // RunContext executes the ordered operator under ctx. Cancellation is
-// cooperative: the engine checks ctx at every round barrier (and, when a
-// RoundTimeout is set, at chunk boundaries mid-round), so a cancelled or
-// expired context halts the run promptly and returns the partial Stats
-// accumulated so far together with ctx.Err().
+// cooperative: the engine stops at the next round barrier or, mid-round, at
+// the next chunk boundary of a traversal phase (a lane drain's next abort
+// poll, an approximate drain's next batch), so a cancelled or expired
+// context halts the run promptly and returns the partial Stats accumulated
+// so far together with ctx.Err().
 //
 // Faults are contained: a panic in a traversal phase (typically a user
 // edge function) is recovered and returned as a *PanicError, and a round
@@ -86,6 +87,14 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 	if o.FinalizeOnPop {
 		o.fin = atomicutil.NewFlags(o.G.NumVertices())
 	}
+	return o.runEngine(ctx, o.buildEngine)
+}
+
+// runEngine is the one run envelope of RunContext and RunApproxContext: it
+// builds the active set, resolves the tracer, acquires the executor, arms
+// the run control, composes the engine with build on pooled scratch, runs
+// the shared round loop and releases everything in order.
+func (o *Ordered) runEngine(ctx context.Context, build func(*scratch, *parallel.Executor, []uint32, *runCtl) *engine) (Stats, error) {
 	active, err := o.initialActive()
 	if err != nil {
 		return Stats{}, err
@@ -109,7 +118,7 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 	ctl := newRunCtl(ctx)
 	disarm := ctl.arm(ctx, o.Cfg.RoundTimeout)
 	sc := getScratch()
-	e := o.buildEngine(sc, ex, active, ctl)
+	e := build(sc, ex, active, ctl)
 	if trace {
 		tr.RunStart(o.runInfo(len(active)))
 	}

@@ -26,7 +26,8 @@ const (
 // PanicError reports a panic recovered from an engine phase. The run is
 // halted, the executor's workers are joined and returned to their reusable
 // state, and the error propagates out of RunContext/RunApproxContext
-// alongside the partial Stats.
+// alongside the partial Stats. A panic inside a round's sweep, the
+// approximate drain's included, reports PhaseRelax.
 type PanicError struct {
 	// Phase is the engine phase the panic was recovered in (see the Phase*
 	// constants).
@@ -138,14 +139,18 @@ func newRunCtl(ctx context.Context) *runCtl {
 	return c
 }
 
-// arm sets the round deadline. A positive timeout also turns ctx's
-// cancellation into a mid-round abort (without it, cancellation is only
-// seen at round barriers); the returned function unregisters that.
+// arm sets the round deadline (0 = none) and turns ctx's cancellation into
+// an abort, so every checkpoint and drain sees it mid-round; the returned
+// function unregisters that. A context that can never be cancelled
+// registers nothing, and a cancelable one starts no goroutine until it is
+// cancelled.
 func (c *runCtl) arm(ctx context.Context, timeout time.Duration) (disarm func() bool) {
-	if timeout <= 0 {
+	if timeout > 0 {
+		c.timeout, c.start = timeout, time.Now()
+	}
+	if ctx.Done() == nil {
 		return func() bool { return false }
 	}
-	c.timeout, c.start = timeout, time.Now()
 	return context.AfterFunc(ctx, func() { c.abort(abortCancel) })
 }
 
@@ -198,8 +203,8 @@ func (c *runCtl) fire(phase string, worker int) {
 	}
 }
 
-// fireAt is fire with an explicit round — used by the approx engine, which
-// has no global rounds and passes the worker's batch index instead.
+// fireAt is fire with an explicit round — used by the approximate drain,
+// whose one round holds many batches: it passes the worker's batch index.
 func (c *runCtl) fireAt(phase string, round int64, worker int) {
 	if c.hook != nil {
 		c.hook(phase, round, worker)

@@ -91,22 +91,24 @@ func TestRoundDeadline(t *testing.T) {
 }
 
 // TestRoundDeadlineConvertsCancellation: an armed run control turns its
-// context's cancellation into a mid-round abort with no checkpoint asking;
-// once disarmed, or armed without a deadline, it leaves cancellation to the
+// context's cancellation into a mid-round abort with no checkpoint asking,
+// with or without a deadline; once disarmed, it leaves cancellation to the
 // round barriers.
 func TestRoundDeadlineConvertsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ctl := &runCtl{}
-	disarm := ctl.arm(ctx, time.Hour)
-	defer disarm()
-	cancel()
-	deadline := time.Now().Add(2 * time.Second)
-	for ctl.aborted() != abortCancel {
-		if time.Now().After(deadline) {
-			t.Fatal("cancellation never reached the abort flag")
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctl := &runCtl{}
+		disarm := ctl.arm(ctx, timeout)
+		defer disarm()
+		cancel()
+		deadline := time.Now().Add(2 * time.Second)
+		for ctl.aborted() != abortCancel {
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout %v: cancellation never reached the abort flag", timeout)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 
 	for _, timeout := range []time.Duration{0, time.Hour} {

@@ -13,9 +13,10 @@ import (
 // query batches, autotune trials) stop re-allocating O(V) state.
 //
 // Invariant: all state is clean at round barriers — every traversal clears
-// its dense frontier map and empties its buffers before returning, and the
-// engine only stops between rounds — so a scratch released after a
-// completed, stopped, or cancelled run is safe to hand to the next run as-is.
+// its dense frontier map and empties its buffers before returning — so a
+// scratch released after a completed or stopped run is safe to hand to the
+// next run as-is. A run the run control aborted (cancelled or timed out,
+// possibly mid-round) or a contained panic does not pool its scratch.
 type scratch struct {
 	bins     []*bucket.LocalBins
 	ups      []*Updater

@@ -18,15 +18,15 @@ type Updater struct {
 	curBin  int64 // bucket being processed; floor for eager inserts
 	curPrio int64 // priority of the current bucket (curBin * ∆)
 
-	// sink, when set, overrides all other sinks (used by the relaxed /
-	// approximate-ordering engine that models Galois).
-	sink func(v graph.VertexID, newPrio int64)
 	// Eager sink: the owning worker's local bins.
 	bins *bucket.LocalBins
 	// Lazy sink: the per-worker output buffer (see record).
 	out []uint32
-	// outBkt[i] is out[i]'s new bucket, noted by the constant-sum drain.
-	outBkt []int64
+	// outBkt[i] is out[i]'s new bucket, noted by the constant-sum drain,
+	// and by record itself when noteBkt is set (approximate ordering, which
+	// lists every win).
+	outBkt  []int64
+	noteBkt bool
 
 	// Per-worker counters, folded into Stats after each parallel phase.
 	relaxations int64
@@ -59,8 +59,9 @@ func (u *Updater) Priority(v graph.VertexID) int64 {
 func (u *Updater) record(v graph.VertexID, newPrio int64) {
 	o := u.o
 	switch {
-	case u.sink != nil: // relaxed engine
-		u.sink(v, newPrio)
+	case u.noteBkt: // approximate ordering
+		u.out = append(u.out, v)
+		u.outBkt = append(u.outBkt, o.bucketOf(newPrio))
 	case u.bins != nil: // eager
 		b := o.bucketOf(newPrio)
 		if b < u.curBin {

@@ -480,8 +480,9 @@ func TestSetCoverFaults(t *testing.T) {
 }
 
 // TestApproxContainment covers the approximate-ordering engine: a contained
-// panic joins all workers and returns a *PanicError, and a fresh run on the
-// same pool afterwards reaches the exact min fixpoint.
+// panic joins all workers and returns a *PanicError naming the relax phase
+// (the whole drain is one engine round), and a fresh run on the same pool
+// afterwards reaches the exact min fixpoint.
 func TestApproxContainment(t *testing.T) {
 	defer testutil.LeakCheck(t, parallel.CloseIdle)()
 	g := ssspGraph(t)
@@ -505,7 +506,7 @@ func TestApproxContainment(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("expected *PanicError, got %v", err)
 		}
-		if pe.Phase != core.PhaseApproxBatch {
+		if pe.Phase != core.PhaseRelax {
 			t.Fatalf("PanicError.Phase = %q", pe.Phase)
 		}
 		_ = st // partial counters; approx commits per batch, so no floor to assert

@@ -28,7 +28,7 @@
 //
 // The pipeline owns drain semantics too: Close stops admission, waits
 // (event-driven, no polling) for in-flight runs, and cancels them at their
-// round barriers once the deadline passes.
+// next engine checkpoint once the deadline passes.
 package qexec
 
 import (
@@ -219,7 +219,7 @@ type Pipeline struct {
 
 	// killCtx is cancelled when a drain deadline expires: every in-flight
 	// run's context is chained to it (context.AfterFunc), forcing the
-	// engines to halt at their next round barrier.
+	// engines to halt at their next checkpoint, mid-round.
 	killCtx context.Context
 	kill    context.CancelFunc
 
@@ -603,7 +603,7 @@ func (p *Pipeline) idle() <-chan struct{} {
 // ErrDraining, and in-flight runs are given until ctx's deadline to finish
 // — the wait is event-driven on the in-flight count reaching zero, never
 // polled. If the deadline passes, every in-flight run's context is
-// cancelled (the engines halt at their next round barrier) and Close waits
+// cancelled (the engines halt at their next checkpoint) and Close waits
 // DrainGrace longer before reporting the stragglers. Close is idempotent
 // and never corrupts state: a Pipeline that failed to drain is still
 // memory-safe, only late.
@@ -625,7 +625,7 @@ func (p *Pipeline) Close(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 	// Deadline passed: cancel in-flight runs and give them a bounded grace
-	// to unwind through their round barriers.
+	// to unwind from their next checkpoint.
 	p.kill()
 	grace := time.NewTimer(p.cfg.DrainGrace)
 	defer grace.Stop()

@@ -354,8 +354,8 @@ func (s *Server) InFlight() int { return s.pipe.InFlight() }
 
 // Shutdown gracefully drains the server: readiness flips immediately, then
 // the pipeline stops admitting, waits (event-driven) for in-flight runs
-// under ctx's deadline, and cancels stragglers at their round barriers with
-// a bounded grace. Shutdown is idempotent; a Server that failed to drain is
+// under ctx's deadline, and cancels stragglers at their next engine
+// checkpoint with a bounded grace. Shutdown is idempotent; a Server that failed to drain is
 // still memory-safe, only late.
 // Live handles close after the drain: a query admitted before the flip may
 // still need to pin a snapshot, and closing a Live only releases its owner

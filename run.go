@@ -54,9 +54,10 @@ func RunOrdered(op *Ordered, s Schedule) (Stats, error) {
 }
 
 // RunOrderedContext executes op under schedule s and context ctx. The
-// engine checks ctx cooperatively at every round barrier: a cancelled or
-// expired context halts the run within one round and returns the partial
-// Stats accumulated so far together with ctx.Err().
+// engine checks ctx cooperatively at every round barrier and, mid-round, at
+// every chunk boundary of a traversal: a cancelled or expired context halts
+// the run within one chunk and returns the partial Stats accumulated so far
+// together with ctx.Err().
 func RunOrderedContext(ctx context.Context, op *Ordered, s Schedule) (Stats, error) {
 	cfg, err := s.Config()
 	if err != nil {

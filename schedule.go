@@ -102,9 +102,10 @@ func (s Schedule) ConfigNumWorkers(w int) Schedule {
 // ConfigRoundTimeout arms the engine's round deadline: any round running
 // longer than d, from before its next_bucket phase, is aborted with a
 // StuckError naming it. The deadline is judged cooperatively, at chunk
-// boundaries inside traversal phases and at each round's end, and it lets
-// context cancellation stop a round mid-sweep; no goroutine is started for
-// it. 0 disables it.
+// boundaries inside traversal phases (an approximate drain's batch
+// boundaries included) and at each round's end, the same points where
+// context cancellation stops a round with or without it; no goroutine is
+// started for it. 0 disables it.
 func (s Schedule) ConfigRoundTimeout(d time.Duration) Schedule {
 	s.cfg.RoundTimeout = d
 	return s.validate()
