@@ -48,7 +48,7 @@ func (o *Ordered) RunApproxContext(ctx context.Context) (Stats, error) {
 	if o.FinalizeOnPop {
 		return Stats{}, fmt.Errorf("core: approximate ordering cannot express finalize-on-dequeue algorithms (k-core, SetCover)")
 	}
-	return o.runEngine(ctx, o.buildApproxEngine)
+	return o.runEngine(ctx, "approx", o.buildApproxEngine)
 }
 
 // buildApproxEngine is buildEngine's sibling for approximate ordering: the
@@ -97,13 +97,14 @@ func (*approxSource) update(ids []uint32) int { return len(ids) }
 func (s *approxSource) finish(st *Stats) { st.BucketInserts += s.q.inserts }
 
 // approxTrav is the approximate round: every worker drains the shared queue
-// batch by batch until it is empty, the run control stops the run, the
-// operator's Stop holds, or a sibling panics. Each batch reaches the fault
-// hook as PhaseApproxBatch with the worker's batch index as its round.
+// batch by batch until it is empty, the run control stops the run (a
+// sibling's panic included), or the operator's Stop holds. Each batch
+// reaches the fault hook as PhaseApproxBatch with the worker's batch index
+// as its round.
 type approxTrav struct {
 	sweeper
 	q    *approxQueue
-	halt atomic.Bool // Stop held or a worker panicked: siblings stop at their next batch
+	stop atomic.Bool // Stop held: siblings stop at their next batch
 	body func(worker int)
 }
 
@@ -116,10 +117,10 @@ func (t *approxTrav) relax(_, _ int64, _ []uint32) ([]uint32, bool) {
 }
 
 func (t *approxTrav) drain(worker int) {
-	defer parallel.HaltOnPanic(&t.halt, worker)
+	defer t.ctl.contain(worker)
 	o, q, u := t.o, t.q, t.ups[worker]
 	buf := make([]uint32, 0, t.grain)
-	for batches := int64(0); !t.halt.Load() && !t.ctl.stopped(); {
+	for batches := int64(0); !t.stop.Load() && !t.ctl.stopped(); {
 		bin, items := q.popBatch(t.grain, buf[:0])
 		if len(items) == 0 {
 			if q.outstanding.Load() == 0 {
@@ -131,7 +132,7 @@ func (t *approxTrav) drain(worker int) {
 		batches++
 		t.ctl.fireAt(PhaseApproxBatch, batches, worker)
 		if o.Stop != nil && o.Stop(bin*o.Cfg.Delta) {
-			t.halt.Store(true)
+			t.stop.Store(true)
 			return
 		}
 		u.curBin, u.curPrio = bin, bin*o.Cfg.Delta

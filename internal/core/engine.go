@@ -87,14 +87,15 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 	if o.FinalizeOnPop {
 		o.fin = atomicutil.NewFlags(o.G.NumVertices())
 	}
-	return o.runEngine(ctx, o.buildEngine)
+	return o.runEngine(ctx, o.Cfg.Strategy.String(), o.buildEngine)
 }
 
 // runEngine is the one run envelope of RunContext and RunApproxContext: it
 // builds the active set, resolves the tracer, acquires the executor, arms
 // the run control, composes the engine with build on pooled scratch, runs
-// the shared round loop and releases everything in order.
-func (o *Ordered) runEngine(ctx context.Context, build func(*scratch, *parallel.Executor, []uint32, *runCtl) *engine) (Stats, error) {
+// the shared round loop and releases everything in order. strategy names
+// the run in its RunStart record.
+func (o *Ordered) runEngine(ctx context.Context, strategy string, build func(*scratch, *parallel.Executor, []uint32, *runCtl) *engine) (Stats, error) {
 	active, err := o.initialActive()
 	if err != nil {
 		return Stats{}, err
@@ -102,9 +103,10 @@ func (o *Ordered) runEngine(ctx context.Context, build func(*scratch, *parallel.
 	tr := o.tracer(ctx)
 	_, isNop := tr.(NopTracer)
 	trace := !isNop
+	info := o.runInfo(strategy, len(active))
 	if len(active) == 0 {
 		if trace {
-			tr.RunStart(o.runInfo(0))
+			tr.RunStart(info)
 			tr.RunEnd(Stats{}, nil)
 		}
 		return Stats{}, nil
@@ -120,7 +122,7 @@ func (o *Ordered) runEngine(ctx context.Context, build func(*scratch, *parallel.
 	sc := getScratch()
 	e := build(sc, ex, active, ctl)
 	if trace {
-		tr.RunStart(o.runInfo(len(active)))
+		tr.RunStart(info)
 	}
 	var st Stats
 	runErr := e.run(ctx, tr, trace, &st)
@@ -131,7 +133,7 @@ func (o *Ordered) runEngine(ctx context.Context, build func(*scratch, *parallel.
 	}
 	// Not deferred on purpose: pooling must happen only after every
 	// parallel phase has joined, and only clean scratch is pooled.
-	if ctl.clean(runErr) {
+	if ctl.clean() {
 		putScratch(sc)
 	}
 	parallel.Release(ex)
@@ -150,9 +152,9 @@ func (o *Ordered) tracer(ctx context.Context) Tracer {
 	return NopTracer{}
 }
 
-func (o *Ordered) runInfo(frontier int) RunInfo {
+func (o *Ordered) runInfo(strategy string, frontier int) RunInfo {
 	return RunInfo{
-		Strategy:    o.Cfg.Strategy.String(),
+		Strategy:    strategy,
 		Direction:   o.Cfg.Direction.String(),
 		Delta:       o.Cfg.Delta,
 		NumVertices: o.G.NumVertices(),
@@ -229,11 +231,13 @@ func (e *engine) relax(bid, curPrio int64, frontier []uint32) (updated []uint32,
 // phase runs one engine phase with panic containment: the injection hook
 // fires first (the round loop's checkpoint, as ctl.worker), then fn; a
 // panic from either — or re-raised by the executor from a worker — is
-// recovered and converted to a *PanicError naming the phase and round.
+// recorded in the run control and converted to a *PanicError naming the
+// phase and round.
 func (e *engine) phase(name string, fn func()) (pe *PanicError) {
 	ctl := e.ctl
 	defer func() {
 		if r := recover(); r != nil {
+			ctl.abort(abortPanic)
 			pe = asPanicError(name, ctl.round.Load(), r)
 		}
 	}()

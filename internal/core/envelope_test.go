@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,6 +71,33 @@ func TestApproxRunsInsideEnvelope(t *testing.T) {
 	}
 	if st.Processed >= tr.Final.Processed {
 		t.Fatalf("timed-out run processed %d of %d", st.Processed, tr.Final.Processed)
+	}
+}
+
+// TestApproxRunLabelledApprox: an approximate run's run_start record names
+// it "approx", not the eager strategy its schedule carries, while a strict
+// run under the same schedule keeps the schedule's name.
+func TestApproxRunLabelledApprox(t *testing.T) {
+	g := rmat15(t)
+	cfg := DefaultConfig()
+	cfg.Workers, cfg.Delta = 1, 16
+	for _, tc := range []struct {
+		run  func(*Ordered) (Stats, error)
+		want string
+	}{
+		{(*Ordered).RunApprox, `"strategy":"approx"`},
+		{(*Ordered).Run, `"strategy":"eager_with_fusion"`},
+	} {
+		var buf bytes.Buffer
+		op, _ := ssspOp(g, 0, cfg)
+		op.Trace = NewJSONTracer(&buf)
+		if _, err := tc.run(op); err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(buf.String(), "\n")
+		if !strings.Contains(first, `"event":"run_start"`) || !strings.Contains(first, tc.want) {
+			t.Errorf("run_start record %s, want %s", first, tc.want)
+		}
 	}
 }
 

@@ -107,15 +107,16 @@ const (
 	abortNone int32 = iota
 	abortTimeout
 	abortCancel
+	abortPanic
 )
 
 // runCtl is the per-run control block shared between the round loop and
 // the traversal phases: the fault-injection hook, the cooperative abort
 // flag, the round deadline, and the current round's identity and start.
-// Traversals poll it at chunk boundaries, so an abort interrupts a round at
-// chunk granularity (it cannot interrupt a single blocked call into a user
-// edge function — a Go limitation: the round is aborted as soon as the
-// offending chunk returns).
+// Traversals poll it at chunk boundaries, so an abort (deadline, cancel or
+// a worker's panic) interrupts a round at chunk granularity (not a single
+// blocked call into a user edge function — a Go limitation: the round is
+// aborted as soon as the offending chunk returns).
 type runCtl struct {
 	hook FaultHook
 	// worker is the id the round loop's own checkpoints report: 0, except
@@ -126,7 +127,7 @@ type runCtl struct {
 	timeout time.Duration
 	start   time.Time
 
-	reason     atomic.Int32 // abortNone/abortTimeout/abortCancel
+	reason     atomic.Int32 // abortNone/abortTimeout/abortCancel/abortPanic
 	round      atomic.Int64 // 1-based round in flight (0 when idle)
 	roundStart atomic.Int64 // the round's start, in ns since start
 }
@@ -191,10 +192,7 @@ func (c *runCtl) stopped() bool {
 // clean reports whether a finished run's scratch may be pooled: not after a
 // contained panic or an abort, which leave derived state (dense frontier
 // maps, histograms, lane buffers) partial.
-func (c *runCtl) clean(err error) bool {
-	_, panicked := err.(*PanicError)
-	return !panicked && c.aborted() == abortNone
-}
+func (c *runCtl) clean() bool { return c.aborted() == abortNone }
 
 // fire invokes the fault-injection hook, if any.
 func (c *runCtl) fire(phase string, worker int) {
@@ -217,6 +215,26 @@ func (c *runCtl) fireAt(phase string, round int64, worker int) {
 func (c *runCtl) checkpoint(phase string, worker int) bool {
 	c.fire(phase, worker)
 	return c.stopped()
+}
+
+// contain is deferred by every worker body of a traversal. A panic records
+// abortPanic, so sibling workers stop at their next checkpoint, and unwinds
+// on as a *parallel.Panic carrying the stack captured here, the closest
+// frame to the fault, for the executor to re-raise on the round loop.
+func (c *runCtl) contain(worker int) {
+	if r := recover(); r != nil {
+		panic(c.fault(r, worker))
+	}
+}
+
+// fault records the panic r of worker as the run's abort reason and wraps
+// it as a *parallel.Panic, capturing the stack unless r already carries one.
+func (c *runCtl) fault(r any, worker int) *parallel.Panic {
+	c.abort(abortPanic)
+	if p, ok := r.(*parallel.Panic); ok {
+		return p
+	}
+	return &parallel.Panic{Value: r, Stack: debug.Stack(), Worker: worker}
 }
 
 // asPanicError converts a recovered panic value into a *PanicError,

@@ -212,46 +212,91 @@ func TestManualPoisoned(t *testing.T) {
 	}
 }
 
-// TestPushPanicStopsSiblings: at two workers, a UDF that panics on its first
-// call stops the sibling at its next chunk boundary under eager and lazy
-// push alike, with no fusion tail after it: the run returns a *PanicError
-// with Processed well below the frontier, and the executor then runs the
-// next job cleanly.
+// TestPushPanicStopsSiblings: at two workers, an operator that panics on its
+// first call stops the sibling at its next chunk boundary in every worker
+// body that defers the run control's containment — eager and lazy push (no
+// fusion tail after it), a lazy pull chunk, a pass chunk and the
+// approximate drain's batch. The run returns a *PanicError with the work
+// done well below the frontier, and the executor then runs the next job
+// cleanly. Every call after the panicking one sleeps 1 ms, so finishing the
+// frontier would take the sibling over a minute: the bound does not depend
+// on how long the panicking worker is descheduled.
 func TestPushPanicStopsSiblings(t *testing.T) {
 	defer testutil.LeakCheck(t, parallel.CloseIdle)()
 	const n = 1 << 16
 	g := lineGraph(t, n)
-	for _, s := range []Strategy{EagerWithFusion, Lazy} {
+	// The clean run after each fault is on a short line: a pull round sweeps
+	// every vertex to advance one hop.
+	small := lineGraph(t, 1<<10)
+	arms := []struct {
+		name   string
+		s      Strategy
+		dir    Direction
+		passes bool
+		approx bool
+	}{
+		{name: "eager_with_fusion push", s: EagerWithFusion, dir: SparsePush},
+		{name: "lazy push", s: Lazy, dir: SparsePush},
+		{name: "lazy pull", s: Lazy, dir: DensePull},
+		{name: "passes", s: Lazy, dir: SparsePush, passes: true},
+		{name: "approx", s: Lazy, dir: SparsePush, approx: true},
+	}
+	for _, a := range arms {
 		cfg := DefaultConfig()
-		cfg.Strategy = s
+		cfg.Strategy, cfg.Direction = a.s, a.dir
 		cfg.Workers = 2
+		run := (*Ordered).Run
+		if a.approx {
+			run = (*Ordered).RunApprox
+		}
 		op, prio := ssspOp(g, 0, cfg)
 		for v := range prio {
 			prio[v] = 0 // one bucket holding every vertex
 		}
 		op.Sources = nil
 		var fired atomic.Bool
-		op.Apply = func(src, dst uint32, w int32, u *Updater) {
+		var calls atomic.Int64
+		enter := func() {
+			calls.Add(1)
 			if fired.CompareAndSwap(false, true) {
 				panic("first call")
 			}
-			u.UpdatePriorityMin(dst, u.Priority(src)+int64(w))
+			time.Sleep(time.Millisecond)
 		}
-		st, err := op.Run()
+		if a.passes {
+			op.Apply = nil
+			op.Passes = []VertexPass{func(vs []uint32, _ int, _ *Updater) int64 {
+				for range vs {
+					enter()
+				}
+				return int64(len(vs))
+			}}
+		} else {
+			op.Apply = func(src, dst uint32, w int32, u *Updater) {
+				enter()
+				u.UpdatePriorityMin(dst, u.Priority(src)+int64(w))
+			}
+		}
+		st, err := run(op)
 		var pe *PanicError
 		if !errors.As(err, &pe) || pe.Value != "first call" {
-			t.Fatalf("%v: expected the UDF's *PanicError, got %v", s, err)
+			t.Fatalf("%s: expected the operator's *PanicError, got %v", a.name, err)
 		}
-		if st.Processed >= n/4 {
-			t.Errorf("%v: %d of %d frontier vertices processed after the first one panicked", s, st.Processed, n)
+		// A pass round counts its whole frontier as processed up front, so
+		// only the calls bound it.
+		if !a.passes && st.Processed >= n/4 {
+			t.Errorf("%s: %d of %d frontier vertices processed after the first one panicked", a.name, st.Processed, n)
 		}
-		next, dist := ssspOp(g, 0, cfg)
-		if _, err := next.Run(); err != nil {
-			t.Fatalf("%v: next run: %v", s, err)
+		if c := calls.Load(); c >= n/4 {
+			t.Errorf("%s: operator entered %d times over a %d-vertex frontier after the first call panicked", a.name, c, n)
+		}
+		next, dist := ssspOp(small, 0, cfg)
+		if _, err := run(next); err != nil {
+			t.Fatalf("%s: next run: %v", a.name, err)
 		}
 		for v, d := range dist {
 			if d != int64(v) {
-				t.Fatalf("%v: next run dist[%d] = %d", s, v, d)
+				t.Fatalf("%s: next run dist[%d] = %d", a.name, v, d)
 			}
 		}
 	}

@@ -3,13 +3,11 @@ package core
 import (
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sync/atomic"
 
 	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
 	"graphit/internal/histogram"
-	"graphit/internal/parallel"
 )
 
 // lazySource is the bucketSource for lazy bucket update (paper Figure 5):
@@ -91,8 +89,7 @@ type constSumTrav struct {
 	arrived   atomic.Int64 // workers past the count phase
 	left      atomic.Int64 // workers done with the round
 	released  atomic.Bool  // the last arrival has decided whether to drain
-	drain     atomic.Bool  // the decision: no abort and no panic
-	panicked  atomic.Bool
+	drain     atomic.Bool  // the decision: no abort
 }
 
 // inlineCount is the frontier out-edge count below which a constant-sum
@@ -139,7 +136,6 @@ func (t *constSumTrav) relax(bid, curPrio int64, frontier []uint32) ([]uint32, b
 		t.arrived.Store(0)
 		t.left.Store(0)
 		t.released.Store(false)
-		t.panicked.Store(false)
 		t.ex.Run(t.roundBody)
 		drained = t.drain.Load()
 	}
@@ -181,19 +177,16 @@ func (t *constSumTrav) buildBodies() {
 	t.roundBody = func(worker int) {
 		defer func() {
 			if r := recover(); r != nil {
-				// Arrive and leave anyway, so no sibling waits for this
-				// worker.
-				t.panicked.Store(true)
+				// Record the fault, so the last arrival skips the drain,
+				// then arrive and leave, so no sibling waits for this one.
+				p := t.ctl.fault(r, worker)
 				t.arrive()
 				t.left.Add(1)
-				if _, ok := r.(*parallel.Panic); !ok {
-					r = &parallel.Panic{Value: r, Stack: debug.Stack(), Worker: worker}
-				}
-				panic(r)
+				panic(p)
 			}
 		}()
 		n, grain := len(t.curVerts), int64(t.grain)
-		for !t.panicked.Load() {
+		for t.ctl.aborted() == abortNone {
 			lo := t.nextChunk.Add(grain) - grain
 			if lo >= int64(n) {
 				break
@@ -236,7 +229,7 @@ func spinYield(i int) {
 // for all workers, whether the round drains, and releases the others.
 func (t *constSumTrav) arrive() {
 	if int(t.arrived.Add(1)) == t.ex.Workers() {
-		t.drain.Store(!t.panicked.Load() && t.ctl.aborted() == abortNone)
+		t.drain.Store(t.ctl.aborted() == abortNone)
 		t.released.Store(true)
 	}
 }

@@ -169,7 +169,7 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 	_, isNop := tr.(NopTracer)
 	trace := !isNop
 	if trace {
-		tr.RunStart(face.runInfo(mo.seeds()))
+		tr.RunStart(face.runInfo(face.Cfg.Strategy.String(), mo.seeds()))
 	}
 	w := mo.Cfg.Workers
 	if w <= 0 {
@@ -313,7 +313,7 @@ func (mo *MultiOrdered) runKernel(ctx context.Context, ctl *runCtl, tr Tracer, t
 	disarm()
 	// A faulted or aborted round leaves the cascade and partition buffers
 	// mid-use; only a clean run hands its (grown) scratch back to the pool.
-	if ctl.clean(runErr) {
+	if ctl.clean() {
 		sc.laneCasc, sc.lanePart = t.casc, t.part
 		putScratch(sc)
 	}

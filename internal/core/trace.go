@@ -10,6 +10,8 @@ import (
 
 // RunInfo describes one engine run, emitted once before the first round.
 type RunInfo struct {
+	// Strategy is the schedule's bucket strategy, or "approx" for an
+	// approximate-ordering run (RunApproxContext).
 	Strategy    string `json:"strategy"`
 	Direction   string `json:"direction"`
 	Delta       int64  `json:"delta"`

@@ -59,7 +59,6 @@ type pushTrav struct {
 	bins   []*bucket.LocalBins // the eager sink, for the fusion tail
 	fusion bool
 	cursor atomic.Int64
-	halt   atomic.Bool // a worker panicked: siblings stop at their next chunk
 
 	// body is built once per run (a method value handed to the executor
 	// allocates on every call); bid and frontier are the round it sweeps.
@@ -78,7 +77,6 @@ func (t *pushTrav) relax(bid, _ int64, frontier []uint32) ([]uint32, bool) {
 		t.body = t.sweep
 	}
 	t.cursor.Store(0)
-	t.halt.Store(false)
 	t.bid, t.frontier = bid, frontier
 	if len(frontier) <= t.grain {
 		t.sweep(0)
@@ -92,10 +90,10 @@ func (t *pushTrav) relax(bid, _ int64, frontier []uint32) ([]uint32, bool) {
 // sweep is one worker's share of a round: dynamic chunks of the shared
 // frontier, then (eager_with_fusion) its own current-bucket bin.
 func (t *pushTrav) sweep(worker int) {
-	defer parallel.HaltOnPanic(&t.halt, worker)
+	defer t.ctl.contain(worker)
 	bid, frontier := t.bid, t.frontier
 	u := t.ups[worker]
-	for !t.halt.Load() {
+	for {
 		if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
 			return
 		}
@@ -109,7 +107,7 @@ func (t *pushTrav) sweep(worker int) {
 		return
 	}
 	my := t.bins[worker]
-	for !t.halt.Load() {
+	for {
 		// The fusion checkpoint also breaks fusion livelocks: a UDF that
 		// keeps re-inserting into the current bucket spins here without
 		// ever reaching a global barrier, so this is the only point its
@@ -170,6 +168,7 @@ func (t *pullTrav) relax(bid, _ int64, frontier []uint32) ([]uint32, bool) {
 }
 
 func (t *pullTrav) sweep(lo, hi, worker int) {
+	defer t.ctl.contain(worker)
 	if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
 		return
 	}
@@ -192,6 +191,7 @@ func (t *passTrav) relax(_, _ int64, frontier []uint32) ([]uint32, bool) {
 	for i := len(t.bodies); i < len(t.o.Passes); i++ {
 		pass := t.o.Passes[i]
 		t.bodies = append(t.bodies, func(lo, hi, worker int) {
+			defer t.ctl.contain(worker)
 			if u := t.ups[worker]; !t.ctl.checkpoint(PhaseRelaxChunk, worker) {
 				u.relaxations += pass(t.frontier[lo:hi], worker, u)
 			}

@@ -79,10 +79,6 @@ type machine struct {
 	exts    []ExternFunc
 	funcs   map[*irFunc]*runFn
 	printed []string
-	// udfErr records the edge function's first runtime error: engine
-	// workers cannot unwind, so later applications become no-ops and the
-	// loop reports the error once the run drains.
-	udfErr atomic.Pointer[error]
 }
 
 func newMachine(ir *irProgram, g *graph.Graph, opt ExecOptions) *machine {
@@ -111,10 +107,14 @@ func (m *machine) run() (res *ExecResult, err error) {
 	var st core.Stats
 	if lp := m.ir.loop; lp != nil {
 		if st, err = m.ordered(lp, main).Run(); err != nil {
+			// A UDF's runtime error is the program's error, not the
+			// engine fault that carried it out of the run.
+			if pe, ok := err.(*core.PanicError); ok {
+				if e, ok := pe.Value.(execError); ok {
+					err = fmt.Errorf("graphit UDF %s: %w", lp.apply.name, e.err)
+				}
+			}
 			return nil, err
-		}
-		if e := m.udfErr.Load(); e != nil {
-			return nil, *e
 		}
 	}
 	m.block(m.ir.post)(main)
@@ -171,36 +171,19 @@ func (m *machine) element(vec int, i int64) *int64 {
 	return &m.vecs[vec][i]
 }
 
-// edgeFunc compiles the loop's UDF into the engine's EdgeFunc.
+// edgeFunc compiles the loop's UDF into the engine's EdgeFunc. A runtime
+// error unwinds the worker as an execError panic, which the engine contains
+// like any other: the run stops at its siblings' next checkpoint.
 func (m *machine) edgeFunc(fn *irFunc) core.EdgeFunc {
 	body, weighted := m.body(fn), fn.params == 3
 	frames := &framePool{size: len(fn.slots)}
 	return func(src, dst graph.VertexID, w graph.Weight, q *core.Updater) {
-		if m.udfErr.Load() != nil {
-			return
-		}
 		f := frames.get(q)
-		defer m.recoverUDF(f, fn.name)
 		f.slots[0], f.slots[1] = int64(src), int64(dst)
 		if weighted {
 			f.slots[2] = int64(w)
 		}
 		(*body)(f)
-	}
-}
-
-// recoverUDF records an edge function's runtime error and resets the
-// worker's frame.
-func (m *machine) recoverUDF(f *frame, name string) {
-	if r := recover(); r != nil {
-		e, ok := r.(execError)
-		if !ok {
-			panic(r)
-		}
-		err := fmt.Errorf("graphit UDF %s: %w", name, e.err)
-		m.udfErr.CompareAndSwap(nil, &err)
-		size := len(f.slots)
-		f.slots, f.sp = f.stack[:size:size], size
 	}
 }
 

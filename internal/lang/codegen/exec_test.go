@@ -1,9 +1,11 @@
 package codegen
 
 import (
+	"errors"
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"graphit/internal/core"
@@ -191,6 +193,82 @@ end`
 	}
 	if !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("error %v does not mention division by zero", err)
+	}
+}
+
+// TestUDFErrorHaltsRun: a UDF's runtime error stops the run the way any
+// worker's panic does. Over a 2¹⁶-vertex frontier in one bucket, lazy at
+// two workers, the edge function is entered far fewer than n/4 times, the
+// engine reports the fault as a *core.PanicError carrying the execError,
+// and Execute turns it back into the program's error.
+func TestUDFErrorHaltsRun(t *testing.T) {
+	const n = 1 << 16
+	edges := make([]graph.Edge, n-1)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: uint32(i), Dst: uint32(i + 1), W: 1}
+	}
+	g, err := graph.Build(edges, graph.BuildOptions{Weighted: true, InEdges: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(`element Vertex end
+element Edge end
+const edges : edgeset{Edge}(Vertex, Vertex, int) = load(argv[1]);
+const dist : vector{Vertex}(int) = 0;
+const pq : priority_queue{Vertex}(int);
+func updateEdge(src : Vertex, dst : Vertex, weight : int)
+    pq.updatePriorityMin(dst, dist[src] + weight / (weight - weight));
+end
+func main()
+    pq = new priority_queue{Vertex}(int)(true, "lower_first", dist);
+    while (pq.finished() == false)
+        var bucket : vertexset{Vertex} = pq.dequeueReadySet();
+        #s1# edges.from(bucket).applyUpdatePriority(updateEdge);
+        delete bucket;
+    end
+end
+schedule:
+    program->configApplyPriorityUpdate("s1", "lazy");
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Schedules["s1"].Workers = 2
+
+	// The loop's operator as Execute builds it, with its edge function
+	// wrapped to count entries.
+	ir, err := plan.lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(ir, g, ExecOptions{Graph: g})
+	main := newFrame(nil, len(ir.main.slots))
+	m.block(ir.pre)(main)
+	op := m.ordered(ir.loop, main)
+	udf := op.Apply
+	var calls atomic.Int64
+	op.Apply = func(src, dst graph.VertexID, w graph.Weight, q *core.Updater) {
+		calls.Add(1)
+		udf(src, dst, w, q)
+	}
+	_, err = op.Run()
+	var pe *core.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("engine returned %v, want the UDF's *core.PanicError", err)
+	}
+	if _, ok := pe.Value.(execError); !ok {
+		t.Fatalf("PanicError.Value = %#v, want an execError", pe.Value)
+	}
+	if c := calls.Load(); c >= n/4 {
+		t.Errorf("edge function entered %d times over a %d-vertex frontier after its first error", c, n)
+	}
+
+	_, err = plan.Execute(ExecOptions{Graph: g})
+	if err == nil || !strings.Contains(err.Error(), "graphit UDF updateEdge") || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("Execute error = %v, want the UDF's division by zero", err)
+	}
+	if errors.As(err, &pe) {
+		t.Fatalf("Execute returned an engine fault: %v", err)
 	}
 }
 

@@ -57,15 +57,20 @@ func Resolve(calls []lang.SchedCall) (Schedules, error) {
 				err = fmt.Errorf("takes \"enabled\" or \"disabled\", got %q", a)
 			}
 		case "configApplyParallelization":
-			// "dynamic-vertex-parallel" (optionally with a grain, e.g.
-			// "dynamic-vertex-parallel,64") is the only supported mode. An
-			// explicit grain must be >= 1: the default is selected by
-			// giving none.
+			// "dynamic-vertex-parallel" runs the loop on the default worker
+			// count and "serial" on one worker; either may carry a grain
+			// (e.g. "dynamic-vertex-parallel,64"). An explicit grain must
+			// be >= 1: the default is selected by giving none.
 			mode, grain, found := strings.Cut(a, ",")
-			switch {
-			case mode != "dynamic-vertex-parallel" && mode != "serial":
+			switch mode {
+			case "dynamic-vertex-parallel":
+				s.Workers = 0
+			case "serial":
+				s.Workers = 1
+			default:
 				err = fmt.Errorf("unsupported parallelization %q", mode)
-			case found:
+			}
+			if err == nil && found {
 				if s.Grain, err = strconv.Atoi(grain); err == nil && s.Grain < 1 {
 					err = fmt.Errorf("bad grain %q", grain)
 				}
@@ -86,10 +91,13 @@ func Resolve(calls []lang.SchedCall) (Schedules, error) {
 // Format renders cfg as label's scheduling chain (paper Figure 8), ready to
 // paste into a program's schedule block or feed to graphitc -schedule. It
 // names every field Resolve reads, so Resolve(ParseText(Format(l, c)))
-// gives back c for label l; the fields Resolve never sets (workers and the
-// watchdogs) are left out.
+// gives back c for label l; what Resolve never sets (the watchdogs, and a
+// worker count other than serial's one) is left out.
 func Format(label string, cfg core.Config) string {
 	par := "dynamic-vertex-parallel"
+	if cfg.Workers == 1 {
+		par = "serial"
+	}
 	if cfg.Grain > 0 {
 		par += fmt.Sprintf(",%d", cfg.Grain)
 	}

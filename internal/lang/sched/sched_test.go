@@ -137,28 +137,56 @@ program->configDeduplication("s1", "disabled")
 }
 
 // TestFormatRoundTrip: Resolve(ParseText(Format(label, c))) gives back c for
-// every strategy × direction and grain {0, 64}, with non-default ∆, fusion
-// threshold and bucket count.
+// every strategy × direction, grain {0, 64} and worker count {default,
+// serial}, with non-default ∆, fusion threshold and bucket count.
 func TestFormatRoundTrip(t *testing.T) {
 	for _, st := range core.StrategyNames() {
 		for _, dir := range core.DirectionNames() {
 			for _, grain := range []int{0, 64} {
-				c := core.Config{Delta: 1 << 11, FusionThreshold: 77, NumBuckets: 33, Grain: grain}
-				c.Strategy, _ = core.ParseStrategy(st)
-				c.Direction, _ = core.ParseDirection(dir)
-				text := Format("s1", c)
-				calls, err := ParseText(text)
-				if err != nil {
-					t.Fatalf("%v\n%s", err, text)
-				}
-				m, err := Resolve(calls)
-				if err != nil {
-					t.Fatalf("%v\n%s", err, text)
-				}
-				if got := *m["s1"]; got != c || len(m) != 1 {
-					t.Errorf("round trip of %+v gave %+v (%d labels):\n%s", c, got, len(m), text)
+				for _, workers := range []int{0, 1} {
+					c := core.Config{Delta: 1 << 11, FusionThreshold: 77, NumBuckets: 33, Grain: grain, Workers: workers}
+					c.Strategy, _ = core.ParseStrategy(st)
+					c.Direction, _ = core.ParseDirection(dir)
+					text := Format("s1", c)
+					calls, err := ParseText(text)
+					if err != nil {
+						t.Fatalf("%v\n%s", err, text)
+					}
+					m, err := Resolve(calls)
+					if err != nil {
+						t.Fatalf("%v\n%s", err, text)
+					}
+					if got := *m["s1"]; got != c || len(m) != 1 {
+						t.Errorf("round trip of %+v gave %+v (%d labels):\n%s", c, got, len(m), text)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestResolveSerialRunsOnOneWorker: "serial" sets the label's worker count
+// to one, with or without a grain, and a later "dynamic-vertex-parallel"
+// gives the default count back.
+func TestResolveSerialRunsOnOneWorker(t *testing.T) {
+	for _, tc := range []struct {
+		text           string
+		workers, grain int
+	}{
+		{`program->configApplyParallelization("s1", "serial");`, 1, 0},
+		{`program->configApplyParallelization("s1", "serial,32");`, 1, 32},
+		{`program->configApplyParallelization("s1", "serial")->configApplyParallelization("s1", "dynamic-vertex-parallel");`, 0, 0},
+	} {
+		calls, err := ParseText(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Resolve(calls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Get("s1"); got.Workers != tc.workers || got.Grain != tc.grain {
+			t.Errorf("%s: workers %d grain %d, want %d and %d", tc.text, got.Workers, got.Grain, tc.workers, tc.grain)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"graphit/internal/faults"
 	"graphit/internal/graph"
@@ -49,6 +50,39 @@ func fingerprintOf(t *testing.T, l *Live) uint64 {
 	}
 	defer s.Release()
 	return graph.Fingerprint(s.Graph())
+}
+
+// TestCheckpointOpsCutsCheckpointInBackground: once a durable Live's applied
+// ops cross CheckpointOps, its background checkpointer starts and cuts a
+// checkpoint of the current epoch, and Close joins that goroutine.
+func TestCheckpointOpsCutsCheckpointInBackground(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	store, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	l, _, err := Recover("test", durableBase(t), store, Config{CheckpointOps: 2})
+	if err != nil {
+		_ = store.Close()
+		t.Fatalf("Recover: %v", err)
+	}
+	defer l.Close()
+	for _, w := range []graph.Weight{9, 4} {
+		if _, err := l.ApplyBatch([]Op{{Kind: OpReweight, Src: 0, Dst: 1, W: w}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		d := l.Status().Durability
+		if d.Ckpts >= 1 && d.CheckpointEpoch == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no background checkpoint after crossing CheckpointOps: %+v", *d)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestAckedBatchesSurviveCrashAndReopen is the acceptance drill: every

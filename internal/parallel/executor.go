@@ -233,7 +233,8 @@ func (e *Executor) Run(fn func(worker int)) {
 
 // ForChunks divides [0, n) into chunks of at most grain iterations and
 // hands each chunk to body(lo, hi, worker) using dynamic (atomic-counter)
-// scheduling, on the executor's workers.
+// scheduling, on the executor's workers. A panicking chunk ends only its
+// own worker; Run re-raises it once the others have run every chunk left.
 func (e *Executor) ForChunks(n, grain int, body func(lo, hi, worker int)) {
 	if n <= 0 {
 		return
@@ -246,10 +247,8 @@ func (e *Executor) ForChunks(n, grain int, body func(lo, hi, worker int)) {
 		return
 	}
 	var next atomic.Int64
-	var aborted atomic.Bool
 	e.Run(func(worker int) {
-		defer HaltOnPanic(&aborted, worker)
-		for !aborted.Load() {
+		for {
 			lo := int(next.Add(int64(grain))) - grain
 			if lo >= n {
 				return
@@ -261,21 +260,6 @@ func (e *Executor) ForChunks(n, grain int, body func(lo, hi, worker int)) {
 			body(lo, hi, worker)
 		}
 	})
-}
-
-// HaltOnPanic is deferred by a worker body that claims chunks of a shared
-// loop while halt is clear. If the body panics, it sets halt, so sibling
-// workers stop claiming chunks at their next boundary, and re-raises the
-// panic wrapped in a *Panic carrying the stack captured here, the closest
-// frame to the fault.
-func HaltOnPanic(halt *atomic.Bool, worker int) {
-	if r := recover(); r != nil {
-		halt.Store(true)
-		if _, ok := r.(*Panic); !ok {
-			r = &Panic{Value: r, Stack: debug.Stack(), Worker: worker}
-		}
-		panic(r)
-	}
 }
 
 // executorPool recycles executors between engine runs, keyed by worker

@@ -2,10 +2,10 @@ package parallel
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"graphit/internal/testutil"
 )
@@ -205,47 +205,43 @@ func TestExecutorPanicAllWorkers(t *testing.T) {
 	}
 }
 
-// TestExecutorForChunksPanicAborts: a panicking chunk stops sibling workers
-// from claiming further chunks, and the loop's panic preserves the faulting
-// worker's stack (not the rethrow site's).
+// TestExecutorForChunksPanicAborts: a panicking chunk reaches the caller as
+// a *Panic carrying the original value, the faulting worker's id and a stack
+// that names the faulting frame, and the executor's next invocation still
+// covers every index. Stopping the sibling chunks is the caller's job: the
+// engine's traversals check their run control at each chunk.
 func TestExecutorForChunksPanicAborts(t *testing.T) {
 	defer testutil.LeakCheck(t, CloseIdle)()
 	e := NewExecutor(4)
 	defer e.Close()
-	const n = 1 << 20
-	var processed atomic.Int64
-	// Once chunk 0 has begun panicking, every sibling chunk sleeps 1 ms:
-	// finishing the loop would then take the siblings about a minute, so the
-	// check below does not depend on how long the panicking worker is
-	// descheduled on a loaded machine.
-	panicking := make(chan struct{})
+	const n = 1 << 12
+	faulted := -1
 	p := mustPanic(t, func() {
 		e.ForChunks(n, 16, func(lo, hi, worker int) {
 			if lo == 0 {
-				defer close(panicking)
-				panic("chunk fault")
+				faulted = worker
+				chunkFault()
 			}
-			select {
-			case <-panicking:
-				time.Sleep(time.Millisecond)
-			default:
-			}
-			processed.Add(int64(hi - lo))
 		})
 	})
 	if p.Value != "chunk fault" {
 		t.Errorf("Panic.Value = %v", p.Value)
 	}
-	if got := processed.Load(); got >= n-16 {
-		t.Errorf("siblings processed %d of %d iterations after the fault; abort did not propagate", got, n)
+	if p.Worker != faulted {
+		t.Errorf("Panic.Worker = %d, chunk 0 ran on worker %d", p.Worker, faulted)
 	}
-	// The dynamic loop still covers everything on the next invocation.
+	if !strings.Contains(string(p.Stack), "chunkFault") {
+		t.Errorf("Panic.Stack does not name the faulting frame:\n%s", p.Stack)
+	}
 	var count atomic.Int64
 	e.ForChunks(1000, 7, func(lo, hi, _ int) { count.Add(int64(hi - lo)) })
 	if count.Load() != 1000 {
 		t.Errorf("post-panic ForChunks covered %d of 1000", count.Load())
 	}
 }
+
+//go:noinline
+func chunkFault() { panic("chunk fault") }
 
 // TestExecutorPanicTransientFallback: panics are contained on the transient
 // (spawnRun) path too — both via a closed executor and via nesting.

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"graphit"
+	"graphit/internal/core"
+	"graphit/internal/faults"
 	"graphit/internal/obs"
 )
 
@@ -68,6 +70,32 @@ func TestPipelineMetricsEndToEnd(t *testing.T) {
 	snap := findRoundCount(t, reg, p)
 	if snap == 0 {
 		t.Errorf("engine round histogram recorded no rounds")
+	}
+}
+
+// TestFaultsCounterByKind: a primary run that panics under an injector is
+// counted once in qexec_faults_total under kind "panic"; the fallback rerun
+// that answers the request adds nothing to it.
+func TestFaultsCounterByKind(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := newTestPipeline(t, Config{
+		Workers:     2,
+		Metrics:     reg,
+		BaseContext: faults.New(faults.PanicAt(core.PhaseRelaxChunk, 2, "injected fault")).Context,
+	})
+	defer mustClose(t, p)
+
+	out := p.Do(context.Background(), Request{Algo: "sssp", Graph: "road", Src: 0, Strategy: "eager_with_fusion"})
+	if out.Code != CodeOK || !out.Fallback || out.FaultKind != graphit.FaultKindPanic {
+		t.Fatalf("code %s (%v) Fallback=%v FaultKind=%q, want an answer from the fallback after a panic",
+			out.Code, out.Err, out.Fallback, out.FaultKind)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	if want := `qexec_faults_total{kind="panic"} 1`; !strings.Contains(buf.String(), want) {
+		t.Errorf("exposition missing %q:\n%s", want, buf.String())
 	}
 }
 
